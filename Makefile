@@ -71,9 +71,11 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # Per-access hot-path benchmarks: the refactored kernel/cache/directory
-# layers must stay at ~0 allocs/op here.
+# layers and the sim scheduler's thread switch and inline advance must
+# stay at ~0 allocs/op here.
 bench-hotpath:
 	$(GO) test -bench='LoadHit|LoadMiss|StoreRFO' -benchmem -run=^$$ ./internal/machine/
+	$(GO) test -bench='WorldSwitch|WorldAdvanceInline' -benchmem -run=^$$ ./internal/sim/
 
 # One-iteration smoke pass over the artifact benchmarks — catches bench
 # bit-rot in CI without paying for stable numbers.

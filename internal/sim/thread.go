@@ -1,8 +1,11 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 )
 
 type threadState int
@@ -26,25 +29,45 @@ func (s threadState) String() string {
 	}
 }
 
-// Thread is a simulated hardware thread. Thread bodies run as goroutines
-// but are cooperatively scheduled: exactly one thread executes at a time,
+// Thread is a simulated hardware thread. Thread bodies run as coroutines
+// and are cooperatively scheduled: exactly one thread executes at a time,
 // and control returns to the World at every Advance call. A thread body
 // must therefore call Advance (directly or through a timed machine
 // operation) inside any loop, or the simulation cannot progress.
 type Thread struct {
-	id     int
-	name   string
-	world  *World
-	time   Cycles
-	resume chan struct{}
-	state  threadState
-	err    error
+	id    int
+	name  string
+	world *World
+	time  Cycles
+	state threadState
+	err   error
+
+	// next runs the thread's coroutine until it parks or finishes;
+	// yield, called on the coroutine, parks it and returns from next.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	stopRequested bool
 
 	// Tag is free space for the owner of the thread (the kernel layer
 	// stores the owning process and core pinning here).
 	Tag any
+}
+
+// Spawn creates a simulated thread named name whose body is fn. The thread
+// starts at the current global time and runs when the scheduler first
+// selects it. Spawn may be called before Run or from inside another
+// thread's body.
+func (w *World) Spawn(name string, fn func(*Thread)) *Thread {
+	t := &Thread{id: w.nextID, name: name, world: w, time: w.now, state: threadReady}
+	t.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
+		t.run(fn)
+	})
+	w.nextID++
+	w.threads = append(w.threads, t)
+	heap.Push(&w.queue, t)
+	return t
 }
 
 // ID returns the thread's unique id (spawn order).
@@ -74,10 +97,11 @@ func (t *Thread) StopRequested() bool { return t.stopRequested }
 //
 // When the advanced thread is still the earliest runnable one — the
 // common case for single-threaded phases and for whichever attack thread
-// currently trails in virtual time — Advance returns without any
-// goroutine switch: the scheduler would have re-selected this thread
-// immediately, so running on is observationally identical and removes
-// the channel park/resume pair from the per-operation cost.
+// currently trails in virtual time — Advance returns without a switch:
+// the scheduler would have re-selected this thread immediately, so
+// running on is observationally identical. Otherwise the thread parks
+// and its coroutine yields to the scheduler loop, which resumes it when
+// it is next selected.
 //
 // Advance panics with an internal sentinel if the thread has been stopped;
 // the sentinel is recovered by the thread wrapper, so thread bodies should
@@ -103,11 +127,10 @@ func (t *Thread) Advance(d Cycles) {
 		}
 	}
 	// Slow path: another thread is due (or the scheduler must observe a
-	// condition). Park and hand control over.
+	// condition). Park and yield to the scheduler loop.
 	t.state = threadReady
 	heap.Push(&w.queue, t)
-	w.transfer(nil)
-	<-t.resume
+	t.yield(struct{}{})
 	if t.stopRequested {
 		panic(killed{reason: "stop requested"})
 	}
@@ -119,12 +142,10 @@ func (t *Thread) Advance(d Cycles) {
 // progress is required.
 func (t *Thread) Yield() { t.Advance(0) }
 
-// run is the goroutine wrapper around the thread body. It waits for the
-// first scheduling, executes fn, recovers the kill sentinel, and passes
-// control on — directly to the next runnable thread, or to the scheduler
-// when the body panicked (so RunUntil can re-panic the error).
+// run executes the thread body on its coroutine. It recovers the kill
+// sentinel and records any other panic in t.err, which the scheduler
+// loop re-panics on the RunUntil caller (Drain does not).
 func (t *Thread) run(fn func(*Thread)) {
-	<-t.resume
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killed); !ok {
@@ -132,11 +153,6 @@ func (t *Thread) run(fn func(*Thread)) {
 			}
 		}
 		t.state = threadDone
-		if t.err != nil {
-			t.world.transfer(t)
-		} else {
-			t.world.transfer(nil)
-		}
 	}()
 	fn(t)
 }

@@ -7,20 +7,19 @@
 // introduce orders of magnitude more wall-clock noise than that. The kernel
 // therefore runs exactly one simulated thread at a time and orders threads
 // by (virtual time, thread id), so a run is a pure function of its
-// configuration and seed. Simulated threads are real goroutines, but they
-// hand control back to the kernel at every timed operation, so shared
-// state mutated by thread bodies needs no locking.
+// configuration and seed. Each simulated thread is a runtime coroutine
+// (iter.Pull): the scheduler loop in RunUntil resumes the selected thread,
+// which runs until its next timed operation parks it and control returns
+// to the loop. Only one of them executes at any time, so shared state
+// mutated by thread bodies needs no locking.
 //
-// Two mechanisms keep that handover off the hot path. A thread whose
-// Advance leaves it the earliest runnable thread simply keeps executing —
-// the scheduler would have re-selected it anyway, so no goroutine switch
-// happens at all. When another thread is due, control transfers directly
-// from the yielding thread's goroutine to the next thread's goroutine;
-// the scheduler goroutine parked in RunUntil wakes only for conditions it
-// must observe (stop predicate, thread failure, cycle limit, all threads
-// finished). Both paths select threads by exactly the same (time, id)
-// ordering as a naive central scheduler loop, so schedules — and
-// therefore every derived artifact — are unchanged.
+// A thread whose Advance leaves it the earliest runnable thread simply
+// keeps executing: the loop would have re-selected it anyway, so no
+// switch happens at all. Otherwise a switch is a coroutine switch, which
+// does not go through the Go scheduler. Both paths select threads by the
+// same (time, id) order and check the stop predicate and cycle limit in
+// the same order, so schedules — and therefore every derived artifact —
+// do not depend on which path ran.
 package sim
 
 import (
@@ -60,23 +59,17 @@ type Config struct {
 // simulated threads deterministically. Create one with NewWorld, add
 // threads with Spawn, then drive them with Run or RunUntil.
 type World struct {
-	cfg      Config
-	rand     *Rand
-	threads  []*Thread
-	queue    threadQueue
-	nextID   int
-	now      Cycles
-	running  bool
-	draining bool
-	yield    chan struct{} // wakes the scheduler goroutine parked in RunUntil/Drain
+	cfg     Config
+	rand    *Rand
+	threads []*Thread
+	queue   threadQueue
+	nextID  int
+	now     Cycles
+	running bool
 
-	// stopFn is RunUntil's predicate, stored so the inline fast path and
-	// direct handoffs can honour it at every step, exactly as a central
-	// scheduler loop would.
+	// stopFn is RunUntil's predicate, stored so the inline fast path can
+	// honour it at every step, exactly as the scheduler loop would.
 	stopFn func() bool
-	// failed records a thread whose body panicked; the scheduler
-	// re-panics its error on the RunUntil goroutine.
-	failed *Thread
 
 	// fuseSafe and fuseDeadline describe the active drive's stop
 	// structure for FuseHorizon: set by RunUntilDeadline (and Run, with
@@ -87,11 +80,7 @@ type World struct {
 
 // NewWorld returns an empty world.
 func NewWorld(cfg Config) *World {
-	return &World{
-		cfg:   cfg,
-		rand:  NewRand(cfg.Seed),
-		yield: make(chan struct{}, 1),
-	}
+	return &World{cfg: cfg, rand: NewRand(cfg.Seed)}
 }
 
 // Rand returns the world's root random stream.
@@ -107,26 +96,6 @@ func (w *World) Threads() []*Thread {
 	out := make([]*Thread, len(w.threads))
 	copy(out, w.threads)
 	return out
-}
-
-// Spawn creates a simulated thread named name whose body is fn. The thread
-// starts at the current global time and runs when the scheduler first
-// selects it. Spawn may be called before Run or from inside another
-// thread's body.
-func (w *World) Spawn(name string, fn func(*Thread)) *Thread {
-	t := &Thread{
-		id:     w.nextID,
-		name:   name,
-		world:  w,
-		time:   w.now,
-		resume: make(chan struct{}, 1),
-		state:  threadReady,
-	}
-	w.nextID++
-	w.threads = append(w.threads, t)
-	heap.Push(&w.queue, t)
-	go t.run(fn)
-	return t
 }
 
 // NoDeadline marks a RunUntilDeadline drive with no time bound: the
@@ -209,56 +178,23 @@ func (w *World) runLoop(stop func() bool) error {
 		}
 		if w.cfg.MaxCycles != 0 && t.time > w.cfg.MaxCycles {
 			// Requeue the over-limit thread so a subsequent Drain can
-			// unwind it instead of leaking its goroutine.
+			// unwind it instead of leaking its coroutine.
 			heap.Push(&w.queue, t)
 			return ErrDeadlock{At: w.cfg.MaxCycles}
 		}
-		w.now = t.time
-		t.state = threadRunning
-		t.resume <- struct{}{}
-		// Threads hand off among themselves; the wake below means a
-		// condition needs this goroutine: stop predicate, empty queue,
-		// cycle limit, or a failed thread.
-		<-w.yield
-		if w.failed != nil {
-			err := w.failed.err
-			w.failed = nil
-			panic(err)
+		w.resume(t)
+		if t.err != nil {
+			panic(t.err)
 		}
 	}
 }
 
-// transfer hands control to the next runnable thread directly, or wakes
-// the scheduler goroutine when it must observe a condition (thread
-// failure, stop predicate, empty queue, cycle limit). It is called on
-// the goroutine of a thread that has just parked or finished; exactly
-// one simulated thread executes at any time, so mutating scheduler
-// state here is race-free.
-func (w *World) transfer(failed *Thread) {
-	if failed != nil && !w.draining {
-		w.failed = failed
-		w.yield <- struct{}{}
-		return
-	}
-	if w.stopFn != nil && w.stopFn() {
-		w.yield <- struct{}{}
-		return
-	}
-	next := w.nextRunnable()
-	if next == nil {
-		w.yield <- struct{}{}
-		return
-	}
-	if !w.draining && w.cfg.MaxCycles != 0 && next.time > w.cfg.MaxCycles {
-		// Put the over-limit thread back; the scheduler re-pops it and
-		// reports ErrDeadlock, exactly as the central loop did.
-		heap.Push(&w.queue, next)
-		w.yield <- struct{}{}
-		return
-	}
-	w.now = next.time
-	next.state = threadRunning
-	next.resume <- struct{}{}
+// resume makes t the running thread and runs its coroutine until t
+// parks in Advance or finishes.
+func (w *World) resume(t *Thread) {
+	w.now = t.time
+	t.state = threadRunning
+	t.next()
 }
 
 // nextRunnable pops the ready thread with the smallest (time, id).
@@ -300,20 +236,13 @@ func (w *World) Shutdown() {
 }
 
 // Drain stops every thread and schedules until all have unwound. Call it
-// after RunUntil returns with live threads, so their goroutines exit
-// before the world is dropped.
+// after RunUntil returns with live threads, so their coroutines exit
+// before the world is dropped. A thread that panics while unwinding is
+// finished, not re-panicked.
 func (w *World) Drain() {
 	w.Shutdown()
-	w.draining = true
-	defer func() { w.draining = false }()
-	for {
-		t := w.nextRunnable()
-		if t == nil {
-			return
-		}
-		t.state = threadRunning
-		t.resume <- struct{}{}
-		<-w.yield
+	for t := w.nextRunnable(); t != nil; t = w.nextRunnable() {
+		w.resume(t)
 	}
 }
 
