@@ -83,15 +83,16 @@ bench-smoke:
 	$(GO) test -bench=BenchmarkArtifact -benchtime=1x -run=^$$ .
 	$(GO) test -bench='LoadHit|LoadMiss' -benchtime=100x -benchmem -run=^$$ ./internal/machine/
 
-# Compiled-kernel performance gate: run every artifact bench under both
-# access-stream kernels in one invocation (same machine, same run) plus
-# the hot-path benches, then fail if the compiled kernel's aggregate
-# exceeds the interpreted reference by >10%. Both kernels produce
-# byte-identical TSVs, so the ratio is pure kernel overhead; an
-# aggregate >1.1x means the batching machinery regressed.
+# Access-stream executor performance gate: run the hot-path benches,
+# then time kernel.Thread.Exec against the hand-written per-op loop it
+# must match (BenchmarkStream/<shape>/{exec,ref}, noise-shaped
+# multi-thread programs) in one invocation (same machine, same run),
+# and fail if Exec's aggregate exceeds the loop's by >10%. Both sides
+# produce identical simulated behaviour, so the ratio is pure executor
+# overhead; an aggregate >1.1x means the fusion machinery regressed.
 bench-gate:
 	$(GO) test -bench='LoadHit|LoadMiss|StoreRFO' -benchtime=1000x -benchmem -run=^$$ ./internal/machine/
-	$(GO) test -bench=BenchmarkArtifact -benchtime=1x -run=^$$ . | tee /tmp/benchgate.txt
+	$(GO) test -bench=BenchmarkStream -benchtime=300x -count=3 -run=^$$ ./internal/kernel/difftest/ | tee /tmp/benchgate.txt
 	$(GO) run ./cmd/benchgate -max-regress 0.10 < /tmp/benchgate.txt
 
 # Compare two `go test -bench` outputs, e.g.:

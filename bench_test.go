@@ -32,16 +32,14 @@ func quickPlan() harness.Plan {
 	}
 }
 
-func runArtifacts(b *testing.B, names []string, parallel int, kern string) *harness.RunReport {
+func runArtifacts(b *testing.B, names []string, parallel int) *harness.RunReport {
 	b.Helper()
 	arts, err := experiments.Artifacts().Select(names)
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan := quickPlan()
-	plan.Cfg.Kernel = kern
 	r := &harness.Runner{Parallel: parallel}
-	rep, err := r.Run(context.Background(), plan, arts)
+	rep, err := r.Run(context.Background(), quickPlan(), arts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,22 +51,17 @@ func runArtifacts(b *testing.B, names []string, parallel int, kern string) *harn
 
 // BenchmarkArtifact regenerates each registered paper artifact at quick
 // sizing through the harness Runner — the same engine, registry and
-// cell decomposition cmd/experiments uses — once per access-stream
-// kernel. The interp/compiled pair per artifact is what `make
-// bench-gate` compares: both produce byte-identical TSVs, so any timing
-// split is pure kernel overhead.
+// cell decomposition cmd/experiments uses.
 func BenchmarkArtifact(b *testing.B) {
 	for _, name := range experiments.Artifacts().Names() {
-		for _, kern := range []string{machine.KernelInterp, machine.KernelCompiled} {
-			b.Run(name+"/"+kern, func(b *testing.B) {
-				var rows int
-				for i := 0; i < b.N; i++ {
-					rep := runArtifacts(b, []string{name}, 1, kern)
-					rows = len(rep.Results[0].Rows)
-				}
-				b.ReportMetric(float64(rows), "rows")
-			})
-		}
+		b.Run(name, func(b *testing.B) {
+			var rows int
+			for i := 0; i < b.N; i++ {
+				rep := runArtifacts(b, []string{name}, 1)
+				rows = len(rep.Results[0].Rows)
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
 	}
 }
 
@@ -79,7 +72,7 @@ func BenchmarkRunnerParallel(b *testing.B) {
 	for _, par := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runArtifacts(b, names, par, machine.KernelInterp)
+				runArtifacts(b, names, par)
 			}
 		})
 	}

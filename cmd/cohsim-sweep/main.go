@@ -134,7 +134,6 @@ func main() {
 		artifacts = flag.String("artifacts", "", "comma-separated artifact list (empty = all)")
 		sizing    = flag.String("sizing", "quick", "quick or full")
 		seed      = flag.Uint64("seed", 0, "base experiment seed (0 = daemon default; a seed axis overrides)")
-		kern      = flag.String("kernel", "", "access-stream kernel override (empty = daemon default)")
 		strategy  = flag.String("strategy", "", "grid (default) or random")
 		samples   = flag.Int("samples", 0, "points to draw with -strategy random")
 		maxPoints = flag.Int("max-points", 0, "hard point budget (0 = engine default)")
@@ -155,7 +154,7 @@ func main() {
 		return
 	}
 
-	spec, err := buildSpec(*specPath, *name, *artifacts, *sizing, *seed, *kern,
+	spec, err := buildSpec(*specPath, *name, *artifacts, *sizing, *seed,
 		*strategy, *samples, *maxPoints, *topk, *objArg, axes, filter)
 	if err != nil {
 		die(err)
@@ -199,7 +198,7 @@ func main() {
 	}
 }
 
-func buildSpec(path, name, artifacts, sizing string, seed uint64, kern, strategy string, samples, maxPoints, topk int, objArg string, axes axisFlags, filter filterFlags) (sweep.Spec, error) {
+func buildSpec(path, name, artifacts, sizing string, seed uint64, strategy string, samples, maxPoints, topk int, objArg string, axes axisFlags, filter filterFlags) (sweep.Spec, error) {
 	var spec sweep.Spec
 	if path != "" {
 		var r io.Reader = os.Stdin
@@ -234,7 +233,6 @@ func buildSpec(path, name, artifacts, sizing string, seed uint64, kern, strategy
 	spec = sweep.Spec{
 		Name:      name,
 		Sizing:    sizing,
-		Kernel:    kern,
 		Axes:      axes,
 		Strategy:  strategy,
 		Samples:   samples,

@@ -43,7 +43,6 @@ func main() {
 		name    = flag.String("name", "", "worker name in /v1/workers and SSE events (default host-pid)")
 		slots   = flag.Int("slots", 1, "cells executed concurrently")
 		poll    = flag.Duration("poll", 0, "long-poll wait per lease request (0 = server suggestion)")
-		kern    = flag.String("kernel", "", "force this worker's access-stream kernel: interp or compiled (empty = follow the coordinator)")
 		showVer = flag.Bool("version", false, "print build identity and exit")
 	)
 	flag.Parse()
@@ -67,7 +66,6 @@ func main() {
 		Slots:    *slots,
 		PollWait: *poll,
 		Log:      os.Stderr,
-		Kernel:   *kern,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cohsim-worker:", err)

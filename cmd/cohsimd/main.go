@@ -64,8 +64,6 @@ import (
 	"time"
 
 	"coherentleak/internal/experiments"
-	"coherentleak/internal/harness"
-	"coherentleak/internal/machine"
 	"coherentleak/internal/service"
 	"coherentleak/internal/store"
 	"coherentleak/internal/tenant"
@@ -89,7 +87,6 @@ func main() {
 		workerTTL    = flag.Duration("worker-ttl", 0, "silent-worker expiry (0 = 3x lease TTL)")
 		leaseTries   = flag.Int("lease-attempts", 0, "worker attempts per cell before local fallback (0 = 3)")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
-		kern         = flag.String("kernel", machine.KernelInterp, "default access-stream kernel for jobs: interp or compiled (per-job `kernel` field overrides)")
 		cacheMax     = flag.Int("cache-max", 50000, "max cells kept in the manifest cache, LRU-pruned (0 = unbounded)")
 		maxSweeps    = flag.Int("max-sweeps", 2, "sweeps executed concurrently (further sweeps queue)")
 		sweepFlight  = flag.Int("sweep-inflight", 0, "concurrent points per sweep (0 = 4)")
@@ -121,16 +118,8 @@ func main() {
 		}()
 	}
 
-	base := machine.DefaultConfig()
-	base.Kernel = *kern
-	if err := base.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "cohsimd:", err)
-		os.Exit(1)
-	}
-
 	opts := service.Options{
 		Registry:            experiments.Artifacts(),
-		BaseConfig:          &base,
 		QueueDepth:          *queue,
 		Executors:           *jobs,
 		CellParallel:        *parallel,
@@ -180,10 +169,10 @@ func run(opts service.Options, addr, out string, drainTimeout time.Duration, cac
 		opts.Store = disk
 		fmt.Fprintf(os.Stderr, "cohsimd: shared cell store at %s (%d entries)\n", storeDir, disk.Len())
 	case cache && persist:
-		m, err := harness.LoadManifest(manifestPath)
+		m, err := store.LoadMemory(manifestPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cohsimd: starting with empty cell cache: %v\n", err)
-			m = harness.NewManifest()
+			m = store.NewMemory()
 		}
 		opts.Manifest = m
 		opts.ManifestPath = manifestPath
@@ -197,7 +186,7 @@ func run(opts service.Options, addr, out string, drainTimeout time.Duration, cac
 		if opts.Manifest != nil && cacheMax > 0 {
 			opts.Manifest.SetLimit(cacheMax)
 		} else if !opts.DisableCache && cacheMax > 0 {
-			m := harness.NewManifest()
+			m := store.NewMemory()
 			m.SetLimit(cacheMax)
 			opts.Manifest = m
 		}

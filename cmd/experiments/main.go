@@ -9,7 +9,7 @@
 //	experiments [-only table1,fig2,fig6,fig7,fig8,fig9,fig10,fig11,peaks,mitigations,capacity]
 //	            [-out results] [-quick] [-seed N] [-parallel N] [-timeout D]
 //	            [-cache=false] [-cache-max N] [-archive=false] [-list]
-//	            [-kernel interp|compiled] [-replacement lru|tree-plru|srrip|brrip]
+//	            [-replacement lru|tree-plru|srrip|brrip]
 //	            [-config '{"Latencies":{"QPI":60}}' | -config @overrides.json]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-version]
 //
@@ -54,7 +54,6 @@ func main() {
 		archive  = flag.Bool("archive", true, "archive replay JSON records under <out>/replay")
 		list     = flag.Bool("list", false, "list registered artifacts and exit")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-		kern     = flag.String("kernel", machine.KernelInterp, "access-stream kernel: interp or compiled (byte-identical output)")
 		replace  = flag.String("replacement", "", "cache replacement policy for every level (default LRU)")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
@@ -141,7 +140,7 @@ func main() {
 	// persisted per entry, shared with any cohsimd replicas pointed at
 	// the same directory) or the historical manifest snapshot under -out.
 	var cellCache store.CellStore
-	var manifest *harness.Manifest
+	var manifest *store.Memory
 	manifestPath := filepath.Join(*out, "manifest.json")
 	switch {
 	case *storeDir != "":
@@ -151,10 +150,10 @@ func main() {
 		}
 		cellCache = disk
 	case *cache:
-		manifest, err = harness.LoadManifest(manifestPath)
+		manifest, err = store.LoadMemory(manifestPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: starting with empty cell cache: %v\n", err)
-			manifest = harness.NewManifest()
+			manifest = store.NewMemory()
 		}
 		if *cacheMax > 0 {
 			manifest.SetLimit(*cacheMax)
@@ -184,7 +183,6 @@ func main() {
 			die(err)
 		}
 	}
-	cfg.Kernel = *kern
 	if *replace != "" {
 		cfg.Replacement = *replace
 	}

@@ -162,11 +162,6 @@ type Grant struct {
 	Config       json.RawMessage `json:"config"`
 	ConfigDigest string          `json:"configDigest"`
 	LeaseMillis  int64           `json:"leaseMillis"`
-	// Kernel carries the plan's access-stream kernel selection. It rides
-	// outside Config because machine.Config excludes the field from JSON
-	// (it is digest-exempt: both kernels produce identical bytes), yet a
-	// worker should default to the coordinator's choice.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // Fleet is the coordinator: it owns the worker registry, the pending
@@ -333,7 +328,6 @@ func (f *Fleet) grantLocked(tk *task, w *workerState) *Grant {
 		Config:       marshalConfig(tk.spec.Plan),
 		ConfigDigest: tk.spec.ConfigDigest,
 		LeaseMillis:  f.opts.LeaseTTL.Milliseconds(),
-		Kernel:       tk.spec.Plan.Cfg.Kernel,
 	}
 }
 

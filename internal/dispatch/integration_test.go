@@ -209,11 +209,10 @@ func TestHTTPWorkerUnknownCellReportsFailure(t *testing.T) {
 }
 
 // TestFleetCompiledKernelByteIdentity runs a real experiment artifact
-// (fig2, quick sizing) through HTTP fleet workers with the compiled
-// access-stream kernel and requires the assembled TSV to be
-// byte-identical to a serial in-process run of the interpreted
-// reference kernel: executor topology and kernel choice must both be
-// invisible in the output bytes.
+// (fig2, quick sizing, whose cells drive kernel-build noise through the
+// fused access-stream executor) through HTTP fleet workers and requires
+// the assembled TSV to be byte-identical to a serial in-process run:
+// executor topology must be invisible in the output bytes.
 func TestFleetCompiledKernelByteIdentity(t *testing.T) {
 	reg := experiments.Artifacts()
 	f := NewFleet(Options{LeaseTTL: time.Hour, WorkerTTL: time.Hour})
@@ -227,9 +226,7 @@ func TestFleetCompiledKernelByteIdentity(t *testing.T) {
 	defer stop()
 	waitUntil(t, func() bool { return f.Stats().LiveWorkers == 2 })
 
-	compiled := machine.DefaultConfig()
-	compiled.Kernel = machine.KernelCompiled
-	plan := harness.Plan{Cfg: compiled, Seed: experiments.DefaultSeed, Sizing: harness.SizingQuick}
+	plan := harness.Plan{Cfg: machine.DefaultConfig(), Seed: experiments.DefaultSeed, Sizing: harness.SizingQuick}
 
 	arts, err := reg.Select([]string{"fig2"})
 	if err != nil {
@@ -248,12 +245,11 @@ func TestFleetCompiledKernelByteIdentity(t *testing.T) {
 		}
 	}
 
-	interp := harness.Plan{Cfg: machine.DefaultConfig(), Seed: experiments.DefaultSeed, Sizing: harness.SizingQuick}
-	ref, err := (&harness.Runner{Parallel: 1}).Run(context.Background(), interp, arts)
+	ref, err := (&harness.Runner{Parallel: 1}).Run(context.Background(), plan, arts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := rep.Results[0].TSV(), ref.Results[0].TSV(); !bytes.Equal(got, want) {
-		t.Fatalf("fleet compiled-kernel TSV differs from serial interpreted run:\n got: %q\nwant: %q", got, want)
+		t.Fatalf("fleet TSV differs from serial in-process run:\n got: %q\nwant: %q", got, want)
 	}
 }

@@ -35,12 +35,6 @@ type WorkerOptions struct {
 	HTTPClient *http.Client
 	// Log receives one line per worker lifecycle event; nil discards.
 	Log io.Writer
-	// Kernel, when non-empty, forces this worker's access-stream kernel
-	// (machine.KernelInterp or machine.KernelCompiled) regardless of the
-	// grant's selection. The execution strategy is local to the worker:
-	// either kernel produces byte-identical results, so mixed fleets are
-	// sound. Empty follows the coordinator's plan.
-	Kernel string
 }
 
 // Worker pulls leased cells from a Fleet coordinator over HTTP,
@@ -69,11 +63,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}
 	if opts.Registry == nil {
 		return nil, errors.New("dispatch: WorkerOptions.Registry is required")
-	}
-	switch opts.Kernel {
-	case "", machine.KernelInterp, machine.KernelCompiled:
-	default:
-		return nil, fmt.Errorf("dispatch: WorkerOptions.Kernel %q: want %q or %q", opts.Kernel, machine.KernelInterp, machine.KernelCompiled)
 	}
 	if opts.Slots <= 0 {
 		opts.Slots = 1
@@ -234,28 +223,14 @@ func (w *Worker) resolve(g *Grant) (harness.Cell, error) {
 	if err := json.Unmarshal(g.Config, &cfg); err != nil {
 		return zero, fmt.Errorf("decode config: %v", err)
 	}
-	// Kernel rides outside Config on the wire (digest-exempt); the
-	// worker's own setting wins over the coordinator's. Only the kernel
-	// field is validated here: the rest of the config is the
-	// coordinator's responsibility (and test registries legitimately
-	// run with minimal configs that full validation would reject).
-	cfg.Kernel = g.Kernel
-	if w.opts.Kernel != "" {
-		cfg.Kernel = w.opts.Kernel
-	}
-	switch cfg.Kernel {
-	case "", machine.KernelInterp, machine.KernelCompiled:
-	default:
-		return zero, fmt.Errorf("grant kernel %q: want %q or %q", cfg.Kernel, machine.KernelInterp, machine.KernelCompiled)
-	}
+	// The config is not validated here: that is the coordinator's
+	// responsibility (and test registries legitimately run with minimal
+	// configs that full validation would reject).
 	plan := harness.Plan{Cfg: cfg, Seed: g.Seed, Sizing: harness.Sizing(g.Sizing)}
 	if d := plan.ConfigDigest(); d != g.ConfigDigest {
 		return zero, fmt.Errorf("config digest mismatch: coordinator %s, worker %s", g.ConfigDigest, d)
 	}
-	// The config digest excludes the kernel, so it must be part of the
-	// plan-cache key: cells capture their plan (kernel included) when
-	// first built.
-	key := g.ConfigDigest + "\x00" + cfg.Kernel + "\x00" + fmt.Sprint(g.Seed) + "\x00" + g.Sizing + "\x00" + g.Artifact
+	key := g.ConfigDigest + "\x00" + fmt.Sprint(g.Seed) + "\x00" + g.Sizing + "\x00" + g.Artifact
 	w.planMu.Lock()
 	cells, ok := w.planCache[key]
 	w.planMu.Unlock()

@@ -57,12 +57,14 @@ func TestArtifactCellPlansAreWellFormed(t *testing.T) {
 	}
 }
 
-// TestGoldenTSVs regenerates table1.tsv and fig6_pattern.tsv through
-// the Runner and compares them byte-for-byte against checked-in golden
-// files (both artifacts are sizing-independent and fully deterministic).
+// TestGoldenTSVs regenerates table1.tsv, fig6_pattern.tsv and the quick
+// fig2_cdf.tsv and capacity.tsv through the Runner and compares them
+// byte-for-byte against checked-in golden files. fig2 and capacity run
+// kernel-build noise threads, so they pin the access-stream executor's
+// output; the goldens were recorded with the per-op reference executor.
 func TestGoldenTSVs(t *testing.T) {
 	dir := t.TempDir()
-	arts, err := Artifacts().Select([]string{"table1", "fig6"})
+	arts, err := Artifacts().Select([]string{"table1", "fig6", "fig2", "capacity"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +79,8 @@ func TestGoldenTSVs(t *testing.T) {
 	for file, golden := range map[string]string{
 		"table1.tsv":       "table1.golden.tsv",
 		"fig6_pattern.tsv": "fig6_pattern.golden.tsv",
+		"fig2_cdf.tsv":     "fig2_cdf.golden.tsv",
+		"capacity.tsv":     "capacity.golden.tsv",
 	} {
 		got, err := os.ReadFile(filepath.Join(dir, file))
 		if err != nil {

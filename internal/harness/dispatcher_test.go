@@ -6,6 +6,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"coherentleak/internal/store"
 )
 
 // countingDispatcher executes tasks via their in-process body and
@@ -75,7 +77,7 @@ func TestRunnerDispatcherByteIdentity(t *testing.T) {
 // a cell satisfied by the manifest is never handed to the dispatcher,
 // so cached cells cannot ship to remote workers.
 func TestRunnerCacheConsultedBeforeDispatch(t *testing.T) {
-	m := NewManifest()
+	m := store.NewMemory()
 	arts := func() []*Artifact { return []*Artifact{shuffledArtifact("epsilon", 5, nil)} }
 
 	warm := &Runner{Parallel: 2, Manifest: m}

@@ -7,9 +7,9 @@
 // cell order (so parallel output is byte-identical to a serial run),
 // streams per-cell progress and timing to a single summary writer, and
 // hands each finished artifact to pluggable sinks (TSV files, replay
-// JSON archives). A Manifest keyed by (config digest, seed, sizing,
-// artifact, cell) lets repeated invocations skip cells whose inputs are
-// unchanged.
+// JSON archives). A cell store (Runner.Manifest) keyed by (config
+// digest, seed, sizing, artifact, cell) lets repeated invocations skip
+// cells whose inputs are unchanged.
 package harness
 
 import (

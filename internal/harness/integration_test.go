@@ -17,6 +17,7 @@ import (
 	"coherentleak/internal/harness"
 	"coherentleak/internal/machine"
 	"coherentleak/internal/replay"
+	"coherentleak/internal/store"
 )
 
 func quickPlan() harness.Plan {
@@ -106,7 +107,7 @@ func TestManifestCacheAcrossProcessBoundary(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.json")
 
-	m1, err := harness.LoadManifest(path)
+	m1, err := store.LoadMemory(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestManifestCacheAcrossProcessBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := harness.LoadManifest(path)
+	m2, err := store.LoadMemory(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,20 +132,13 @@ func TestManifestCacheAcrossProcessBoundary(t *testing.T) {
 	}
 }
 
-// compiledPlan is quickPlan with the compiled access-stream kernel
-// selected. Config.Kernel is digest-exempt, so the two plans address the
-// same cache entries — the TSVs must be byte-identical either way.
-func compiledPlan() harness.Plan {
-	p := quickPlan()
-	p.Cfg.Kernel = machine.KernelCompiled
-	return p
-}
-
-// TestCompiledKernelGOMAXPROCS4Identity is the ISSUE's multi-core
-// determinism gate: with the Go scheduler forced to 4 OS threads (real
-// parallel cell execution regardless of host shape), a compiled-kernel
-// artifact run at -parallel 1 and -parallel 8 must produce byte-identical
-// TSVs — and the same bytes as the interpreted reference kernel.
+// TestCompiledKernelGOMAXPROCS4Identity is the multi-core determinism
+// gate for the fused access-stream executor: with the Go scheduler
+// forced to 4 OS threads (real parallel cell execution regardless of
+// host shape), fig2 — whose cells run kernel-build noise threads
+// through kernel.Thread.Exec — must produce byte-identical TSVs at
+// -parallel 1 and -parallel 8. The bytes themselves are pinned by the
+// fig2 golden in internal/experiments.
 func TestCompiledKernelGOMAXPROCS4Identity(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -164,13 +158,9 @@ func TestCompiledKernelGOMAXPROCS4Identity(t *testing.T) {
 		return rep.Results[0].TSV()
 	}
 
-	serial := run(compiledPlan(), 1)
-	parallel := run(compiledPlan(), 8)
+	serial := run(quickPlan(), 1)
+	parallel := run(quickPlan(), 8)
 	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("compiled kernel TSV differs between -parallel 1 and -parallel 8 under GOMAXPROCS=4:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
-	}
-	interp := run(quickPlan(), 4)
-	if !bytes.Equal(serial, interp) {
-		t.Fatalf("compiled kernel TSV differs from interpreted reference:\n--- compiled ---\n%s--- interp ---\n%s", serial, interp)
+		t.Fatalf("TSV differs between -parallel 1 and -parallel 8 under GOMAXPROCS=4:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
 	}
 }

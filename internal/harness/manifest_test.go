@@ -9,14 +9,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"coherentleak/internal/store"
 )
 
 func TestManifestRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.json")
 
-	m := NewManifest()
-	m.Store("fig2/LShared", &ManifestEntry{
+	m := store.NewMemory()
+	m.Store("fig2/LShared", &store.Entry{
 		Digest:     "abc",
 		Rows:       []string{"LShared\t98\t0.5"},
 		Summary:    []string{"fig2 LShared mean=98"},
@@ -26,7 +28,7 @@ func TestManifestRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := LoadManifest(path)
+	loaded, err := store.LoadMemory(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestManifestRoundtrip(t *testing.T) {
 func TestManifestConcurrentStoreAndSave(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.json")
-	m := NewManifest()
+	m := store.NewMemory()
 
 	const writers, perWriter = 8, 40
 	var wg sync.WaitGroup
@@ -63,13 +65,13 @@ func TestManifestConcurrentStoreAndSave(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				key := fmt.Sprintf("art%d/cell%d", w, i)
-				m.Store(key, &ManifestEntry{Digest: "d", Rows: []string{key}})
+				m.Store(key, &store.Entry{Digest: "d", Rows: []string{key}})
 				if i%10 == 0 {
 					if err := m.Save(path); err != nil {
 						t.Error(err)
 						return
 					}
-					if _, err := LoadManifest(path); err != nil {
+					if _, err := store.LoadMemory(path); err != nil {
 						t.Errorf("torn manifest observed: %v", err)
 						return
 					}
@@ -83,7 +85,7 @@ func TestManifestConcurrentStoreAndSave(t *testing.T) {
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	final, err := LoadManifest(path)
+	final, err := store.LoadMemory(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestManifestConcurrentStoreAndSave(t *testing.T) {
 }
 
 func TestLoadManifestMissingFileIsEmpty(t *testing.T) {
-	m, err := LoadManifest(filepath.Join(t.TempDir(), "nope.json"))
+	m, err := store.LoadMemory(filepath.Join(t.TempDir(), "nope.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestLoadManifestVersionMismatchStartsCold(t *testing.T) {
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadManifest(path)
+	m, err := store.LoadMemory(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,21 +134,21 @@ func TestLoadManifestCorruptIsError(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{truncated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadManifest(path); err == nil {
+	if _, err := store.LoadMemory(path); err == nil {
 		t.Fatal("corrupt manifest accepted")
 	}
 }
 
 func TestManifestLimitEvictsLeastRecentlyUsed(t *testing.T) {
-	m := NewManifest()
+	m := store.NewMemory()
 	m.SetLimit(2)
-	m.Store("a", &ManifestEntry{Digest: "da"})
-	m.Store("b", &ManifestEntry{Digest: "db"})
+	m.Store("a", &store.Entry{Digest: "da"})
+	m.Store("b", &store.Entry{Digest: "db"})
 	// Touch "a" so "b" becomes the LRU victim.
 	if _, ok := m.Lookup("a", "da"); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	m.Store("c", &ManifestEntry{Digest: "dc"})
+	m.Store("c", &store.Entry{Digest: "dc"})
 	if m.Len() != 2 {
 		t.Fatalf("len = %d, want 2", m.Len())
 	}
@@ -167,8 +169,8 @@ func TestManifestLimitEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 	// Lifting the limit stops eviction.
 	m.SetLimit(0)
-	m.Store("d", &ManifestEntry{Digest: "dd"})
-	m.Store("e", &ManifestEntry{Digest: "de"})
+	m.Store("d", &store.Entry{Digest: "dd"})
+	m.Store("e", &store.Entry{Digest: "de"})
 	if m.Len() != 3 {
 		t.Fatalf("len unbounded = %d, want 3", m.Len())
 	}
@@ -181,7 +183,7 @@ func TestManifestLimitEvictsLeastRecentlyUsed(t *testing.T) {
 func TestManifestPrunedEntryReruns(t *testing.T) {
 	var ran atomic.Int64
 	arts := []*Artifact{shuffledArtifact("pruned", 6, &ran)}
-	m := NewManifest()
+	m := store.NewMemory()
 	m.SetLimit(3) // half the artifact's cells fit
 	r := &Runner{Parallel: 1, Manifest: m}
 

@@ -63,8 +63,8 @@ type Runner struct {
 	Progress io.Writer
 	// Manifest, when set, caches cell outputs across runs: a cell whose
 	// input digest matches a stored entry is not re-executed. Any
-	// store.CellStore works here — the historical in-memory Manifest,
-	// the on-disk replica-shared store, or a future network backend.
+	// store.CellStore works here — the in-memory store.Memory, the
+	// on-disk replica-shared store.Disk, or a future network backend.
 	Manifest store.CellStore
 	// Sinks receive every assembled artifact in artifact order.
 	Sinks []Sink
@@ -367,7 +367,7 @@ func (r *Runner) runCell(ctx context.Context, plan Plan, digest string, a *Artif
 	*out = o
 	rep.Rows = len(o.Rows)
 	if r.Manifest != nil {
-		r.Manifest.Store(cacheKey, &ManifestEntry{
+		r.Manifest.Store(cacheKey, &store.Entry{
 			Digest:     in,
 			Rows:       o.Rows,
 			Summary:    o.Summary,

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"coherentleak/internal/store"
 )
 
 // shuffledArtifact returns an artifact whose cells finish out of order
@@ -206,7 +208,7 @@ func TestRunnerRejectsBadCellPlans(t *testing.T) {
 func TestRunnerManifestCache(t *testing.T) {
 	var ran atomic.Int64
 	arts := []*Artifact{shuffledArtifact("cached", 6, &ran)}
-	m := NewManifest()
+	m := store.NewMemory()
 	r := &Runner{Parallel: 4, Manifest: m}
 
 	first, err := r.Run(context.Background(), Plan{Seed: 3}, arts)
@@ -319,7 +321,7 @@ func TestRunnerContextTimeout(t *testing.T) {
 // the daemon's SSE stream rides on: one call per cell, monotone done
 // counter, correct cached flags.
 func TestRunnerObserveReportsEveryCell(t *testing.T) {
-	m := NewManifest()
+	m := store.NewMemory()
 	var mu sync.Mutex
 	var calls []CellReport
 	var lastDone int

@@ -1,16 +1,17 @@
-// Package difftest is the differential-correctness harness for the two
-// access-stream kernels: it generates seeded random multi-thread traces,
-// executes each trace once under the interpreted kernel and once under
-// the compiled kernel, and asserts that the two runs are indistinguishable
-// — identical per-access virtual times, identical machine state digest
-// (which covers every cache line, directory record, per-line bookkeeping
-// and the access statistics), and conserved operation counts. A failing
-// trace can be shrunk to a minimal reproduction.
+// Package difftest is the differential-correctness harness for the
+// access-stream executor: it generates seeded random multi-thread
+// traces, executes each trace once with a hand-written per-op loop (the
+// oracle) and once through kernel.Thread.Exec, and asserts that the two
+// runs are indistinguishable — identical per-access virtual times,
+// identical machine state digest (which covers every cache line,
+// directory record, per-line bookkeeping and the access statistics),
+// and conserved operation counts. A failing trace can be shrunk to a
+// minimal reproduction.
 //
-// The generated traces deliberately cover the compiled kernel's proof
-// obligations: multi-page address pools (TLB and set-conflict pressure),
-// shared read-only pages whose stores must take the COW faulting path
-// (per-op fallback), mid-trace mmaps that bump the mapping epoch (stale
+// The generated traces deliberately cover Exec's proof obligations:
+// multi-page address pools (TLB and set-conflict pressure), shared
+// read-only pages whose stores must take the COW faulting path (per-op
+// fallback), mid-trace mmaps that bump the mapping epoch (stale
 // translation re-resolution), zero-think operations (unfused advances),
 // and multiple threads on distinct cores whose interleaving the fused
 // advance must not perturb.
@@ -67,11 +68,10 @@ type Trace struct {
 	Prefetch bool
 	Notify   bool
 	// Replacement selects the cache replacement policy by registry name
-	// (empty = LRU). Both kernels run under the same policy; the
-	// compiled kernel's service-path memo is policy-independent (victim
-	// selection happens inside cache.Insert, shared by both paths), and
-	// the corpus over every protocol × policy combination is what proves
-	// that claim holds.
+	// (empty = LRU). Both runs use the same policy; the service-path memo
+	// is policy-independent (victim selection happens inside
+	// cache.Insert, shared by both paths), and the corpus over every
+	// protocol × policy combination is what proves that claim holds.
 	Replacement string
 	Procs       int
 	Private     int // private pages per process
@@ -173,7 +173,7 @@ func segment(r *rand.Rand, ops []Op) []int {
 	return seg
 }
 
-// Result is one kernel's execution outcome for a trace.
+// Result is one run's outcome for a trace.
 type Result struct {
 	// Times[t][s] is thread t's virtual time after its segment s — the
 	// cumulative sum of every latency and think up to that boundary, so
@@ -185,16 +185,66 @@ type Result struct {
 	Stream kernel.StreamStats
 }
 
-// Run executes tr under the given kernel mode (machine.KernelInterp or
-// machine.KernelCompiled) in a fresh world and returns the outcome.
-func Run(tr Trace, kernelMode string) Result {
+// RunRef executes tr in a fresh world with the oracle: each segment
+// runs as RefLoop. It never calls Exec.
+func RunRef(tr Trace) Result { return run(tr, false) }
+
+// RunExec executes tr in a fresh world with each segment handed to
+// kernel.Thread.Exec as one Program.
+func RunExec(tr Trace) Result { return run(tr, true) }
+
+// Access is one operation with its virtual address resolved.
+type Access struct {
+	Kind  kernel.OpKind
+	VA    uint64
+	Think sim.Cycles
+}
+
+// RefLoop is the hand-written loop that kernel.Thread.Exec must match
+// bit for bit: per op, stop if a kill is pending, issue the thread's
+// Load, Store or Flush, then advance by the think time when it is
+// positive.
+func RefLoop(kt *kernel.Thread, ops []Access) {
+	for _, op := range ops {
+		if kt.StopRequested() {
+			return
+		}
+		switch op.Kind {
+		case kernel.OpLoad:
+			kt.Load(op.VA)
+		case kernel.OpStore:
+			kt.Store(op.VA)
+		case kernel.OpFlush:
+			kt.Flush(op.VA)
+		}
+		if op.Think > 0 {
+			kt.Advance(op.Think)
+		}
+	}
+}
+
+// Compile resets prog and fills it with ops.
+func Compile(prog *kernel.Program, ops []Access) {
+	prog.Reset()
+	for _, op := range ops {
+		switch op.Kind {
+		case kernel.OpLoad:
+			prog.Load(op.VA, op.Think)
+		case kernel.OpStore:
+			prog.Store(op.VA, op.Think)
+		case kernel.OpFlush:
+			prog.Flush(op.VA, op.Think)
+		}
+	}
+}
+
+func run(tr Trace, exec bool) Result {
 	w := sim.NewWorld(sim.Config{Seed: tr.Seed})
 	cfg := machine.DefaultConfig()
 	cfg.Protocol = tr.Protocol
 	cfg.NextLinePrefetch = tr.Prefetch
 	cfg.Mitigations.LLCNotifiedOfEToM = tr.Notify
 	cfg.Replacement = tr.Replacement
-	cfg.Kernel = kernelMode
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -225,6 +275,7 @@ func Run(tr Trace, kernelMode string) Result {
 		ti := ti
 		k.Spawn(proc, th.Core, fmt.Sprintf("t%d", ti), func(kt *kernel.Thread) {
 			prog := kernel.NewProgram(proc, 8)
+			var seg []Access
 			i := 0
 			for _, n := range th.Seg {
 				ops := th.Ops[i : i+n]
@@ -234,7 +285,7 @@ func Run(tr Trace, kernelMode string) Result {
 					res.Times[ti] = append(res.Times[ti], kt.Now())
 					continue
 				}
-				prog.Reset()
+				seg = seg[:0]
 				for _, op := range ops {
 					var va uint64
 					if op.Page < tr.Private {
@@ -242,16 +293,14 @@ func Run(tr Trace, kernelMode string) Result {
 					} else {
 						va = shared[op.Page-tr.Private][th.Proc] + op.Off
 					}
-					switch op.Kind {
-					case kernel.OpLoad:
-						prog.Load(va, op.Think)
-					case kernel.OpStore:
-						prog.Store(va, op.Think)
-					case kernel.OpFlush:
-						prog.Flush(va, op.Think)
-					}
+					seg = append(seg, Access{Kind: op.Kind, VA: va, Think: op.Think})
 				}
-				kt.Exec(prog, nil)
+				if exec {
+					Compile(prog, seg)
+					kt.Exec(prog, nil)
+				} else {
+					RefLoop(kt, seg)
+				}
 				res.Times[ti] = append(res.Times[ti], kt.Now())
 			}
 		})
@@ -264,7 +313,7 @@ func Run(tr Trace, kernelMode string) Result {
 	return res
 }
 
-// Mismatch describes the first divergence between the two kernels.
+// Mismatch describes the first divergence between the two runs.
 type Mismatch struct {
 	Field  string
 	Detail string
@@ -272,37 +321,36 @@ type Mismatch struct {
 
 func (m *Mismatch) String() string { return m.Field + ": " + m.Detail }
 
-// Compare runs tr under both kernels and returns the first divergence,
-// or nil when the runs are indistinguishable.
+// Compare runs tr with the hand-written loop and with Exec and returns
+// the first divergence, or nil when the runs are indistinguishable.
 func Compare(tr Trace) *Mismatch {
-	ri := Run(tr, machine.KernelInterp)
-	rc := Run(tr, machine.KernelCompiled)
+	rr := RunRef(tr)
+	re := RunExec(tr)
 
+	if rr.Stream != (kernel.StreamStats{}) {
+		return &Mismatch{"ref-stream", fmt.Sprintf(
+			"hand-written loop touched the executor statistics: %+v", rr.Stream)}
+	}
 	n := tr.ops()
-	if ri.Stream.InterpOps != n || ri.Stream.CompiledOps != 0 || ri.Stream.UnfusedOps != 0 {
-		return &Mismatch{"interp-conservation", fmt.Sprintf(
-			"interp kernel ran %d interp / %d compiled / %d unfused ops, want %d/0/0",
-			ri.Stream.InterpOps, ri.Stream.CompiledOps, ri.Stream.UnfusedOps, n)}
+	if got := re.Stream.CompiledOps + re.Stream.UnfusedOps + re.Stream.InterpOps; got != n {
+		return &Mismatch{"exec-conservation", fmt.Sprintf(
+			"Exec accounted %d ops (compiled %d + unfused %d + interp %d), want %d",
+			got, re.Stream.CompiledOps, re.Stream.UnfusedOps, re.Stream.InterpOps, n)}
 	}
-	if got := rc.Stream.CompiledOps + rc.Stream.UnfusedOps + rc.Stream.InterpOps; got != n {
-		return &Mismatch{"compiled-conservation", fmt.Sprintf(
-			"compiled kernel accounted %d ops (compiled %d + unfused %d + interp %d), want %d",
-			got, rc.Stream.CompiledOps, rc.Stream.UnfusedOps, rc.Stream.InterpOps, n)}
-	}
-	for t := range ri.Times {
-		a, b := ri.Times[t], rc.Times[t]
+	for t := range rr.Times {
+		a, b := rr.Times[t], re.Times[t]
 		if len(a) != len(b) {
 			return &Mismatch{"times", fmt.Sprintf("thread %d: %d vs %d segment boundaries", t, len(a), len(b))}
 		}
 		for s := range a {
 			if a[s] != b[s] {
 				return &Mismatch{"times", fmt.Sprintf(
-					"thread %d segment %d: interp at cycle %d, compiled at %d", t, s, a[s], b[s])}
+					"thread %d segment %d: loop at cycle %d, Exec at %d", t, s, a[s], b[s])}
 			}
 		}
 	}
-	if ri.Digest != rc.Digest {
-		return &Mismatch{"digest", fmt.Sprintf("interp %s != compiled %s", ri.Digest, rc.Digest)}
+	if rr.Digest != re.Digest {
+		return &Mismatch{"digest", fmt.Sprintf("loop %s != Exec %s", rr.Digest, re.Digest)}
 	}
 	return nil
 }

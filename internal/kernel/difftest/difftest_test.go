@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"reflect"
 	"testing"
 
 	"coherentleak/internal/cache"
@@ -17,7 +18,7 @@ const corpusPerCombo = 25
 
 // TestDifferentialCorpus executes the deterministic corpus: for every
 // builtin protocol × registered replacement policy, 25 seeded random
-// traces compared between the interpreted and compiled kernels.
+// traces compared between the hand-written loop and Exec.
 // Protocol groups run in parallel so `go test -race` also exercises
 // concurrent worlds.
 func TestDifferentialCorpus(t *testing.T) {
@@ -51,13 +52,13 @@ func TestDifferentialCorpus(t *testing.T) {
 }
 
 // TestCompiledPathEngages guards the corpus against vacuity: across the
-// corpus the compiled kernel must actually fuse a large share of
-// operations, not silently fall back to the interpreter.
+// corpus Exec must actually fuse a large share of operations, not
+// silently fall back to the per-op loop.
 func TestCompiledPathEngages(t *testing.T) {
 	var compiled, total uint64
 	for i := 0; i < 20; i++ {
 		tr := Generate(uint64(i)*7919+3, coherence.MESIF)
-		rc := Run(tr, machine.KernelCompiled)
+		rc := RunExec(tr)
 		compiled += rc.Stream.CompiledOps
 		total += rc.Stream.CompiledOps + rc.Stream.UnfusedOps + rc.Stream.InterpOps
 	}
@@ -76,7 +77,7 @@ func TestFallbacksExercised(t *testing.T) {
 	var fallbacks uint64
 	for i := 0; i < 50; i++ {
 		tr := Generate(uint64(i)*104729+11, coherence.MESI)
-		rc := Run(tr, machine.KernelCompiled)
+		rc := RunExec(tr)
 		fallbacks += rc.Stream.FallbackOps
 	}
 	if fallbacks == 0 {
@@ -85,38 +86,44 @@ func TestFallbacksExercised(t *testing.T) {
 }
 
 // TestTracedMachineFallsBackWholeProgram verifies the whole-program
-// disengage: with a trace observer attached the compiled kernel must
-// interpret everything (events must arrive in cycle order), and still
-// match the interpreted kernel's event stream.
+// disengage: with a trace observer attached Exec must run everything
+// per op (events must arrive in cycle order), and deliver the same
+// event stream as the hand-written loop.
 func TestTracedMachineFallsBackWholeProgram(t *testing.T) {
-	tr := Generate(42, coherence.MESIF)
-	for _, mode := range []string{machine.KernelInterp, machine.KernelCompiled} {
+	run := func(exec bool) ([]machine.AccessEvent, kernel.StreamStats) {
 		w := sim.NewWorld(sim.Config{Seed: 1})
-		cfg := machine.DefaultConfig()
-		cfg.Kernel = mode
-		m := machine.New(w, cfg)
-		var events int
-		m.SetAccessObserver(func(machine.AccessEvent) { events = events + 1 })
+		m := machine.New(w, machine.DefaultConfig())
+		var events []machine.AccessEvent
+		m.SetAccessObserver(func(e machine.AccessEvent) { events = append(events, e) })
 		k := kernel.New(m, 0)
 		p := k.NewProcess("p")
 		va := p.MustMmap(1)
+		ops := []Access{{kernel.OpLoad, va, 100}, {kernel.OpStore, va + 64, 100}}
 		k.Spawn(p, 0, "t", func(kt *kernel.Thread) {
-			prog := kernel.NewProgram(p, 4)
-			prog.Load(va, 100)
-			prog.Store(va+64, 100)
+			if !exec {
+				RefLoop(kt, ops)
+				return
+			}
+			prog := kernel.NewProgram(p, len(ops))
+			Compile(prog, ops)
 			kt.Exec(prog, nil)
 		})
 		if err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if events != 2 {
-			t.Fatalf("mode %s: %d trace events, want 2", mode, events)
-		}
-		if mode == machine.KernelCompiled && k.Stream.FallbackPrograms != 1 {
-			t.Fatalf("traced compiled run: FallbackPrograms = %d, want 1", k.Stream.FallbackPrograms)
-		}
+		return events, k.Stream
 	}
-	_ = tr
+	ref, _ := run(false)
+	got, st := run(true)
+	if len(got) != 2 {
+		t.Fatalf("Exec: %d trace events, want 2", len(got))
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("traced Exec events differ from the hand-written loop:\n got %+v\nwant %+v", got, ref)
+	}
+	if st.FallbackPrograms != 1 {
+		t.Fatalf("traced Exec: FallbackPrograms = %d, want 1", st.FallbackPrograms)
+	}
 }
 
 // TestShrinkPreservesPassing confirms Shrink is the identity on a
@@ -141,8 +148,8 @@ func FuzzDifferential(f *testing.F) {
 	// RRIP insertion-age seeds: dense conflict traces under SRRIP age
 	// whole sets to "distant" before victimizing, and under BRRIP cross
 	// the 32-fill bimodal boundary repeatedly, so the aging loop, the
-	// insertion trickle and the compiled kernel's memo are all exercised
-	// against the interpreter.
+	// insertion trickle and the service-path memo are all exercised
+	// against the hand-written loop.
 	f.Add(uint64(0xA11C0DE), uint8(0), uint8(2))
 	f.Add(uint64(0x5EED5EED5EED), uint8(1), uint8(2))
 	f.Add(uint64(0xB1B0DA1), uint8(0), uint8(3))

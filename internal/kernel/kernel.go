@@ -64,7 +64,7 @@ type Kernel struct {
 
 	// mapEpoch counts virtual-to-physical mapping mutations across every
 	// process: mmap/munmap/exit, explicit sharing, COW breaks and KSM
-	// merges all bump it. Compiled access-stream programs cache their
+	// merges all bump it. Access-stream programs cache their
 	// translations against it and re-resolve when it moves.
 	mapEpoch uint64
 }

@@ -7,36 +7,33 @@ import (
 	"coherentleak/internal/sim"
 )
 
-// This file implements the compiled access-stream kernel: a trace
-// pre-pass flattens a thread's straight-line run of memory operations
-// into a Program — a preflattened op array with pre-drawn addresses and
-// cached virtual-to-physical translations — which Exec then drives in a
-// tight loop. Two execution strategies share the Program representation:
+// This file implements the access-stream executor: a trace pre-pass
+// flattens a thread's straight-line run of memory operations into a
+// Program — a preflattened op array with pre-drawn addresses and cached
+// virtual-to-physical translations — which Exec then drives in a tight
+// loop. Per operation Exec performs the machine work untimed
+// (machine.LoadTimed and friends) and fuses the service latency and
+// think time into one scheduler Advance.
 //
-//   - interp (the reference): each operation is a kernel.Thread
-//     Load/Store/Flush followed by a separate think-time Advance,
-//     exactly as a hand-written thread body would issue it.
-//   - compiled: each operation performs its machine work untimed
-//     (machine.LoadTimed and friends) and fuses the service latency and
-//     think time into one scheduler Advance.
-//
-// The two are bit-identical by contract. The argument, op by op: the
-// machine work runs at the same thread-local time T in both modes
-// (before any advance), so the global machine-operation order — and
-// with it every RNG draw — is unchanged; the fused advance parks the
-// thread at the same final time T+latency+think; and the only
-// observation the fusion skips is the scheduler's stop-predicate
-// evaluation at the intermediate time T+latency. That evaluation is
-// provably redundant when the active drive declares its stop structure
-// (sim.World.RunUntilDeadline): a clock-free predicate cannot change
-// value between T and T+latency because no other thread — and no
-// machine work — runs in between, and the deadline comparison is
-// checked explicitly against the fuse horizon. Whenever the proof
-// obligation fails — an opaque RunUntil predicate, an attached trace
-// observer (whose events must arrive in cycle order), a stale
-// translation, a store that must take a COW fault — the executor
-// disengages to the interpreted path for the operation or the whole
-// program, and counts the fallback.
+// The contract is the hand-written loop: for each operation, stop if a
+// kill is pending, issue kernel.Thread Load/Store/Flush, then Advance by
+// the think time when it is positive. Exec is bit-identical to that
+// loop. The argument, op by op: the machine work runs at the same
+// thread-local time T (before any advance), so the global
+// machine-operation order — and with it every RNG draw — is unchanged;
+// the fused advance parks the thread at the same final time
+// T+latency+think; and the only observation the fusion skips is the
+// scheduler's stop-predicate evaluation at the intermediate time
+// T+latency. That evaluation is provably redundant when the active
+// drive declares its stop structure (sim.World.RunUntilDeadline): a
+// clock-free predicate cannot change value between T and T+latency
+// because no other thread — and no machine work — runs in between, and
+// the deadline comparison is checked explicitly against the fuse
+// horizon. Whenever the proof obligation fails — an opaque RunUntil
+// predicate, an attached trace observer (whose events must arrive in
+// cycle order), a stale translation, a store that must take a COW
+// fault — Exec runs the hand-written loop itself for the operation or
+// the whole program, and counts the fallback.
 
 // OpKind is the operation selector of one Program slot.
 type OpKind uint8
@@ -145,23 +142,25 @@ func (p *Program) resolve(epoch uint64) {
 }
 
 // StreamStats counts access-stream executor activity for one kernel.
-// All counters are cumulative across programs and threads.
+// All counters are cumulative across programs and threads. Every
+// operation Exec completes counts in exactly one of CompiledOps,
+// UnfusedOps and InterpOps.
 type StreamStats struct {
 	// CompiledOps counts operations executed on the fused fast path.
 	CompiledOps uint64
-	// InterpOps counts operations executed by the reference interpreter
-	// (the interp kernel, per-op fallbacks, and fallback programs).
+	// InterpOps counts operations run as the hand-written per-op loop
+	// (per-op fallbacks and fallback programs).
 	InterpOps uint64
-	// UnfusedOps counts compiled-path operations that split their
-	// advance to mirror the interpreter exactly (deadline or cycle-limit
+	// UnfusedOps counts fast-path operations that split their advance to
+	// mirror the hand-written loop exactly (deadline or cycle-limit
 	// crossings, zero-think tails).
 	UnfusedOps uint64
-	// FallbackPrograms counts Exec calls that disengaged the compiled
-	// path entirely: an opaque stop predicate or an attached tracer.
+	// FallbackPrograms counts Exec calls that ran the whole program per
+	// op: an opaque stop predicate or an attached tracer.
 	FallbackPrograms uint64
-	// FallbackOps counts compiled-path operations interpreted
-	// individually: stale translations that resolve to faulting stores
-	// or unmapped addresses.
+	// FallbackOps counts fast-path operations run per op individually:
+	// stale translations that resolve to faulting stores or unmapped
+	// addresses.
 	FallbackOps uint64
 }
 
@@ -171,54 +170,26 @@ type StreamStats struct {
 // stopped). opsCounter, when non-nil, is incremented after each
 // operation's access completes and before its think advance — the
 // accounting point hand-written workloads use — so externally observed
-// counts match the interpreter even if the thread is killed mid-think.
+// counts match the loop even if the thread is killed mid-think.
+//
+// Per operation Exec performs the machine work untimed, then advances
+// once by latency+think when the fusion proof holds, or splits the
+// advance (counted) when it does not.
 func (t *Thread) Exec(p *Program, opsCounter *uint64) int {
-	if t.kern.mach.Config().CompiledKernel() {
-		return t.execCompiled(p, opsCounter)
-	}
-	return t.execInterp(p, opsCounter, &t.kern.Stream.InterpOps)
-}
-
-// execInterp is the reference executor: per-op timed machine calls with
-// a separate think advance, byte-for-byte the schedule a hand-written
-// thread body produces.
-func (t *Thread) execInterp(p *Program, opsCounter *uint64, opCtr *uint64) int {
-	for i := range p.ops {
-		if t.Sim.StopRequested() {
-			return i
-		}
-		op := &p.ops[i]
-		switch op.Kind {
-		case OpLoad:
-			t.Load(op.VA)
-		case OpStore:
-			t.Store(op.VA)
-		case OpFlush:
-			t.Flush(op.VA)
-		}
-		*opCtr++
-		if opsCounter != nil {
-			*opsCounter++
-		}
-		if op.Think > 0 {
-			t.Sim.Advance(op.Think)
-		}
-	}
-	return len(p.ops)
-}
-
-// execCompiled is the fused fast path. Per operation it performs the
-// machine work untimed, then advances once by latency+think when the
-// fusion proof holds, or splits the advance (counted) when it does not.
-func (t *Thread) execCompiled(p *Program, opsCounter *uint64) int {
 	st := &t.kern.Stream
 	world := t.kern.world
 	mach := t.kern.mach
 	if _, fuseOK := world.FuseHorizon(); !fuseOK || mach.Traced() {
 		// Opaque stop predicate (could read the clock) or a tracer that
-		// needs cycle-ordered events: the whole program interprets.
+		// needs cycle-ordered events: the whole program runs per op.
 		st.FallbackPrograms++
-		return t.execInterp(p, opsCounter, &st.InterpOps)
+		for i := range p.ops {
+			if t.Sim.StopRequested() {
+				return i
+			}
+			t.interpOp(&p.ops[i], opsCounter)
+		}
+		return len(p.ops)
 	}
 	if !p.resolved || p.resolvedAt != t.kern.mapEpoch {
 		p.resolve(t.kern.mapEpoch)
@@ -239,23 +210,9 @@ func (t *Thread) execCompiled(p *Program, opsCounter *uint64) int {
 		op := &p.ops[i]
 		if !p.ok[i] {
 			// Unmapped (will segfault identically) or a store that must
-			// take the COW faulting path: interpret this op.
+			// take the COW faulting path: run this op per op.
 			st.FallbackOps++
-			st.InterpOps++
-			switch op.Kind {
-			case OpLoad:
-				t.Load(op.VA)
-			case OpStore:
-				t.Store(op.VA)
-			case OpFlush:
-				t.Flush(op.VA)
-			}
-			if opsCounter != nil {
-				*opsCounter++
-			}
-			if op.Think > 0 {
-				sim.Advance(op.Think)
-			}
+			t.interpOp(op, opsCounter)
 			continue
 		}
 		var a machine.Access
@@ -269,7 +226,7 @@ func (t *Thread) execCompiled(p *Program, opsCounter *uint64) int {
 		}
 		now := sim.Now()
 		total := a.Latency + op.Think
-		// Fuse when the interpreter's intermediate scheduling point at
+		// Fuse when the loop's intermediate scheduling point at
 		// now+latency is unobservable: below the drive's stop horizon
 		// and, with a cycle limit, not past it (the limit is checked at
 		// every advance, so a split mirrors the abort time exactly).
@@ -296,4 +253,24 @@ func (t *Thread) execCompiled(p *Program, opsCounter *uint64) int {
 		}
 	}
 	return len(p.ops)
+}
+
+// interpOp is one iteration of the hand-written loop: the timed access,
+// then the think advance.
+func (t *Thread) interpOp(op *StreamOp, opsCounter *uint64) {
+	switch op.Kind {
+	case OpLoad:
+		t.Load(op.VA)
+	case OpStore:
+		t.Store(op.VA)
+	case OpFlush:
+		t.Flush(op.VA)
+	}
+	t.kern.Stream.InterpOps++
+	if opsCounter != nil {
+		*opsCounter++
+	}
+	if op.Think > 0 {
+		t.Sim.Advance(op.Think)
+	}
 }

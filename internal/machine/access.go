@@ -32,7 +32,7 @@ func (m *Machine) Load(t *sim.Thread, g int, addr uint64) Access {
 // LoadTimed is Load without the clock advance: it performs the full
 // access (state changes, RNG draws, stats) at the thread's current time
 // and returns the latency for the caller to account. It exists for the
-// compiled access-stream executor, which fuses the advance with the
+// access-stream executor (kernel.Thread.Exec), which fuses the advance with the
 // op's think time; interleaving LoadTimed with other threads' work
 // before advancing breaks the determinism contract.
 func (m *Machine) LoadTimed(t *sim.Thread, g int, addr uint64) Access {

@@ -165,26 +165,7 @@ type Config struct {
 	Latencies Latencies
 	// Mitigations are defensive options, normally all off.
 	Mitigations Mitigations
-	// Kernel selects the sim-kernel execution strategy for access-stream
-	// programs: "interp" (or empty, the reference interpreter) runs one
-	// timed operation per scheduler step; "compiled" batches straight-
-	// line runs through the preflattened fast path (see
-	// kernel.ExecMode). The two are bit-identical by contract — the
-	// differential harness in internal/kernel/difftest enforces it — so
-	// the field is excluded from the JSON config digest and cached cell
-	// outputs are shared between kernels.
-	Kernel string `json:"-"`
 }
-
-// Kernel mode names accepted by Config.Kernel.
-const (
-	KernelInterp   = "interp"
-	KernelCompiled = "compiled"
-)
-
-// CompiledKernel reports whether the compiled access-stream kernel is
-// selected.
-func (c Config) CompiledKernel() bool { return c.Kernel == KernelCompiled }
 
 // ReplacementPolicy resolves the configured replacement policy name.
 // Unknown names resolve to LRU here; Validate rejects them before any
@@ -257,11 +238,6 @@ func (c Config) Validate() error {
 		if err := pol.CheckGeometry(g.geo); err != nil {
 			return fmt.Errorf("machine: %s: %w", g.name, err)
 		}
-	}
-	switch c.Kernel {
-	case "", KernelInterp, KernelCompiled:
-	default:
-		return fmt.Errorf("machine: unknown kernel %q (want %q or %q)", c.Kernel, KernelInterp, KernelCompiled)
 	}
 	return nil
 }

@@ -16,9 +16,9 @@ import (
 // states, every directory record, the per-line bookkeeping (flush
 // epochs, upgrade marks, pressure), interconnect counters, TLB counters
 // and the access statistics. Two machines that executed equivalent
-// operation streams — e.g. the interpreted and compiled kernels over the
-// same trace — must digest identically; the differential harness in
-// internal/kernel/difftest asserts exactly that.
+// operation streams — e.g. kernel.Thread.Exec and the hand-written
+// per-op loop over the same trace — must digest identically; the
+// differential harness in internal/kernel/difftest asserts exactly that.
 func (m *Machine) StateDigest() string {
 	h := sha256.New()
 	var buf [8]byte

@@ -150,9 +150,9 @@ func CoLocationPressure(kern *kernel.Kernel, threads int) float64 {
 // run is one thread's phase loop. A pre-pass flattens each phase's
 // straight-line run of accesses into a Program — drawing the phase's
 // addresses from the thread's private rng in exactly the order the
-// hand-written loop did — and Exec drives it with whichever kernel the
-// machine config selects. Address generation is untimed either way, so
-// moving the draws into the pre-pass changes no simulated behaviour.
+// hand-written loop did — and Exec drives it on the fused fast path.
+// Address generation is untimed, so moving the draws into the pre-pass
+// changes no simulated behaviour.
 func (w *Workload) run(kt *kernel.Thread, base uint64, rng *sim.Rand) {
 	setBytes := uint64(w.cfg.WorkingSetPages) * kernel.PageSize
 	lines := setBytes / 64

@@ -3,6 +3,7 @@ package noise
 import (
 	"testing"
 
+	"coherentleak/internal/covert"
 	"coherentleak/internal/kernel"
 	"coherentleak/internal/machine"
 	"coherentleak/internal/sim"
@@ -112,5 +113,34 @@ func TestWorkloadDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("runs diverged: %d vs %d ops", a, b)
+	}
+}
+
+// TestNoiseFusesUnderChannelDrive guards the production fast path: noise
+// attached to a covert channel's session (the fig9/fig10 shape) runs
+// under the channel's RunUntilDeadline drive, so Exec must fuse its
+// operations and never fall back to running a whole program per op. Such
+// a fallback changes no output byte, only speed, so the executor
+// statistics are its only witness.
+func TestNoiseFusesUnderChannelDrive(t *testing.T) {
+	var kern *kernel.Kernel
+	var nw *Workload
+	ch := covert.NewChannel(covert.Scenarios[0])
+	ch.PreRun = func(s *covert.Session) {
+		kern = s.Kern
+		var err error
+		if nw, err = Attach(s.Kern, DefaultConfig(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ch.Run([]byte{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	st := kern.Stream
+	if nw.Ops == 0 || st.CompiledOps == 0 {
+		t.Fatalf("noise issued %d ops, %d fused; want fused traffic (stats %+v)", nw.Ops, st.CompiledOps, st)
+	}
+	if st.FallbackPrograms != 0 {
+		t.Fatalf("FallbackPrograms = %d under a RunUntilDeadline drive, want 0 (stats %+v)", st.FallbackPrograms, st)
 	}
 }

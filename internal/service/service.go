@@ -35,7 +35,7 @@ type Options struct {
 	// overrides; zero means machine.DefaultConfig().
 	BaseConfig *machine.Config
 	// Manifest is the shared cell cache; nil creates an empty one.
-	Manifest *harness.Manifest
+	Manifest *store.Memory
 	// ManifestPath, when set, persists the manifest after every job and
 	// on shutdown (atomic temp-file + rename).
 	ManifestPath string
@@ -99,7 +99,7 @@ func (o Options) withDefaults() Options {
 		o.BaseConfig = &cfg
 	}
 	if o.Manifest == nil {
-		o.Manifest = harness.NewManifest()
+		o.Manifest = store.NewMemory()
 	}
 	if o.Store != nil {
 		// The store persists per entry; a manifest snapshot would shadow it.
@@ -233,7 +233,7 @@ func (s *Service) Metrics() *Metrics { return s.metrics }
 
 // Manifest exposes the shared cell cache (read-mostly: tests and the
 // metrics endpoint ask for its size).
-func (s *Service) Manifest() *harness.Manifest { return s.opts.Manifest }
+func (s *Service) Manifest() *store.Memory { return s.opts.Manifest }
 
 // Store exposes the cell store jobs actually consult (Options.Store
 // when set, the manifest otherwise).
@@ -291,12 +291,6 @@ type SubmitRequest struct {
 	// service's base config field-by-field (JSON semantics). Unknown
 	// fields are rejected.
 	Config json.RawMessage `json:"config"`
-	// Kernel selects the access-stream kernel for this job ("interp" or
-	// "compiled"); empty inherits the service default. It lives outside
-	// Config because machine.Config excludes the field from JSON: the
-	// kernel is digest-exempt (both produce byte-identical results), so
-	// it must not perturb the cell cache key.
-	Kernel string `json:"kernel"`
 	// TimeoutSeconds caps the run; 0 uses the service default.
 	TimeoutSeconds float64 `json:"timeoutSeconds"`
 }
@@ -316,9 +310,6 @@ func (s *Service) buildPlan(req *SubmitRequest) (harness.Plan, []*harness.Artifa
 		if err := dec.Decode(&cfg); err != nil {
 			return zero, nil, 0, fmt.Errorf("config overrides: %w", err)
 		}
-	}
-	if req.Kernel != "" {
-		cfg.Kernel = req.Kernel
 	}
 	if err := cfg.Validate(); err != nil {
 		return zero, nil, 0, fmt.Errorf("config overrides: %w", err)

@@ -17,6 +17,7 @@ import (
 	"coherentleak/internal/harness"
 	"coherentleak/internal/machine"
 	"coherentleak/internal/service"
+	"coherentleak/internal/store"
 )
 
 // newTestServer starts a Service behind httptest. Cleanup drains the
@@ -461,7 +462,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatalf("queued job on shutdown = %s, want cancelled", v.State)
 	}
 
-	m, err := harness.LoadManifest(manifestPath)
+	m, err := store.LoadMemory(manifestPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,6 +484,9 @@ func TestBadRequests(t *testing.T) {
 		{`{"config":{"Bogus":1}}`, "config overrides"},
 		{`{"config":{"Sockets":0}}`, "config overrides"},
 		{`{"bogusField":1}`, "request body"},
+		// The access-stream executor is not selectable: a job naming a
+		// kernel is malformed, not silently run.
+		{`{"kernel":"compiled"}`, `unknown field \"kernel\"`},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

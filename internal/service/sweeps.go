@@ -308,7 +308,6 @@ func (s *Service) sweepPointRequest(spec sweep.Spec, pt sweep.Point) *SubmitRequ
 		Seed:      &seed,
 		Sizing:    spec.Sizing,
 		Config:    pt.Config,
-		Kernel:    spec.Kernel,
 	}
 }
 

@@ -475,6 +475,11 @@ func TestSweepSubmitValidation(t *testing.T) {
 			`{"artifacts":["grid"],"bogus":true,"axes":[{"param":"seed","values":[1]}],"objective":{"artifact":"grid","column":"value"}}`,
 			"bogus",
 		},
+		{
+			"removed kernel field",
+			`{"artifacts":["grid"],"kernel":"interp","axes":[{"param":"seed","values":[1]}],"objective":{"artifact":"grid","column":"value"}}`,
+			`unknown field \"kernel\"`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -127,9 +127,10 @@ func (w *World) RunUntil(stop func() bool) error {
 // to RunUntil with the predicate `stop() || w.Now() > deadline`, but
 // declares that stop itself never reads the virtual clock — its value
 // can only change through a thread's own actions. That structure is
-// what lets the compiled access-stream kernel fuse an operation's
-// latency and think time into one Advance: the skipped intermediate
-// predicate evaluation provably has the same value (see FuseHorizon).
+// what lets the access-stream executor (kernel.Thread.Exec) fuse an
+// operation's latency and think time into one Advance: the skipped
+// intermediate predicate evaluation provably has the same value (see
+// FuseHorizon).
 func (w *World) RunUntilDeadline(deadline Cycles, stop func() bool) error {
 	w.fuseSafe, w.fuseDeadline = true, deadline
 	defer func() { w.fuseSafe = false }()

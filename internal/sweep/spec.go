@@ -144,9 +144,6 @@ type Spec struct {
 	Seed *uint64 `json:"seed,omitempty"`
 	// Sizing is "quick" or "full" (default "full").
 	Sizing string `json:"sizing,omitempty"`
-	// Kernel selects the access-stream kernel for every point ("interp"
-	// or "compiled"); empty inherits the runner default.
-	Kernel string `json:"kernel,omitempty"`
 	// Config holds partial machine-config overrides applied to every
 	// point before its axis assignments.
 	Config json.RawMessage `json:"config,omitempty"`
