@@ -1,7 +1,8 @@
 # Tier-1 verification targets. `make ci` is what the CI job runs:
 # build + vet + tests, plus a race-detector pass over the harness worker
-# pool, the dispatch fleet, and the service daemon (whose integration
-# tests execute real experiment cells in parallel behind httptest).
+# pool, the dispatch fleet, the service daemon (whose integration tests
+# execute real experiment cells in parallel behind httptest), and the
+# covert channels' shared trojan/spy driver.
 
 GO ?= go
 
@@ -20,7 +21,7 @@ test:
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./internal/harness/... ./internal/dispatch/... ./internal/service/...
+	$(GO) test -race ./internal/harness/... ./internal/dispatch/... ./internal/service/... ./internal/covert/...
 
 # Race-checked dispatch integration pass: the fleet coordinator, real
 # worker clients over HTTP, and the service-level fleet tests (worker

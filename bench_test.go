@@ -243,7 +243,7 @@ func BenchmarkAblationProbeMethod(b *testing.B) {
 }
 
 // BenchmarkExtensionParallelLanes measures the multi-lane bandwidth
-// extension.
+// extension (Channel.Lanes).
 func BenchmarkExtensionParallelLanes(b *testing.B) {
 	bits := experiments.PatternBits(29, 120)
 	for _, lanes := range []int{1, 2, 4, 8} {
@@ -251,7 +251,8 @@ func BenchmarkExtensionParallelLanes(b *testing.B) {
 		b.Run(laneName(lanes), func(b *testing.B) {
 			rate, acc := 0.0, 0.0
 			for i := 0; i < b.N; i++ {
-				ch := covert.NewParallelChannel(covert.Scenarios[0], lanes)
+				ch := covert.NewChannel(covert.Scenarios[0])
+				ch.Lanes = lanes
 				ch.WorldSeed = uint64(i) + 37
 				res, err := ch.Run(bits)
 				if err != nil {

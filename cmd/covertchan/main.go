@@ -5,6 +5,7 @@
 //
 //	covertchan [-scenario RExclc-LSharedb] [-text "message" | -bits N]
 //	           [-rate KBPS] [-mode ksm|explicit] [-noise N] [-multibit]
+//	           [-lanes N] [-probe clflush|eviction]
 //	           [-defense none|monitor|ksm-guard|etom|equalize|full]
 //	           [-seed N] [-v]
 package main
@@ -87,46 +88,29 @@ func main() {
 		bits = patternBits(*seed^0xb175, *bitCount)
 	}
 
-	if *multibit {
-		runMultiBit(cfg, bits, shareMode, *seed, preRun, *verbose)
-		return
-	}
-
-	sc, err := covert.ScenarioByName(*scenario)
+	ch, mb, err := channelFlags{
+		scenario: *scenario, rate: *rate, multibit: *multibit, lanes: *lanes, probe: *probe,
+	}.build(cfg)
 	if err != nil {
-		fail(err)
+		fmt.Fprintln(os.Stderr, "covertchan:", err)
+		os.Exit(2)
 	}
-	params := covert.DefaultParams()
-	if *rate > 0 {
-		params = covert.ParamsForRate(cfg, sc, *rate)
-	}
-	switch *probe {
-	case "clflush":
-	case "eviction":
-		params.Probe = covert.ProbeEviction
-	default:
-		fail(fmt.Errorf("unknown probe %q", *probe))
-	}
-	if *lanes > 1 {
-		runParallel(cfg, sc, params, bits, shareMode, *seed, *lanes, preRun)
+	if mb != nil {
+		mb.Mode, mb.WorldSeed, mb.PatternSeed, mb.PreRun = shareMode, *seed, *seed^0xfeed, preRun
+		runMultiBit(mb, bits, *verbose)
 		return
 	}
-	ch := &covert.Channel{
-		Config:      cfg,
-		Scenario:    sc,
-		Params:      params,
-		Mode:        shareMode,
-		WorldSeed:   *seed,
-		PatternSeed: *seed ^ 0xfeed,
-		PreRun:      preRun,
-	}
+	ch.Mode, ch.WorldSeed, ch.PatternSeed, ch.PreRun = shareMode, *seed, *seed^0xfeed, preRun
 	res, err := ch.Run(bits)
 	if err != nil {
 		fail(err)
 	}
 
-	fmt.Printf("scenario:      %s (%s sharing)\n", sc.Name(), shareMode)
-	fmt.Printf("params:        C1=%d C0=%d Cb=%d Ts=%d\n", params.C1, params.C0, params.Cb, params.Ts)
+	fmt.Printf("scenario:      %s (%s sharing)\n", ch.Scenario.Name(), shareMode)
+	if ch.Lanes > 1 {
+		fmt.Printf("lanes:         %d cache lines in parallel\n", ch.Lanes)
+	}
+	fmt.Printf("params:        C1=%d C0=%d Cb=%d Ts=%d\n", ch.Params.C1, ch.Params.C0, ch.Params.Cb, ch.Params.Ts)
 	fmt.Printf("transmitted:   %d bits\n", len(res.TxBits))
 	fmt.Printf("received:      %d bits\n", len(res.RxBits))
 	fmt.Printf("raw accuracy:  %.2f%%\n", res.Accuracy*100)
@@ -176,39 +160,56 @@ func writeTrace(r *trace.Recorder, path string) {
 	}
 }
 
-func runParallel(cfg machine.Config, sc covert.Scenario, params covert.Params, bits []byte, mode covert.SharingMode, seed uint64, lanes int, preRun func(*covert.Session)) {
-	ch := &covert.ParallelChannel{
-		Config: cfg, Scenario: sc, Params: params, Lanes: lanes,
-		Mode: mode, WorldSeed: seed, PatternSeed: seed ^ 0xfeed, PreRun: preRun,
-	}
-	res, err := ch.Run(bits)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("channel:       %d parallel lanes of %s\n", lanes, sc.Name())
-	fmt.Printf("transmitted:   %d bits\n", len(res.TxBits))
-	fmt.Printf("received:      %d bits\n", len(res.RxBits))
-	fmt.Printf("raw accuracy:  %.2f%%\n", res.Accuracy*100)
-	fmt.Printf("raw bit rate:  %.1f Kbps\n", res.RawKbps)
+// channelFlags are the flags that shape the channel.
+type channelFlags struct {
+	scenario string
+	rate     float64
+	multibit bool
+	lanes    int
+	probe    string
 }
 
-func runMultiBit(cfg machine.Config, bits []byte, mode covert.SharingMode, seed uint64, preRun func(*covert.Session), verbose bool) {
+// build validates the channel flags and returns the channel they select:
+// the 2-bit channel when multibit is set, else the binary channel. The
+// 2-bit channel runs on one line with clflush probing, so it rejects
+// -lanes > 1 and -probe eviction rather than ignoring them.
+func (f channelFlags) build(cfg machine.Config) (*covert.Channel, *covert.MultiBitChannel, error) {
+	var probe covert.ProbeMethod
+	switch f.probe {
+	case "clflush":
+	case "eviction":
+		probe = covert.ProbeEviction
+	default:
+		return nil, nil, fmt.Errorf("unknown probe %q", f.probe)
+	}
+	if f.multibit {
+		if f.lanes > 1 {
+			return nil, nil, fmt.Errorf("-multibit runs on a single line; -lanes %d is not supported", f.lanes)
+		}
+		if probe == covert.ProbeEviction {
+			return nil, nil, fmt.Errorf("-multibit needs clflush probing; -probe eviction is not supported")
+		}
+		return nil, &covert.MultiBitChannel{Config: cfg, Params: covert.MultiBitParamsForRate(cfg, f.rate)}, nil
+	}
+	sc, err := covert.ScenarioByName(f.scenario)
+	if err != nil {
+		return nil, nil, err
+	}
+	params := covert.ParamsForRate(cfg, sc, f.rate)
+	params.Probe = probe
+	return &covert.Channel{Config: cfg, Scenario: sc, Params: params, Lanes: f.lanes}, nil, nil
+}
+
+func runMultiBit(ch *covert.MultiBitChannel, bits []byte, verbose bool) {
 	if len(bits)%2 != 0 {
 		bits = append(bits, 0)
-	}
-	ch := &covert.MultiBitChannel{
-		Config:      cfg,
-		Params:      covert.DefaultMultiBitParams(),
-		Mode:        mode,
-		WorldSeed:   seed,
-		PatternSeed: seed ^ 0xfeed,
-		PreRun:      preRun,
 	}
 	res, err := ch.Run(bits)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("channel:       2-bit symbols over 4 combination pairs\n")
+	fmt.Printf("params:        Cs=%d Gap=%d Ts=%d\n", ch.Params.Cs, ch.Params.Gap, ch.Params.Ts)
 	fmt.Printf("transmitted:   %d bits (%d symbols)\n", len(res.TxBits), len(res.TxSymbols))
 	fmt.Printf("received:      %d bits\n", len(res.RxBits))
 	fmt.Printf("raw accuracy:  %.2f%%\n", res.Accuracy*100)

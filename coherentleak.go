@@ -131,11 +131,6 @@ type (
 	MultiBitParams = covert.MultiBitParams
 	// MultiBitResult is its outcome.
 	MultiBitResult = covert.MultiBitResult
-	// ParallelChannel stripes the payload across several cache lines of
-	// the shared page (a bandwidth extension beyond the paper).
-	ParallelChannel = covert.ParallelChannel
-	// ParallelResult is its outcome.
-	ParallelResult = covert.ParallelResult
 	// ProbeMethod selects clflush or conflict-set eviction probing.
 	ProbeMethod = covert.ProbeMethod
 )
@@ -185,11 +180,6 @@ func NewChannel(sc Scenario) *Channel { return covert.NewChannel(sc) }
 
 // NewMultiBitChannel returns the default-configured 2-bit channel.
 func NewMultiBitChannel() *MultiBitChannel { return covert.NewMultiBitChannel() }
-
-// NewParallelChannel returns a multi-lane channel on the default testbed.
-func NewParallelChannel(sc Scenario, lanes int) *ParallelChannel {
-	return covert.NewParallelChannel(sc, lanes)
-}
 
 // DefaultParams returns the reliable binary operating point.
 func DefaultParams() Params { return covert.DefaultParams() }

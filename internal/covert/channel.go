@@ -18,6 +18,15 @@ type Channel struct {
 	Scenario Scenario
 	// Params are the transmission knobs.
 	Params Params
+	// Lanes is how many cache lines of the shared page carry the
+	// protocol side by side (0 or 1 = the paper's single line B, at most
+	// 16). The payload is striped round-robin across the lanes; the spy
+	// probes every lane each period, so its period grows with Lanes and
+	// rates do not scale perfectly linearly. This is a bandwidth
+	// extension beyond the paper (§VIII-D closes with "more
+	// sophisticated symbol encoding mechanisms may achieve even higher
+	// transmission rates"). Eviction probing needs a single lane.
+	Lanes int
 	// Mode selects KSM or explicit page sharing.
 	Mode SharingMode
 	// WorldSeed and PatternSeed pin the run's determinism.
@@ -52,7 +61,10 @@ type Result struct {
 
 	// TxBits is what the trojan sent; RxBits what the spy decoded.
 	TxBits, RxBits []byte
-	// Samples is the spy's reception trace (for Figure 7-style plots).
+	// PerLane holds each lane's decoded bits (one entry per lane).
+	PerLane [][]byte
+	// Samples is the spy's reception trace (for Figure 7-style plots);
+	// with several lanes, lane 0's.
 	Samples []Sample
 
 	// Accuracy is the paper's raw-bit accuracy (§VIII-B).
@@ -97,87 +109,144 @@ func (r *Result) BitErrors() int {
 // Run transmits bits (values 0/1) from the trojan to the spy and returns
 // the reception outcome.
 func (c *Channel) Run(bits []byte) (*Result, error) {
+	lanes := max(c.Lanes, 1)
+	if c.Lanes < 0 || c.Lanes > 16 {
+		return nil, fmt.Errorf("covert: lanes must be 0..16, got %d", c.Lanes)
+	}
 	if !c.Scenario.Valid() {
 		return nil, fmt.Errorf("covert: scenario %v uses one placement for both roles", c.Scenario)
 	}
 	if err := c.Params.Validate(); err != nil {
 		return nil, err
 	}
-	for i, b := range bits {
-		if b > 1 {
-			return nil, fmt.Errorf("covert: bit %d has non-binary value %d", i, b)
-		}
-	}
-
-	sess, err := NewSession(c.Config, c.WorldSeed, c.PatternSeed, c.Mode)
-	if err != nil {
-		return nil, err
-	}
-	if !sess.Supports(c.Scenario) {
-		return nil, fmt.Errorf("covert: machine cannot host scenario %s (no remote socket)", c.Scenario.Name())
-	}
-
-	bands := Bands{}
-	if c.Bands != nil {
-		bands = *c.Bands
-	} else {
-		bands, err = Calibrate(c.Config, c.WorldSeed+7777, 200, c.Params.BandMargin)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	if c.PreRun != nil {
-		c.PreRun(sess)
-	}
-
-	var evictionSet []uint64
 	if c.Params.Probe == ProbeEviction {
+		if lanes > 1 {
+			return nil, fmt.Errorf("covert: parallel lanes share an LLC set region; eviction probing needs one lane")
+		}
 		if c.Scenario.Comm.Loc != Local || c.Scenario.Bound.Loc != Local {
 			return nil, fmt.Errorf("covert: eviction probing reaches only the spy's socket; scenario %s uses remote placements", c.Scenario.Name())
 		}
 		if !c.Config.InclusiveLLC {
 			return nil, fmt.Errorf("covert: eviction probing needs an inclusive LLC to invalidate private copies")
 		}
-		evictionSet, err = sess.BuildSpyEvictionSet()
-		if err != nil {
-			return nil, err
+	}
+
+	perLane := make([][]byte, lanes)
+	rec, err := transmit(setup{
+		cfg: c.Config, mode: c.Mode, worldSeed: c.WorldSeed, patternSeed: c.PatternSeed,
+		sc: c.Scenario, bands: c.Bands, margin: c.Params.BandMargin, preRun: c.PreRun,
+	}, bits, func(sess *Session, bands Bands) (*codec, error) {
+		cd := binaryCodec(c.Scenario, c.Params, bands, stripe(bits, lanes))
+		cd.decode = func(r *reception) []byte {
+			for lane, smps := range r.samples {
+				perLane[lane] = translate(smps, c.Params)
+			}
+			return unstripe(perLane, len(bits))
 		}
-	}
-
-	tr := newTrojan(sess, c.Scenario, c.Params, bits)
-	sp := newSpy(sess, c.Scenario, c.Params, bands, evictionSet)
-
-	limit := c.MaxCycles
-	if limit == 0 {
-		// Generous: 50x the expected transmission length.
-		est := c.Params.EstimatePeriodCycles(c.Config, c.Scenario)
-		limit = sim.Cycles(est*float64(tr.sched.periods())*50) + 50_000_000
-	}
-	err = sess.World.RunUntilDeadline(limit, func() bool { return sp.done })
+		if c.Params.Probe == ProbeEviction {
+			set, err := sess.BuildSpyEvictionSet()
+			if err != nil {
+				return nil, err
+			}
+			cd.evictionSet = set
+		}
+		cd.deadline = c.deadline(cd.lanes)
+		return cd, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	tr.stop()
-	sess.World.Drain()
-
-	res := &Result{
+	return &Result{
 		Scenario:      c.Scenario,
 		Params:        c.Params,
 		TxBits:        append([]byte(nil), bits...),
-		RxBits:        sp.Bits,
-		Samples:       sp.Samples,
-		Synced:        sp.Synced,
-		SyncCycles:    sp.SyncCycles,
-		Bands:         bands,
+		RxBits:        rec.rx,
+		PerLane:       perLane,
+		Samples:       rec.samples[0],
+		Accuracy:      rec.accuracy,
+		Synced:        rec.synced,
+		SyncCycles:    rec.syncCycles,
+		Duration:      rec.duration,
+		RawKbps:       rec.rawKbps,
 		AttemptedKbps: c.Params.EstimateKbps(c.Config, c.Scenario),
+		Bands:         rec.bands,
+	}, nil
+}
+
+// binaryCodec is the alphabet of Algorithms 1-2 on one schedule per
+// lane: the spy syncs on the boundary band, ends on out-of-band samples
+// and keeps its sync sample; Table I sets the trojan's worker counts.
+// The caller adds the decoder, the deadline and any eviction set.
+func binaryCodec(sc Scenario, p Params, bands Bands, laneBits [][]byte) *codec {
+	cd := &codec{
+		ts:         p.Ts,
+		endRun:     p.EndRun,
+		maxPeriods: p.MaxPeriods,
+		keepSync:   true,
+		labelled:   true,
+		classify:   func(lat sim.Cycles) int { return int(bands.Classify(sc, lat)) },
+		start:      func(cls int) bool { return Class(cls) == ClassBound },
+		idle:       func(cls int) bool { return Class(cls) == ClassOther },
 	}
-	res.Accuracy = stats.Accuracy(res.TxBits, res.RxBits)
-	if sp.EndCycle > sp.StartCycle {
-		res.Duration = sp.EndCycle - sp.StartCycle
-		res.RawKbps = stats.Kbps(len(bits), c.Config.CyclesToSeconds(res.Duration))
+	cd.local, cd.remote = sc.TrojanThreads()
+	for _, lb := range laneBits {
+		cd.lanes = append(cd.lanes, buildSchedule(sc, p, lb))
 	}
-	return res, nil
+	return cd
+}
+
+// deadline is MaxCycles, or by default a generous 50x the expected
+// transmission length (the spy's period grows with the lane count).
+func (c *Channel) deadline(lanes []schedule) sim.Cycles {
+	if c.MaxCycles != 0 {
+		return c.MaxCycles
+	}
+	periods := 0
+	for _, s := range lanes {
+		periods = max(periods, len(s))
+	}
+	est := c.Params.EstimatePeriodCycles(c.Config, c.Scenario)
+	if len(lanes) == 1 {
+		return sim.Cycles(est*float64(periods)*50) + 50_000_000
+	}
+	est *= float64(len(lanes))
+	return sim.Cycles(est*float64(periods)*50) + 100_000_000
+}
+
+// stripe deals the payload round-robin onto lanes: lane i carries bits
+// i, i+k, i+2k, ..., and with several lanes every lane is padded with
+// zeros to the same bit count.
+func stripe(bits []byte, lanes int) [][]byte {
+	if lanes == 1 {
+		return [][]byte{bits}
+	}
+	out := make([][]byte, lanes)
+	for i, b := range bits {
+		out[i%lanes] = append(out[i%lanes], b)
+	}
+	for i := range out {
+		for len(out[i]) < len(out[0]) {
+			out[i] = append(out[i], 0)
+		}
+	}
+	return out
+}
+
+// unstripe reassembles n payload bits from the lanes' decoded bits: bit j
+// is lane j%k's bit j/k when decoded. A single lane's decode is the
+// payload as is, extra or missing bits included.
+func unstripe(perLane [][]byte, n int) []byte {
+	if len(perLane) == 1 {
+		return perLane[0]
+	}
+	var out []byte
+	for j := 0; j < n; j++ {
+		lane, idx := j%len(perLane), j/len(perLane)
+		if idx < len(perLane[lane]) {
+			out = append(out, perLane[lane][idx])
+		}
+	}
+	return out
 }
 
 // RunText transmits a UTF-8 string MSB-first and returns the result plus
@@ -214,4 +283,130 @@ func BitsToText(bits []byte) string {
 		out[i] = v
 	}
 	return string(out)
+}
+
+// Class is the spy's classification of one timed load.
+type Class uint8
+
+const (
+	// ClassComm: latency inside Tc, the communication band.
+	ClassComm Class = iota
+	// ClassBound: latency inside Tb, the boundary band.
+	ClassBound
+	// ClassOther: outside both bands (missed reload, noise, end of
+	// transmission).
+	ClassOther
+)
+
+func (c Class) String() string {
+	switch c {
+	case ClassComm:
+		return "C"
+	case ClassBound:
+		return "B"
+	default:
+		return "X"
+	}
+}
+
+// Bands is the spy's calibrated view of the latency structure
+// (Tc and Tb of Algorithms 1-2, plus everything needed for multi-bit
+// decoding and Figure 2).
+type Bands struct {
+	// ByPlacement maps each combination pair to its calibrated band.
+	ByPlacement map[Placement]stats.Band
+	// DRAM is the no-copy-anywhere band (the spy's own miss latency).
+	DRAM stats.Band
+}
+
+// Classify buckets a latency by maximum likelihood: the nearest of the
+// communication band center, the boundary band center, and the DRAM
+// (missed-reload) center wins. With three known latency populations this
+// is the optimal decision rule for the spy, and it makes misclassification
+// probability fall with band separation — the §VIII-B observation that
+// widely separated pairs (RExclc-LExclb, RExclc-LSharedb) stay accurate
+// at rates where narrow pairs have already degraded.
+func (b Bands) Classify(sc Scenario, lat sim.Cycles) Class {
+	x := float64(lat)
+	dist := func(c float64) float64 {
+		d := x - c
+		if d < 0 {
+			return -d
+		}
+		return d
+	}
+	dc := dist(b.ByPlacement[sc.Comm].Center)
+	db := dist(b.ByPlacement[sc.Bound].Center)
+	dx := dist(b.DRAM.Center)
+	switch {
+	case dc <= db && dc <= dx:
+		return ClassComm
+	case db <= dx:
+		return ClassBound
+	default:
+		return ClassOther
+	}
+}
+
+// buildSchedule compiles Algorithm 1's loop for a bit string: a boundary
+// preamble of SyncPeriods (the §VII-A synchronization), then for every
+// bit Cb boundary periods followed by C1 or C0 communication periods.
+func buildSchedule(sc Scenario, p Params, bits []byte) schedule {
+	s := schedule{}.hold(sc.Bound, p.SyncPeriods)
+	for _, b := range bits {
+		s = s.hold(sc.Bound, p.Cb)
+		if b != 0 {
+			s = s.hold(sc.Comm, p.C1)
+		} else {
+			s = s.hold(sc.Comm, p.C0)
+		}
+	}
+	// A closing boundary delimits the final bit before the idle tail.
+	return s.hold(sc.Bound, p.Cb)
+}
+
+// translate converts the reception trace into bits: strip out-of-band
+// samples (isolated noise must not split a run), then run-length decode
+// alternating boundary/communication runs; each communication run longer
+// than Thold is a '1', otherwise a '0' (Algorithm 2's count[] loop).
+func translate(samples []Sample, p Params) []byte {
+	var classes []Class
+	for _, smp := range samples {
+		if smp.Class != ClassOther {
+			classes = append(classes, smp.Class)
+		}
+	}
+	var bits []byte
+	thold := p.Threshold()
+	minRun := p.MinRun
+	if minRun < 1 {
+		minRun = 1
+	}
+	i := 0
+	for {
+		// Skip the boundary run (and the sync preamble on the first
+		// iteration).
+		for i < len(classes) && classes[i] == ClassBound {
+			i++
+		}
+		if i >= len(classes) {
+			break
+		}
+		run := 0
+		for i < len(classes) && classes[i] == ClassComm {
+			run++
+			i++
+		}
+		if run < minRun {
+			// Too short to be a deliberate placement: a stray
+			// misclassified sample inside a boundary stretch.
+			continue
+		}
+		if float64(run) > thold {
+			bits = append(bits, 1)
+		} else {
+			bits = append(bits, 0)
+		}
+	}
+	return bits
 }

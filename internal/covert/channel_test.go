@@ -1,6 +1,7 @@
 package covert
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -74,8 +75,8 @@ func TestBuildSchedule(t *testing.T) {
 	bits := []byte{1, 0}
 	s := buildSchedule(sc, p, bits)
 	want := p.SyncPeriods + p.Cb + p.C1 + p.Cb + p.C0 + p.Cb
-	if s.periods() != want {
-		t.Fatalf("schedule periods = %d, want %d", s.periods(), want)
+	if len(s) != want {
+		t.Fatalf("schedule periods = %d, want %d", len(s), want)
 	}
 	// Preamble is boundary placement.
 	pl, live := s.at(0)
@@ -109,7 +110,7 @@ func TestSchedulePeriodsProperty(t *testing.T) {
 		}
 		s := buildSchedule(sc, p, bits)
 		want := p.SyncPeriods + (len(bits)+1)*p.Cb + ones*p.C1 + (len(bits)-ones)*p.C0
-		return s.periods() == want
+		return len(s) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -161,6 +162,30 @@ func TestTranslateIgnoresIsolatedNoise(t *testing.T) {
 func TestTranslateEmpty(t *testing.T) {
 	if bits := translate(nil, DefaultParams()); len(bits) != 0 {
 		t.Fatalf("translate(nil) = %v", bits)
+	}
+}
+
+// Every channel rejects a payload bit other than 0 and 1 instead of
+// transmitting it as something else and scoring the damage as channel
+// error.
+func TestChannelsRejectNonBinaryBits(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	lanes := NewChannel(Scenarios[0])
+	lanes.Lanes = 4
+	for _, tc := range []struct {
+		name string
+		run  func([]byte) error
+	}{
+		{"binary", func(b []byte) error { _, err := NewChannel(Scenarios[0]).Run(b); return err }},
+		{"lanes", func(b []byte) error { _, err := lanes.Run(b); return err }},
+		{"multibit", func(b []byte) error { _, err := NewMultiBitChannel().Run(b); return err }},
+		{"lrustate", func(b []byte) error { _, err := LRUStateChannel{Config: cfg}.Run(b); return err }},
+		{"dirtystate", func(b []byte) error { _, err := DirtyStateChannel{Config: cfg}.Run(b); return err }},
+	} {
+		err := tc.run([]byte{0, 2})
+		if err == nil || !strings.Contains(err.Error(), "non-binary") {
+			t.Errorf("%s: payload {0, 2} gave err = %v, want a non-binary rejection", tc.name, err)
+		}
 	}
 }
 

@@ -81,6 +81,9 @@ func (c DirtyStateChannel) Run(bits []byte) (*SlotResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkBits(bits); err != nil {
+		return nil, err
+	}
 	if cfg.CoresPerSocket < 2 {
 		return nil, fmt.Errorf("covert: dirtystate needs >= 2 cores per socket")
 	}

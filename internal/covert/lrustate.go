@@ -121,6 +121,9 @@ func (c LRUStateChannel) Run(bits []byte) (*SlotResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkBits(bits); err != nil {
+		return nil, err
+	}
 	if cfg.CoresPerSocket < 2 {
 		return nil, fmt.Errorf("covert: lrustate needs >= 2 cores per socket")
 	}

@@ -3,10 +3,8 @@ package covert
 import (
 	"fmt"
 
-	"coherentleak/internal/kernel"
 	"coherentleak/internal/machine"
 	"coherentleak/internal/sim"
-	"coherentleak/internal/stats"
 )
 
 // SymbolMap is the §VIII-D encoding: each 2-bit value maps to one of the
@@ -122,43 +120,14 @@ func MultiBitParamsForRate(cfg machine.Config, targetKbps float64) MultiBitParam
 }
 
 // buildSymbolSchedule compiles the symbol stream: an RExcl preamble, then
-// per symbol Cs periods of its placement followed by Gap idle periods.
-// Idle periods are encoded as a nil placement (see symbolSchedule.at).
-func buildSymbolSchedule(p MultiBitParams, symbols []int) symbolSchedule {
-	var out []symbolSlot
-	for i := 0; i < p.SyncPeriods; i++ {
-		out = append(out, symbolSlot{pl: RExcl, active: true})
+// per symbol Cs periods of its placement, each run followed by Gap idle
+// periods (the first gap separates preamble and data).
+func buildSymbolSchedule(p MultiBitParams, symbols []int) schedule {
+	s := schedule{}.hold(RExcl, p.SyncPeriods).pause(p.Gap)
+	for _, sym := range symbols {
+		s = s.hold(SymbolMap[sym], p.Cs).pause(p.Gap)
 	}
-	// Preamble/data separator.
-	for i := 0; i < p.Gap; i++ {
-		out = append(out, symbolSlot{})
-	}
-	for _, s := range symbols {
-		for i := 0; i < p.Cs; i++ {
-			out = append(out, symbolSlot{pl: SymbolMap[s&3], active: true})
-		}
-		for i := 0; i < p.Gap; i++ {
-			out = append(out, symbolSlot{})
-		}
-	}
-	return symbolSchedule{slots: out}
-}
-
-type symbolSlot struct {
-	pl     Placement
-	active bool
-}
-
-type symbolSchedule struct {
-	slots []symbolSlot
-}
-
-func (s symbolSchedule) at(i uint64) (Placement, bool, bool) {
-	if i >= uint64(len(s.slots)) {
-		return Placement{}, false, false // past the end: idle forever
-	}
-	sl := s.slots[i]
-	return sl.pl, sl.active, true
+	return s
 }
 
 // MultiBitChannel is the §VIII-D 2-bit-symbol channel.
@@ -211,144 +180,58 @@ func (c *MultiBitChannel) Run(bits []byte) (*MultiBitResult, error) {
 		symbols[i] = int(bits[2*i])<<1 | int(bits[2*i+1])
 	}
 
-	sess, err := NewSession(c.Config, c.WorldSeed, c.PatternSeed, c.Mode)
+	var rxSymbols []int
+	rec, err := transmit(setup{
+		cfg: c.Config, mode: c.Mode, worldSeed: c.WorldSeed, patternSeed: c.PatternSeed,
+		bands: c.Bands, margin: c.Params.BandMargin, preRun: c.PreRun,
+	}, bits, func(_ *Session, bands Bands) (*codec, error) {
+		sched := buildSymbolSchedule(c.Params, symbols)
+		rexcl, _ := symbolOf(RExcl)
+		return &codec{
+			lanes: []schedule{sched},
+			// All four workers always run: every placement is in use.
+			local: 2, remote: 2,
+			ts:         c.Params.Ts,
+			endRun:     c.Params.EndRun,
+			maxPeriods: c.Params.MaxPeriods,
+			classify:   func(lat sim.Cycles) int { return classifySymbol(bands, lat) },
+			start:      func(sym int) bool { return sym == rexcl },
+			idle:       func(sym int) bool { return sym == -1 },
+			decode: func(r *reception) []byte {
+				rxSymbols = decodeSymbolRuns(r.syms[0])
+				var rx []byte
+				for _, s := range rxSymbols {
+					rx = append(rx, byte(s>>1)&1, byte(s)&1)
+				}
+				return rx
+			},
+			deadline: sim.Cycles(float64(len(sched)+c.Params.MaxPeriods/100)*3000) + 100_000_000,
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	var bands Bands
-	if c.Bands != nil {
-		bands = *c.Bands
-	} else {
-		bands, err = Calibrate(c.Config, c.WorldSeed+7777, 200, c.Params.BandMargin)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if c.PreRun != nil {
-		c.PreRun(sess)
-	}
-
-	sched := buildSymbolSchedule(c.Params, symbols)
-	tr := newMultiBitTrojan(sess, c.Params, sched)
-	sp := newMultiBitSpy(sess, c.Params, bands)
-
-	limit := sim.Cycles(float64(len(sched.slots)+c.Params.MaxPeriods/100)*3000) + 100_000_000
-	if err := sess.World.RunUntilDeadline(limit, func() bool { return sp.done }); err != nil {
-		return nil, err
-	}
-	tr.stop()
-	sess.World.Drain()
-
-	res := &MultiBitResult{
+	return &MultiBitResult{
 		TxBits:      append([]byte(nil), bits...),
+		RxBits:      rec.rx,
 		TxSymbols:   symbols,
-		RxSymbols:   sp.Symbols,
-		Samples:     sp.Samples,
-		SymbolTrace: sp.Trace,
-		Synced:      sp.Synced,
-	}
-	for _, s := range sp.Symbols {
-		res.RxBits = append(res.RxBits, byte(s>>1)&1, byte(s)&1)
-	}
-	res.Accuracy = stats.Accuracy(res.TxBits, res.RxBits)
-	if sp.EndCycle > sp.StartCycle {
-		res.Duration = sp.EndCycle - sp.StartCycle
-		res.RawKbps = stats.Kbps(len(bits), c.Config.CyclesToSeconds(res.Duration))
-	}
-	return res, nil
+		RxSymbols:   rxSymbols,
+		Samples:     rec.samples[0],
+		SymbolTrace: rec.syms[0],
+		Accuracy:    rec.accuracy,
+		Duration:    rec.duration,
+		RawKbps:     rec.rawKbps,
+		Synced:      rec.synced,
+	}, nil
 }
 
-// multiBitTrojan reuses the binary trojan's worker mechanics with the
-// symbol schedule; all four workers are always spawned.
-type multiBitTrojan struct {
-	sess      *Session
-	sched     symbolSchedule
-	baseEpoch uint64
-	pollGap   sim.Cycles
-	threads   []*kernel.Thread
-	stopped   bool
-}
-
-func newMultiBitTrojan(sess *Session, p MultiBitParams, sched symbolSchedule) *multiBitTrojan {
-	t := &multiBitTrojan{
-		sess:      sess,
-		sched:     sched,
-		baseEpoch: sess.Mach.FlushEpoch(sess.SharedPA()),
-		pollGap:   p.Ts / 3,
-	}
-	if t.pollGap < 24 {
-		t.pollGap = 24
-	}
-	for _, loc := range []Location{Local, Remote} {
-		for i := 0; i < 2; i++ {
-			t.spawn(loc, i)
-		}
-	}
-	return t
-}
-
-func (t *multiBitTrojan) spawn(loc Location, idx int) {
-	core := t.sess.workerCores(loc)[idx]
-	pa := t.sess.SharedPA()
-	rng := t.sess.WorkerRand()
-	th := t.sess.Kern.Spawn(t.sess.TrojanProc, core, workerName(loc, idx), func(kt *kernel.Thread) {
-		for !kt.StopRequested() && !t.stopped {
-			// An interruption may fire here; after waking the worker
-			// immediately polls (the scheduler runs it for at least one
-			// quantum), so bursts do not chain.
-			t.sess.maybePreempt(kt, rng, t.pollGap)
-			period := t.sess.Mach.FlushEpoch(pa) - t.baseEpoch
-			pl, active, live := t.sched.at(period)
-			if !live && period > uint64(len(t.sched.slots))+64 {
-				return
-			}
-			if active && pl.Loc == loc && idx < pl.Threads() {
-				kt.Load(t.sess.TrojanVA)
-			}
-			kt.Advance(t.pollGap)
-		}
-	})
-	t.threads = append(t.threads, th)
-}
-
-func (t *multiBitTrojan) stop() {
-	t.stopped = true
-	for _, th := range t.threads {
-		t.sess.World.StopThread(th.Sim)
-	}
-}
-
-// multiBitSpy times loads and classifies them into one of the four
-// placement bands (nearest center) or idle (nearest DRAM).
-type multiBitSpy struct {
-	sess   *Session
-	params MultiBitParams
-	bands  Bands
-
-	Samples []Sample
-	Trace   []int // symbol index per sample, -1 idle
-	Symbols []int
-	Synced  bool
-
-	StartCycle, EndCycle sim.Cycles
-	done                 bool
-}
-
-func newMultiBitSpy(sess *Session, p MultiBitParams, bands Bands) *multiBitSpy {
-	s := &multiBitSpy{sess: sess, params: p, bands: bands}
-	sess.Kern.Spawn(sess.SpyProc, sess.SpyCore, "spy", func(kt *kernel.Thread) {
-		defer func() { s.done = true }()
-		s.run(kt)
-	})
-	return s
-}
-
-// classify returns the nearest placement's symbol index, or -1 for idle.
-func (s *multiBitSpy) classify(lat sim.Cycles) int {
+// classifySymbol returns the symbol index of the placement band nearest
+// to lat, or -1 (idle) when the DRAM band is nearest.
+func classifySymbol(bands Bands, lat sim.Cycles) int {
 	x := float64(lat)
-	best, bestDist := -1, abs(x-s.bands.DRAM.Center)
+	best, bestDist := -1, abs(x-bands.DRAM.Center)
 	for i, pl := range SymbolMap {
-		if d := abs(x - s.bands.ByPlacement[pl].Center); d < bestDist {
+		if d := abs(x - bands.ByPlacement[pl].Center); d < bestDist {
 			best, bestDist = i, d
 		}
 	}
@@ -360,54 +243,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-func (s *multiBitSpy) run(kt *kernel.Thread) {
-	p := s.params
-	rexcl, _ := symbolOf(RExcl)
-
-	// Poll for the RExcl preamble.
-	for polls := 0; ; polls++ {
-		if polls > p.MaxPeriods || kt.StopRequested() {
-			return
-		}
-		lat := s.measure(kt)
-		if s.classify(lat) == rexcl {
-			break
-		}
-	}
-	s.Synced = true
-	s.StartCycle = kt.Now()
-
-	// Reception.
-	idle := 0
-	preambleSeen := 1
-	for len(s.Samples) < p.MaxPeriods && !kt.StopRequested() {
-		lat := s.measure(kt)
-		sym := s.classify(lat)
-		s.Samples = append(s.Samples, Sample{Cycle: kt.Now(), Latency: lat})
-		s.Trace = append(s.Trace, sym)
-		if sym == -1 {
-			idle++
-			if idle >= p.EndRun {
-				break
-			}
-		} else {
-			idle = 0
-		}
-		_ = preambleSeen
-	}
-	s.EndCycle = kt.Now()
-
-	// Translation: runs of equal symbols separated by idle gaps; the
-	// first run is the preamble and is dropped.
-	s.Symbols = decodeSymbolRuns(s.Trace)
-}
-
-func (s *multiBitSpy) measure(kt *kernel.Thread) sim.Cycles {
-	kt.Flush(s.sess.SpyVA)
-	kt.Advance(s.params.Ts)
-	return kt.Load(s.sess.SpyVA).Latency
 }
 
 // decodeSymbolRuns converts the per-sample symbol trace into symbols: a

@@ -14,7 +14,7 @@ func TestTrojanSpawnsTableIThreadCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr := newTrojan(sess, sc, DefaultParams(), []byte{1, 0})
+			tr := startTrojan(sess, binaryCodec(sc, DefaultParams(), Bands{}, [][]byte{{1, 0}}))
 			l, r := sc.TrojanThreads()
 			if len(tr.threads) != l+r {
 				t.Fatalf("spawned %d workers, Table I says %d", len(tr.threads), l+r)
@@ -31,7 +31,7 @@ func TestTrojanWorkerCorePinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := Scenarios[5] // RSharedc-LSharedb: 2 local + 2 remote
-	tr := newTrojan(sess, sc, DefaultParams(), []byte{1})
+	tr := startTrojan(sess, binaryCodec(sc, DefaultParams(), Bands{}, [][]byte{{1}}))
 	spySocket := sess.Mach.Core(sess.SpyCore).Socket
 	local, remote := 0, 0
 	for _, th := range tr.threads {
@@ -58,7 +58,7 @@ func TestTrojanPollGapFloor(t *testing.T) {
 	}
 	p := DefaultParams()
 	p.Ts = 30 // Ts/3 = 10 < floor
-	tr := newTrojan(sess, Scenarios[0], p, []byte{1})
+	tr := startTrojan(sess, binaryCodec(Scenarios[0], p, Bands{}, [][]byte{{1}}))
 	if tr.pollGap < 24 {
 		t.Fatalf("pollGap = %d, below the floor", tr.pollGap)
 	}
@@ -83,7 +83,7 @@ func TestTrojanWorkersExitAfterIdleTail(t *testing.T) {
 
 func TestScheduleIdleTailStable(t *testing.T) {
 	s := buildSchedule(Scenarios[0], DefaultParams(), []byte{1, 0, 1})
-	n := uint64(s.periods())
+	n := uint64(len(s))
 	for _, i := range []uint64{n, n + 1, n + 1000, ^uint64(0)} {
 		if _, live := s.at(i); live {
 			t.Fatalf("schedule live at period %d (len %d)", i, n)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
 	"coherentleak/internal/cache"
@@ -33,52 +32,57 @@ type MatrixPoint struct {
 // levels tops out near 75%).
 const matrixSurvival = 0.9
 
-// MatrixChannels lists the channel implementations the matrix probes:
+// matrixLink is what one matrix transmission reports.
+type matrixLink struct {
+	tx, rx            []byte
+	accuracy, rawKbps float64
+}
+
+// matrixChannel is one channel the matrix probes. run transmits
+// payloadBits bits on cfg; an error means the channel could not be
+// established there.
+type matrixChannel struct {
+	name string
+	// perPolicy channels are probed once per registered replacement
+	// policy; the others run under the plan's base policy.
+	perPolicy bool
+	run       func(cfg machine.Config, payloadBits int, seed uint64) (matrixLink, error)
+}
+
+// matrixChannels is the matrix's channel table, in row order:
 // binary-state is the paper's coherence-state channel proper (local E vs
 // local S — same socket, only the state differs), binary-socket the
 // robust cross-socket pair (remote E vs local S, which also leaks
 // location), and multibit the 2-bit-symbol channel that needs all four
-// latency bands at once.
-func MatrixChannels() []string { return []string{"binary-state", "binary-socket", "multibit"} }
-
-// MatrixMetadataChannels lists the metadata channels the matrix probes
-// additionally, once per registered replacement policy: lrustate leaks
+// latency bands at once. The metadata channels follow: lrustate leaks
 // through replacement metadata (so its survival is a property of the
 // policy), dirtystate through the dirty bit (so its survival is a
 // property of the protocol — it dies only without a dirty state).
-func MatrixMetadataChannels() []string { return []string{"lrustate", "dirtystate"} }
+var matrixChannels = []matrixChannel{
+	{name: "binary-state", run: binaryMatrixRun(covert.Scenarios[0])},  // LExclc-LSharedb: only the state differs
+	{name: "binary-socket", run: binaryMatrixRun(covert.Scenarios[3])}, // RExclc-LSharedb: the robust pair
+	{name: "multibit", run: func(cfg machine.Config, payloadBits int, seed uint64) (matrixLink, error) {
+		res, err := Fig11MultiBit(cfg, payloadBits, seed)
+		if err != nil {
+			return matrixLink{}, err
+		}
+		return matrixLink{res.TxBits, res.RxBits, res.Accuracy, res.RawKbps}, nil
+	}},
+	{name: "lrustate", perPolicy: true, run: func(cfg machine.Config, payloadBits int, seed uint64) (matrixLink, error) {
+		return slottedMatrixRun(covert.LRUStateChannel{Config: cfg, WorldSeed: seed + 31}.Run(PatternBits(seed^0xFACE, payloadBits)))
+	}},
+	{name: "dirtystate", perPolicy: true, run: func(cfg machine.Config, payloadBits int, seed uint64) (matrixLink, error) {
+		return slottedMatrixRun(covert.DirtyStateChannel{Config: cfg, WorldSeed: seed + 31}.Run(PatternBits(seed^0xFACE, payloadBits)))
+	}},
+}
 
-// MatrixCell measures one (protocol, channel) pair of the matrix.
-// Channel establishment failures — calibration unable to find distinct
-// latency bands, which is exactly what a leak-free protocol like WT-NA
-// produces — are data, not errors: they come back as a dead row with the
-// reason in Note. Only genuinely unknown inputs return an error.
-func MatrixCell(base machine.Config, proto coherence.Protocol, channel string, payloadBits int, seed uint64) (MatrixPoint, error) {
-	spec, err := coherence.SpecFor(proto)
-	if err != nil {
-		return MatrixPoint{}, err
-	}
-	pol, err := cache.PolicyFor(base.Replacement)
-	if err != nil {
-		return MatrixPoint{}, err
-	}
-	cfg := base
-	cfg.Protocol = coherence.Protocol(spec.Name())
-	pt := MatrixPoint{Protocol: spec.Name(), Policy: pol.String(), Channel: channel, Note: "-"}
-	dead := func(err error) MatrixPoint {
-		pt.Note = strings.NewReplacer("\t", " ", "\n", " ").Replace(err.Error())
-		return pt
-	}
-
-	switch channel {
-	case "binary-state", "binary-socket":
+// binaryMatrixRun probes the binary channel on scenario sc over an
+// explicitly shared page, calibrating first.
+func binaryMatrixRun(sc covert.Scenario) func(machine.Config, int, uint64) (matrixLink, error) {
+	return func(cfg machine.Config, payloadBits int, seed uint64) (matrixLink, error) {
 		bands, err := covert.Calibrate(cfg, seed+7777, 200, covert.DefaultParams().BandMargin)
 		if err != nil {
-			return dead(err), nil
-		}
-		sc := covert.Scenarios[0] // LExclc-LSharedb: only the state differs
-		if channel == "binary-socket" {
-			sc = covert.Scenarios[3] // RExclc-LSharedb: the robust pair
+			return matrixLink{}, err
 		}
 		ch := covert.Channel{
 			Config:      cfg,
@@ -91,61 +95,70 @@ func MatrixCell(base machine.Config, proto coherence.Protocol, channel string, p
 		}
 		res, err := ch.Run(PatternBits(seed^0xFACE, payloadBits))
 		if err != nil {
-			return dead(err), nil
+			return matrixLink{}, err
 		}
-		rep := capacity.Analyze(res.TxBits, res.RxBits, res.RawKbps)
-		pt.RawKbps, pt.Accuracy, pt.InfoKbps = res.RawKbps, res.Accuracy, rep.InfoKbps
-	case "multibit":
-		res, err := Fig11MultiBit(cfg, payloadBits, seed)
-		if err != nil {
-			return dead(err), nil
-		}
-		rep := capacity.Analyze(res.TxBits, res.RxBits, res.RawKbps)
-		pt.RawKbps, pt.Accuracy, pt.InfoKbps = res.RawKbps, res.Accuracy, rep.InfoKbps
-	case "lrustate":
-		res, err := covert.LRUStateChannel{Config: cfg, WorldSeed: seed + 31}.Run(PatternBits(seed^0xFACE, payloadBits))
-		if err != nil {
-			return dead(err), nil
-		}
-		rep := capacity.Analyze(res.TxBits, res.RxBits, res.RawKbps)
-		pt.RawKbps, pt.Accuracy, pt.InfoKbps = res.RawKbps, res.Accuracy, rep.InfoKbps
-	case "dirtystate":
-		res, err := covert.DirtyStateChannel{Config: cfg, WorldSeed: seed + 31}.Run(PatternBits(seed^0xFACE, payloadBits))
-		if err != nil {
-			return dead(err), nil
-		}
-		rep := capacity.Analyze(res.TxBits, res.RxBits, res.RawKbps)
-		pt.RawKbps, pt.Accuracy, pt.InfoKbps = res.RawKbps, res.Accuracy, rep.InfoKbps
-	default:
-		return MatrixPoint{}, fmt.Errorf("protomatrix: unknown channel %q", channel)
+		return matrixLink{res.TxBits, res.RxBits, res.Accuracy, res.RawKbps}, nil
 	}
+}
+
+func slottedMatrixRun(res *covert.SlotResult, err error) (matrixLink, error) {
+	if err != nil {
+		return matrixLink{}, err
+	}
+	return matrixLink{res.TxBits, res.RxBits, res.Accuracy, res.RawKbps}, nil
+}
+
+// matrixCell measures one (protocol, channel) pair of the matrix.
+// Channel establishment failures — calibration unable to find distinct
+// latency bands, which is exactly what a leak-free protocol like WT-NA
+// produces — are data, not errors: they come back as a dead row with the
+// reason in Note. Only genuinely unknown inputs return an error.
+func matrixCell(base machine.Config, proto coherence.Protocol, ch matrixChannel, payloadBits int, seed uint64) (MatrixPoint, error) {
+	spec, err := coherence.SpecFor(proto)
+	if err != nil {
+		return MatrixPoint{}, err
+	}
+	pol, err := cache.PolicyFor(base.Replacement)
+	if err != nil {
+		return MatrixPoint{}, err
+	}
+	cfg := base
+	cfg.Protocol = coherence.Protocol(spec.Name())
+	pt := MatrixPoint{Protocol: spec.Name(), Policy: pol.String(), Channel: ch.name, Note: "-"}
+	link, err := ch.run(cfg, payloadBits, seed)
+	if err != nil {
+		pt.Note = strings.NewReplacer("\t", " ", "\n", " ").Replace(err.Error())
+		return pt, nil
+	}
+	pt.RawKbps, pt.Accuracy = link.rawKbps, link.accuracy
+	pt.InfoKbps = capacity.Analyze(link.tx, link.rx, link.rawKbps).InfoKbps
 	pt.Survives = pt.Accuracy >= matrixSurvival
 	return pt, nil
 }
 
-// MatrixRow measures every channel for one protocol: the three classic
-// channels under the plan's base replacement policy (seed derivations
-// unchanged from the original protocol × channel matrix, so those
-// numbers are stable), then the metadata channels once per registered
-// replacement policy, making the row a policy × channel surface.
+// MatrixRow measures every channel for one protocol: each channel in
+// table order, the per-policy ones once per registered replacement
+// policy, making the row a policy × channel surface. Channel k's cells
+// are seeded seed + protoIndex*101 + k*7 (+ q*1009 for policy q), so the
+// classic channels keep the seeds of the original protocol × channel
+// matrix and their numbers are stable.
 func MatrixRow(base machine.Config, proto coherence.Protocol, protoIndex, payloadBits int, seed uint64) ([]MatrixPoint, error) {
-	channels := MatrixChannels()
-	meta := MatrixMetadataChannels()
 	pols := cache.Policies()
-	out := make([]MatrixPoint, 0, len(channels)+len(meta)*len(pols))
-	for j, chn := range channels {
-		pt, err := MatrixCell(base, proto, chn, payloadBits, seed+uint64(protoIndex)*101+uint64(j)*7)
-		if err != nil {
-			return nil, err
+	var out []MatrixPoint
+	for k, ch := range matrixChannels {
+		chSeed := seed + uint64(protoIndex)*101 + uint64(k)*7
+		if !ch.perPolicy {
+			pt, err := matrixCell(base, proto, ch, payloadBits, chSeed)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, pt)
+			continue
 		}
-		out = append(out, pt)
-	}
-	for j, chn := range meta {
 		for q, info := range pols {
 			cfg := base
 			cfg.Replacement = info.Name
-			cellSeed := seed + uint64(protoIndex)*101 + uint64(len(channels)+j)*7 + uint64(q)*1009
-			pt, err := MatrixCell(cfg, proto, chn, payloadBits, cellSeed)
+			pt, err := matrixCell(cfg, proto, ch, payloadBits, chSeed+uint64(q)*1009)
 			if err != nil {
 				return nil, err
 			}

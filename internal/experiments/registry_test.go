@@ -58,13 +58,16 @@ func TestArtifactCellPlansAreWellFormed(t *testing.T) {
 }
 
 // TestGoldenTSVs regenerates table1.tsv, fig6_pattern.tsv and the quick
-// fig2_cdf.tsv and capacity.tsv through the Runner and compares them
-// byte-for-byte against checked-in golden files. fig2 and capacity run
-// kernel-build noise threads, so they pin the access-stream executor's
-// output; the goldens were recorded with the per-op reference executor.
+// TSVs of fig2, capacity, every covert-channel artifact (fig7, fig11,
+// protomatrix, mitigations) and the slotted channels (lrustate,
+// dirtystate) through the Runner and compares them byte-for-byte against
+// checked-in golden files. fig2 and capacity run kernel-build noise
+// threads, so they pin the access-stream executor's output; the goldens
+// were recorded with the per-op reference executor. The channel goldens
+// pin the covert trojan/spy driver.
 func TestGoldenTSVs(t *testing.T) {
 	dir := t.TempDir()
-	arts, err := Artifacts().Select([]string{"table1", "fig6", "fig2", "capacity"})
+	arts, err := Artifacts().Select([]string{"table1", "fig6", "fig2", "capacity", "fig7", "fig11", "protomatrix", "mitigations", "lrustate", "dirtystate"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +80,16 @@ func TestGoldenTSVs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for file, golden := range map[string]string{
-		"table1.tsv":       "table1.golden.tsv",
-		"fig6_pattern.tsv": "fig6_pattern.golden.tsv",
-		"fig2_cdf.tsv":     "fig2_cdf.golden.tsv",
-		"capacity.tsv":     "capacity.golden.tsv",
+		"table1.tsv":          "table1.golden.tsv",
+		"fig6_pattern.tsv":    "fig6_pattern.golden.tsv",
+		"fig2_cdf.tsv":        "fig2_cdf.golden.tsv",
+		"capacity.tsv":        "capacity.golden.tsv",
+		"fig7_reception.tsv":  "fig7_reception.golden.tsv",
+		"fig11_multibit.tsv":  "fig11_multibit.golden.tsv",
+		"protocol_matrix.tsv": "protocol_matrix.golden.tsv",
+		"mitigations.tsv":     "mitigations.golden.tsv",
+		"lrustate.tsv":        "lrustate.golden.tsv",
+		"dirtystate.tsv":      "dirtystate.golden.tsv",
 	} {
 		got, err := os.ReadFile(filepath.Join(dir, file))
 		if err != nil {
