@@ -9,7 +9,7 @@ GO ?= go
 # Worker count for test-dispatch and run-workers.
 N ?= 4
 
-.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci run-daemon run-workers
+.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci results-verify run-daemon run-workers
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,20 @@ staticcheck:
 	fi
 
 ci: build vet staticcheck test test-race protocol-smoke sweep-smoke replacement-smoke loadgen-smoke
+
+# Regenerate every artifact at full size into a temporary directory and
+# diff each committed results/*.tsv against its regenerated twin; any
+# difference fails. Simulator refactors must keep these byte-identical.
+# About 11 s on a 2-CPU x86-64 host; not part of `make ci`.
+results-verify:
+	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	$(GO) run ./cmd/experiments -out "$$out" -cache=false -archive=false >/dev/null || exit 1; \
+	status=0; \
+	for f in results/*.tsv; do \
+		diff -u "$$f" "$$out/$$(basename $$f)" || status=1; \
+	done; \
+	if [ $$status -eq 0 ]; then echo "results-verify: every results/*.tsv is byte-identical"; fi; \
+	exit $$status
 
 # Start the experiment service daemon on :8080 (state under
 # results-daemon/). See EXPERIMENTS.md for the API walkthrough.

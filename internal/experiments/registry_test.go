@@ -58,16 +58,16 @@ func TestArtifactCellPlansAreWellFormed(t *testing.T) {
 }
 
 // TestGoldenTSVs regenerates table1.tsv, fig6_pattern.tsv and the quick
-// TSVs of fig2, capacity, every covert-channel artifact (fig7, fig11,
-// protomatrix, mitigations) and the slotted channels (lrustate,
-// dirtystate) through the Runner and compares them byte-for-byte against
+// TSVs of fig2, capacity, every covert-channel artifact (fig7, fig8,
+// fig9, fig11, peaks, protomatrix, mitigations) and the slotted channels
+// (lrustate, dirtystate) through the Runner and compares them byte-for-byte against
 // checked-in golden files. fig2 and capacity run kernel-build noise
 // threads, so they pin the access-stream executor's output; the goldens
 // were recorded with the per-op reference executor. The channel goldens
 // pin the covert trojan/spy driver.
 func TestGoldenTSVs(t *testing.T) {
 	dir := t.TempDir()
-	arts, err := Artifacts().Select([]string{"table1", "fig6", "fig2", "capacity", "fig7", "fig11", "protomatrix", "mitigations", "lrustate", "dirtystate"})
+	arts, err := Artifacts().Select([]string{"table1", "fig6", "fig2", "capacity", "fig7", "fig8", "fig9", "fig11", "peaks", "protomatrix", "mitigations", "lrustate", "dirtystate"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,16 +80,19 @@ func TestGoldenTSVs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for file, golden := range map[string]string{
-		"table1.tsv":          "table1.golden.tsv",
-		"fig6_pattern.tsv":    "fig6_pattern.golden.tsv",
-		"fig2_cdf.tsv":        "fig2_cdf.golden.tsv",
-		"capacity.tsv":        "capacity.golden.tsv",
-		"fig7_reception.tsv":  "fig7_reception.golden.tsv",
-		"fig11_multibit.tsv":  "fig11_multibit.golden.tsv",
-		"protocol_matrix.tsv": "protocol_matrix.golden.tsv",
-		"mitigations.tsv":     "mitigations.golden.tsv",
-		"lrustate.tsv":        "lrustate.golden.tsv",
-		"dirtystate.tsv":      "dirtystate.golden.tsv",
+		"table1.tsv":              "table1.golden.tsv",
+		"fig6_pattern.tsv":        "fig6_pattern.golden.tsv",
+		"fig2_cdf.tsv":            "fig2_cdf.golden.tsv",
+		"capacity.tsv":            "capacity.golden.tsv",
+		"fig7_reception.tsv":      "fig7_reception.golden.tsv",
+		"fig8_rate_accuracy.tsv":  "fig8_rate_accuracy.golden.tsv",
+		"fig9_noise_accuracy.tsv": "fig9_noise_accuracy.golden.tsv",
+		"peaks.tsv":               "peaks.golden.tsv",
+		"fig11_multibit.tsv":      "fig11_multibit.golden.tsv",
+		"protocol_matrix.tsv":     "protocol_matrix.golden.tsv",
+		"mitigations.tsv":         "mitigations.golden.tsv",
+		"lrustate.tsv":            "lrustate.golden.tsv",
+		"dirtystate.tsv":          "dirtystate.golden.tsv",
 	} {
 		got, err := os.ReadFile(filepath.Join(dir, file))
 		if err != nil {
@@ -102,6 +105,29 @@ func TestGoldenTSVs(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s deviates from testdata/%s:\n--- got ---\n%s--- want ---\n%s", file, golden, got, want)
 		}
+	}
+}
+
+// TestFig10CellGolden pins the rows of fig10's first quick cell, the
+// artifact whose noise threads exercise the machine's line table most.
+// The whole quick artifact is too slow for this suite.
+func TestFig10CellGolden(t *testing.T) {
+	a := fig10Artifact()
+	cells, err := a.Cells(registryPlan(harness.SizingQuick))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := cells[0].Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := a.Header + "\n" + strings.Join(out.Rows, "\n") + "\n"
+	want, err := os.ReadFile(filepath.Join("testdata", "fig10_cell.golden.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("fig10 cell %s deviates from testdata/fig10_cell.golden.tsv:\n--- got ---\n%s--- want ---\n%s", cells[0].Name, got, want)
 	}
 }
 

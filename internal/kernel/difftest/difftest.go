@@ -5,8 +5,9 @@
 // runs are indistinguishable — identical per-access virtual times,
 // identical machine state digest (which covers every cache line,
 // directory record, per-line bookkeeping and the access statistics),
-// and conserved operation counts. A failing trace can be shrunk to a
-// minimal reproduction.
+// and conserved operation counts. It also checks the machine's coherence
+// invariants on every line of the trace's address pools after each run.
+// A failing trace can be shrunk to a minimal reproduction.
 //
 // The generated traces deliberately cover Exec's proof obligations:
 // multi-page address pools (TLB and set-conflict pressure), shared
@@ -20,7 +21,10 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 
+	"coherentleak/internal/cache"
 	"coherentleak/internal/coherence"
 	"coherentleak/internal/kernel"
 	"coherentleak/internal/machine"
@@ -183,6 +187,10 @@ type Result struct {
 	Digest string
 	// Stream is the kernel's executor statistics.
 	Stream kernel.StreamStats
+	// Invariants lists the machine.CheckInvariants violations on the
+	// address pools' lines after the run, except the model's known
+	// divergences (machine.KnownDivergence); empty when none.
+	Invariants []string
 }
 
 // RunRef executes tr in a fresh world with the oracle: each segment
@@ -268,6 +276,22 @@ func run(tr Trace, exec bool) Result {
 		shared[s] = vas
 	}
 
+	// frames collects the physical pages behind the address pools before
+	// and after the run: a COW fault moves a process's page to a new
+	// frame while the old one may still be cached.
+	frames := map[uint64]bool{}
+	poolFrames := func() {
+		for p, proc := range procs {
+			for pg := 0; pg < tr.Private; pg++ {
+				frames[mustTranslate(proc, priv[p]+uint64(pg)*kernel.PageSize)] = true
+			}
+			for s := range shared {
+				frames[mustTranslate(proc, shared[s][p])] = true
+			}
+		}
+	}
+	poolFrames()
+
 	res := Result{Times: make([][]sim.Cycles, len(tr.Threads))}
 	for ti := range tr.Threads {
 		th := tr.Threads[ti]
@@ -310,7 +334,31 @@ func run(tr Trace, exec bool) Result {
 	}
 	res.Digest = m.StateDigest()
 	res.Stream = k.Stream
+	poolFrames()
+	bases := make([]uint64, 0, len(frames))
+	for b := range frames {
+		bases = append(bases, b)
+	}
+	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	for _, b := range bases {
+		for line := b; line < b+kernel.PageSize; line += cache.LineSize {
+			for _, v := range machine.Violations(m.CheckInvariants(line)) {
+				if !machine.KnownDivergence(cfg, v.Invariant) {
+					res.Invariants = append(res.Invariants, v.Error())
+				}
+			}
+		}
+	}
 	return res
+}
+
+// mustTranslate returns the base of the physical page behind va.
+func mustTranslate(p *kernel.Process, va uint64) uint64 {
+	pa, err := p.Translate(va)
+	if err != nil {
+		panic(err)
+	}
+	return pa &^ (kernel.PageSize - 1)
 }
 
 // Mismatch describes the first divergence between the two runs.
@@ -347,6 +395,14 @@ func Compare(tr Trace) *Mismatch {
 				return &Mismatch{"times", fmt.Sprintf(
 					"thread %d segment %d: loop at cycle %d, Exec at %d", t, s, a[s], b[s])}
 			}
+		}
+	}
+	for _, r := range []struct {
+		side string
+		res  Result
+	}{{"loop", rr}, {"Exec", re}} {
+		if len(r.res.Invariants) > 0 {
+			return &Mismatch{"invariants", fmt.Sprintf("after the %s run: %s", r.side, strings.Join(r.res.Invariants, "; "))}
 		}
 	}
 	if rr.Digest != re.Digest {

@@ -102,7 +102,7 @@ func (m *Machine) missPath(now sim.Cycles, core *Core, line uint64) (Path, sim.C
 	m.lastUtil = sock.Ring.Utilization(now)
 	base := m.memo.missCommon + sock.Ring.Traverse(now) + sock.Ring.Traverse(now)
 
-	switch sock.Dir.CensusOf(line) {
+	switch coherence.CensusOf(m.lines.sharerMask(line, sock.ID)) {
 	case coherence.CensusShared:
 		// Two or more local sharers: the LLC's copy is clean (S state)
 		// and services the miss directly (§VI-A).
@@ -147,7 +147,7 @@ func (m *Machine) missPath(now sim.Cycles, core *Core, line uint64) (Path, sim.C
 		if u := qpiLink.Utilization(now); u > m.lastUtil {
 			m.lastUtil = u
 		}
-		switch remote.Dir.CensusOf(line) {
+		switch coherence.CensusOf(m.lines.sharerMask(line, remote.ID)) {
 		case coherence.CensusShared:
 			hop := qpiLink.Traverse(now) + qpiLink.Traverse(now)
 			if m.llcServiceable(remote, line) {
@@ -206,18 +206,18 @@ func (m *Machine) exclusiveMoveOut(sock *Socket, line uint64) {
 		return
 	}
 	sock.LLC.Invalidate(line)
-	sock.Dir.InvalidateLLC(line)
+	m.lines.invalidateLLC(line, sock.ID)
 }
 
 // needsSnoop reports whether a memory fetch of line must snoop the other
-// sockets: any remote directory record, or a cleared snoop-filter entry
-// from an explicit flush.
+// sockets: a cleared snoop-filter entry from an explicit flush, or a
+// live directory entry in any socket, the requester's own included.
 func (m *Machine) needsSnoop(line uint64) bool {
-	if lm := m.meta(line); lm != nil && lm.flushEpochs > 0 {
+	if lm := m.lines.meta(line); lm != nil && lm.flushEpochs > 0 {
 		return true
 	}
-	for _, s := range m.sockets {
-		if _, ok := s.Dir.Lookup(line); ok {
+	for s := range m.sockets {
+		if m.lines.live(line, s) {
 			return true
 		}
 	}
@@ -225,10 +225,10 @@ func (m *Machine) needsSnoop(line uint64) bool {
 }
 
 // llcServiceable reports whether sock's LLC can answer a read for line
-// with clean data.
+// with clean data. The LLC-valid mark implies the LLC holds the line
+// (CheckInvariants' invariant 9).
 func (m *Machine) llcServiceable(sock *Socket, line uint64) bool {
-	e, ok := sock.Dir.Lookup(line)
-	return ok && e.LLCValid && sock.LLC.Contains(line)
+	return m.lines.llcValid(line, sock.ID)
 }
 
 // forwardFromLocal runs the owner-forward transaction within requestor's
@@ -249,7 +249,7 @@ func (m *Machine) forwardFromRemote(remote *Socket, requestor *Core, line uint64
 // in sock (normally exactly one, the owner), leaving a clean copy in
 // sock's LLC when the protocol writes back.
 func (m *Machine) downgradeOwner(sock *Socket, line uint64) {
-	for mask := sock.Dir.SharerMask(line); mask != 0; mask &= mask - 1 {
+	for mask := m.lines.sharerMask(line, sock.ID); mask != 0; mask &= mask - 1 {
 		core := sock.Cores[bits.TrailingZeros64(mask)]
 		m.downgradeIn(sock, core.L1, line)
 		m.downgradeIn(sock, core.L2, line)
@@ -289,7 +289,7 @@ func (m *Machine) fillRequestor(core *Core, line uint64, fromForward bool) {
 	if fromForward {
 		st = m.spec.Install().FromOwner
 	} else {
-		census := m.globalSharers(line, -1, -1)
+		census := m.globalSharers(line)
 		// An inclusive LLC's own copy coexists with the requestor's E
 		// (the hierarchy always duplicates locally), so only private
 		// copies and *other* sockets' caches block exclusivity.
@@ -304,15 +304,9 @@ func (m *Machine) fillRequestor(core *Core, line uint64, fromForward bool) {
 		}
 	}
 	m.fillPrivateAbsent(core, line, st)
-	sock.Dir.AddSharer(line, core.Local)
+	m.lines.addSharer(line, sock.ID, core.Local)
 	if (m.cfg.InclusiveLLC || fromForward) && !m.cfg.ExclusiveLLC {
 		m.installLLC(sock, line)
-	}
-	if st.SoleCopy() {
-		// The LLC cannot distinguish E from M at the owner; record that
-		// the copy may go stale. (Census==1 already forces forwarding in
-		// the unmitigated design; the flag serves the mitigation logic.)
-		sock.Dir.SetOwnerDirty(line)
 	}
 }
 
@@ -321,7 +315,7 @@ func (m *Machine) fillRequestor(core *Core, line uint64, fromForward bool) {
 func (m *Machine) demoteForwarders(line uint64, fwd coherence.State) {
 	demote := m.spec.Install().Demote
 	for _, s := range m.sockets {
-		for mask := s.Dir.SharerMask(line); mask != 0; mask &= mask - 1 {
+		for mask := m.lines.sharerMask(line, s.ID); mask != 0; mask &= mask - 1 {
 			core := s.Cores[bits.TrailingZeros64(mask)]
 			if core.L1.Probe(line) == fwd {
 				core.L1.SetState(line, demote)
@@ -387,7 +381,7 @@ func (m *Machine) handleL2Evict(core *Core, ev cache.Evicted) {
 		// captures clean victims.
 		m.installLLC(sock, ev.Addr)
 	}
-	sock.Dir.RemoveSharer(ev.Addr, core.Local)
+	m.lines.removeSharer(ev.Addr, sock.ID, core.Local)
 	if m.llcTrust {
 		m.clearUpgraded(ev.Addr)
 	}
@@ -400,7 +394,7 @@ func (m *Machine) installLLC(sock *Socket, line uint64) {
 	if ev, ok := sock.LLC.Insert(line, coherence.Shared); ok {
 		m.handleLLCEvict(sock, ev)
 	}
-	sock.Dir.MarkClean(line)
+	m.lines.markLLC(line, sock.ID)
 }
 
 // handleLLCEvict processes a victim leaving sock's LLC.
@@ -408,24 +402,24 @@ func (m *Machine) handleLLCEvict(sock *Socket, ev cache.Evicted) {
 	if m.cfg.InclusiveLLC {
 		// Inclusion forces the private copies out too.
 		evictedPrivate := false
-		// Iterate a snapshot of the mask: RemoveSharer mutates the entry.
-		for mask := sock.Dir.SharerMask(ev.Addr); mask != 0; mask &= mask - 1 {
+		// Iterate a snapshot of the mask: removeSharer mutates the entry.
+		for mask := m.lines.sharerMask(ev.Addr, sock.ID); mask != 0; mask &= mask - 1 {
 			local := bits.TrailingZeros64(mask)
 			core := sock.Cores[local]
 			core.L1.Invalidate(ev.Addr)
 			core.L2.Invalidate(ev.Addr)
-			sock.Dir.RemoveSharer(ev.Addr, local)
+			m.lines.removeSharer(ev.Addr, sock.ID, local)
 			evictedPrivate = true
 		}
 		if evictedPrivate {
-			lm := m.metaMake(ev.Addr)
+			lm := m.lines.metaMake(ev.Addr)
 			lm.upgraded = false
 			lm.evictEpochs++
 		} else if m.llcTrust {
 			m.clearUpgraded(ev.Addr)
 		}
 	}
-	sock.Dir.InvalidateLLC(ev.Addr)
+	m.lines.invalidateLLC(ev.Addr, sock.ID)
 }
 
 // Store performs a timed write to addr by core g on behalf of thread t.
@@ -464,14 +458,11 @@ func (m *Machine) store(t *sim.Thread, g int, addr uint64) Access {
 			// makes this upgrade visible. The mark is only ever read when
 			// llcTrust is on (both upgradedLine call sites are guarded by
 			// it), so machines without it skip the write-only bookkeeping
-			// and keep the line-metadata table small.
+			// and keep meta records off lines that need none.
 			core.L1.SetState(line, tr.Next)
 			core.L2.SetState(line, tr.Next)
 			if m.llcTrust {
-				m.metaMake(line).upgraded = true
-			}
-			if m.cfg.Mitigations.LLCNotifiedOfEToM {
-				sock.Dir.SetOwnerDirty(line)
+				m.lines.metaMake(line).upgraded = true
 			}
 		}
 		return m.finish(line, PathL1, lat.StoreHit+walk)
@@ -498,14 +489,9 @@ func (m *Machine) store(t *sim.Thread, g int, addr uint64) Access {
 	}
 	if m.spec.Store().Allocate || st.Valid() {
 		m.fillPrivate(core, line, next)
-		sock.Dir.AddSharer(line, core.Local)
-		if next.Dirty() {
-			if m.llcTrust {
-				m.metaMake(line).upgraded = true
-			}
-			if !othersRemain {
-				sock.Dir.SetOwnerDirty(line)
-			}
+		m.lines.addSharer(line, sock.ID, core.Local)
+		if next.Dirty() && m.llcTrust {
+			m.lines.metaMake(line).upgraded = true
 		}
 	}
 	switch {
@@ -516,18 +502,18 @@ func (m *Machine) store(t *sim.Thread, g int, addr uint64) Access {
 		// Write-through: the local shared level holds the data now; only
 		// other sockets' records are stale.
 		m.installLLC(sock, line)
-		for _, s := range m.sockets {
-			if s.ID != core.Socket {
-				s.Dir.InvalidateLLC(line)
+		for s := range m.sockets {
+			if s != core.Socket {
+				m.lines.invalidateLLC(line, s)
 			}
 		}
 	default:
-		// Every LLC copy is now stale. InvalidateLLC (rather than a raw
-		// LLCValid clear) also reclaims remote-socket records left with no
-		// sharers after remoteWriteOthers, so long store-heavy runs do not
-		// accumulate dead directory entries.
-		for _, s := range m.sockets {
-			s.Dir.InvalidateLLC(line)
+		// Every LLC copy is now stale. invalidateLLC (rather than a raw
+		// bit clear) also reclaims records left with no live entry after
+		// remoteWriteOthers, so long store-heavy runs do not accumulate
+		// dead records.
+		for s := range m.sockets {
+			m.lines.invalidateLLC(line, s)
 		}
 	}
 	return m.finish(line, path, base+lat.RFOOverhead+walk)
@@ -540,7 +526,7 @@ func (m *Machine) store(t *sim.Thread, g int, addr uint64) Access {
 func (m *Machine) remoteWriteOthers(requestor *Core, line uint64) bool {
 	othersRemain := false
 	for _, s := range m.sockets {
-		for mask := s.Dir.SharerMask(line); mask != 0; mask &= mask - 1 {
+		for mask := m.lines.sharerMask(line, s.ID); mask != 0; mask &= mask - 1 {
 			local := bits.TrailingZeros64(mask)
 			if s.ID == requestor.Socket && local == requestor.Local {
 				continue
@@ -562,7 +548,7 @@ func (m *Machine) remoteWriteOthers(requestor *Core, line uint64) bool {
 			if survived {
 				othersRemain = true
 			} else {
-				s.Dir.RemoveSharer(line, local)
+				m.lines.removeSharer(line, s.ID, local)
 			}
 		}
 	}
@@ -595,25 +581,24 @@ func (m *Machine) flushLine(t *sim.Thread, g int, addr uint64) Access {
 	line := cache.LineAddr(addr)
 	lat := m.cfg.Latencies
 	m.Stats.Flushes++
-	lm := m.metaMake(line)
+	lm := m.lines.metaMake(line)
 	lm.flushEpochs++
 	m.recordFlushPressure(lm, t.Now())
 	dirty := false
 	for _, s := range m.sockets {
-		for mask := s.Dir.SharerMask(line); mask != 0; mask &= mask - 1 {
-			local := bits.TrailingZeros64(mask)
-			core := s.Cores[local]
+		for mask := m.lines.sharerMask(line, s.ID); mask != 0; mask &= mask - 1 {
+			core := s.Cores[bits.TrailingZeros64(mask)]
 			for _, pc := range []*cache.Cache{core.L1, core.L2} {
 				st := pc.Invalidate(line)
 				if st.Valid() && m.memo.flush[st].Action == coherence.WriteBack {
 					dirty = true
 				}
 			}
-			s.Dir.RemoveSharer(line, local)
 		}
 		s.LLC.Invalidate(line)
-		s.Dir.Clear(line)
 	}
+	// clearLine deletes no meta, so lm stays valid across it.
+	m.lines.clearLine(line)
 	lm.upgraded = false
 	base := lat.FlushBase
 	if dirty {
@@ -651,7 +636,7 @@ func (m *Machine) pressureJitterWidth(line uint64, p Path) int64 {
 	if jc <= 0 || p <= PathL2 {
 		return 0
 	}
-	lm := m.meta(line)
+	lm := m.lines.meta(line)
 	if lm == nil {
 		return 0
 	}

@@ -204,8 +204,8 @@ func SmallConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Sockets <= 0 {
-		return fmt.Errorf("machine: need at least one socket, got %d", c.Sockets)
+	if c.Sockets <= 0 || c.Sockets > maxSockets {
+		return fmt.Errorf("machine: sockets must be 1..%d, got %d", maxSockets, c.Sockets)
 	}
 	if c.CoresPerSocket <= 0 || c.CoresPerSocket > 64 {
 		return fmt.Errorf("machine: cores per socket must be 1..64, got %d", c.CoresPerSocket)

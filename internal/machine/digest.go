@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
 
 	"coherentleak/internal/cache"
 	"coherentleak/internal/coherence"
@@ -41,19 +40,15 @@ func (m *Machine) StateDigest() string {
 		hashCache(core.L1)
 		hashCache(core.L2)
 	}
+	lines := m.lines.sortedLines()
 	for _, s := range m.sockets {
 		w(0x50c6, uint64(s.ID))
 		hashCache(s.LLC)
-		s.Dir.ForEach(func(line uint64, e coherence.DirEntry) {
-			llc, od := uint64(0), uint64(0)
-			if e.LLCValid {
-				llc = 1
+		for _, line := range lines {
+			if m.lines.live(line, s.ID) {
+				w(line, m.lines.sharerMask(line, s.ID), b2u(m.lines.llcValid(line, s.ID)))
 			}
-			if e.OwnerDirty {
-				od = 1
-			}
-			w(line, e.Sharers, llc, od)
-		})
+		}
 		w(s.Ring.Messages, s.Ring.TotalQueuing)
 	}
 	w(0xd7a8, m.dram.Messages, m.dram.TotalQueuing)
@@ -64,24 +59,12 @@ func (m *Machine) StateDigest() string {
 	}
 
 	// Per-line bookkeeping in ascending line order.
-	idx := make([]int, 0, m.metaUsed)
-	for i := range m.metaSlots {
-		if m.metaSlots[i].used {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(i, j int) bool { return m.metaSlots[idx[i]].line < m.metaSlots[idx[j]].line })
 	w(0x11fe)
-	for _, i := range idx {
-		line, lm := m.metaSlots[i].line, &m.metaSlots[i].m
-		up, hf := uint64(0), uint64(0)
-		if lm.upgraded {
-			up = 1
+	for _, line := range lines {
+		if lm := m.lines.meta(line); lm != nil {
+			w(line, b2u(lm.upgraded), b2u(lm.hasFlush), lm.flushEpochs, lm.evictEpochs,
+				uint64(lm.lastFlush), math.Float64bits(lm.pressure))
 		}
-		if lm.hasFlush {
-			hf = 1
-		}
-		w(line, up, hf, lm.flushEpochs, lm.evictEpochs, lm.lastFlush, math.Float64bits(lm.pressure))
 	}
 
 	w(0x57a7, m.Stats.Loads, m.Stats.Stores, m.Stats.Flushes, m.Stats.Prefetches)
@@ -93,4 +76,11 @@ func (m *Machine) StateDigest() string {
 		w(hits, misses)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

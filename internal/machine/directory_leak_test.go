@@ -6,12 +6,12 @@ import (
 	"coherentleak/internal/sim"
 )
 
-// Regression for the directory leak: the store path used to clear
-// LLCValid on remote-socket records through Lookup's pointer, bypassing
-// the delete-when-empty logic, so every cross-socket RFO left a dead
-// {Sharers:0, LLCValid:false} record behind forever. Dead records are
-// not just wasted memory — needsSnoop treats any record as "must snoop",
-// so a leak slowly poisons DRAM-fetch timing too.
+// Regression for the directory leak: the store path used to clear the
+// LLC-valid mark of remote-socket entries without the delete-when-empty
+// logic, so every cross-socket RFO left a dead entry (no sharers, no LLC
+// copy) behind forever. Dead entries are not just wasted memory —
+// needsSnoop treats any live entry as "must snoop", so a leak slowly
+// poisons DRAM-fetch timing too.
 func TestStoreRFOReclaimsRemoteDirectoryRecords(t *testing.T) {
 	runOn(t, DefaultConfig(), func(th *sim.Thread, m *Machine) {
 		const n = 64
@@ -26,8 +26,11 @@ func TestStoreRFOReclaimsRemoteDirectoryRecords(t *testing.T) {
 		}
 		// Socket 1 holds no copies of these lines any more: its directory
 		// must have reclaimed every record, not kept dead ones.
-		if got := m.Socket(1).Dir.Lines(); got != 0 {
+		if got := liveEntries(m, 1); got != 0 {
 			t.Fatalf("remote directory holds %d records after RFOs, want 0", got)
+		}
+		if got := deadRecords(m); got != 0 {
+			t.Fatalf("line table holds %d dead records after RFOs", got)
 		}
 	})
 }
@@ -51,9 +54,12 @@ func TestFlushHeavyRunLeavesDirectoryEmpty(t *testing.T) {
 			m.Flush(th, 0, base+i*64)
 		}
 		for s := 0; s < m.Sockets(); s++ {
-			if got := m.Socket(s).Dir.Lines(); got != 0 {
+			if got := liveEntries(m, s); got != 0 {
 				t.Fatalf("socket %d directory holds %d records after flushing everything, want 0", s, got)
 			}
+		}
+		if got := deadRecords(m); got != 0 {
+			t.Fatalf("line table holds %d dead records after flushing everything", got)
 		}
 	})
 }

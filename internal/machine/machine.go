@@ -29,13 +29,13 @@ type Core struct {
 	L2 *cache.Cache
 }
 
-// Socket is one processor package: cores, a shared LLC, the coherence
-// directory with core-valid bits, and the on-chip ring.
+// Socket is one processor package: cores, a shared LLC and the on-chip
+// ring. Its directory (the LLC's core-valid bits) lives in the machine's
+// line table.
 type Socket struct {
 	ID    int
 	Cores []*Core
 	LLC   *cache.Cache
-	Dir   *coherence.Directory
 	Ring  *interconnect.Link
 }
 
@@ -67,20 +67,9 @@ type Machine struct {
 	// Stats tallies service paths; the experiments read it.
 	Stats MachineStats
 
-	// lines holds the per-line bookkeeping that used to live in five
-	// separate maps (silent-upgrade marks, flush/evict epochs, probe-
-	// pressure state): one lookup per operation instead of up to five.
-	// Entries are created on first flush/upgrade/eviction and never
-	// removed — the population is bounded by the lines ever probed.
-	// The storage is an inline open-addressing table (metaSlots) plus a
-	// move-to-front lookaside; see meta/metaMake. A *lineMeta is valid
-	// only until the next metaMake (growth moves the slots array), so
-	// callers must not hold one across a call that can create entries.
-	metaSlots []metaSlot
-	metaMask  uint64
-	metaUsed  int
-	lookLine  [metaLookN]uint64
-	lookMeta  [metaLookN]*lineMeta
+	// lines is the one record per cache line: every socket's directory
+	// entry (core-valid bits, LLC-valid mark) and the line's lineMeta.
+	lines lineTable
 
 	// memo is the service-path memo table: protocol transitions, static
 	// path latencies and jitter factors precomputed from (cfg, spec).
@@ -156,120 +145,15 @@ type lineMeta struct {
 	pressure  float64
 }
 
-// metaLookN is the lookaside depth over the line-metadata table; four
-// slots keep the accessed line resident across interleaved eviction-
-// victim bookkeeping (see the analogous directory lookaside).
-const metaLookN = 4
-
-// metaSlot is one open-addressing table slot with the record inline.
-type metaSlot struct {
-	line uint64
-	used bool
-	m    lineMeta
-}
-
-// metaHash is the Fibonacci multiplicative hash over line addresses,
-// with the high (entropy-rich) half folded into the low bits the table
-// indexes with.
-func metaHash(line uint64) uint64 {
-	h := line * 0x9E3779B97F4A7C15
-	return h ^ h>>32
-}
-
-// meta returns line's bookkeeping record, or nil when the line has none.
-// The pointer is valid only until the next metaMake.
-func (m *Machine) meta(line uint64) *lineMeta {
-	if m.lookMeta[0] != nil && m.lookLine[0] == line {
-		return m.lookMeta[0]
-	}
-	for i := 1; i < metaLookN; i++ {
-		if m.lookMeta[i] != nil && m.lookLine[i] == line {
-			lm := m.lookMeta[i]
-			copy(m.lookLine[1:i+1], m.lookLine[:i])
-			copy(m.lookMeta[1:i+1], m.lookMeta[:i])
-			m.lookLine[0], m.lookMeta[0] = line, lm
-			return lm
-		}
-	}
-	if m.metaUsed == 0 {
-		return nil
-	}
-	for h := metaHash(line); ; h++ {
-		s := &m.metaSlots[h&m.metaMask]
-		if !s.used {
-			return nil
-		}
-		if s.line == line {
-			m.lookPush(line, &s.m)
-			return &s.m
-		}
-	}
-}
-
-// lookPush records line at the front of the metadata lookaside.
-func (m *Machine) lookPush(line uint64, lm *lineMeta) {
-	copy(m.lookLine[1:], m.lookLine[:metaLookN-1])
-	copy(m.lookMeta[1:], m.lookMeta[:metaLookN-1])
-	m.lookLine[0], m.lookMeta[0] = line, lm
-}
-
-// metaMake returns line's bookkeeping record, creating it if needed.
-// Creation can grow the table, which invalidates previously returned
-// *lineMeta pointers — callers must not hold one across this call.
-func (m *Machine) metaMake(line uint64) *lineMeta {
-	if lm := m.meta(line); lm != nil {
-		return lm
-	}
-	if len(m.metaSlots) == 0 || (m.metaUsed+1)*4 > len(m.metaSlots)*3 {
-		m.metaGrow()
-	}
-	for h := metaHash(line); ; h++ {
-		s := &m.metaSlots[h&m.metaMask]
-		if !s.used {
-			*s = metaSlot{line: line, used: true}
-			m.metaUsed++
-			m.lookPush(line, &s.m)
-			return &s.m
-		}
-	}
-}
-
-// metaGrow doubles the metadata table (minimum 64 slots).
-func (m *Machine) metaGrow() {
-	n := len(m.metaSlots) * 2
-	if n < 64 {
-		n = 64
-	}
-	old := m.metaSlots
-	m.metaSlots = make([]metaSlot, n)
-	m.metaMask = uint64(n - 1)
-	for i := 0; i < metaLookN; i++ {
-		m.lookMeta[i] = nil
-	}
-	for i := range old {
-		s := &old[i]
-		if !s.used {
-			continue
-		}
-		for h := metaHash(s.line); ; h++ {
-			t := &m.metaSlots[h&m.metaMask]
-			if !t.used {
-				*t = *s
-				break
-			}
-		}
-	}
-}
-
 // upgradedLine reports whether line carries a live silent-upgrade mark.
 func (m *Machine) upgradedLine(line uint64) bool {
-	lm := m.meta(line)
+	lm := m.lines.meta(line)
 	return lm != nil && lm.upgraded
 }
 
 // clearUpgraded consumes line's silent-upgrade mark, if any.
 func (m *Machine) clearUpgraded(line uint64) {
-	if lm := m.meta(line); lm != nil {
+	if lm := m.lines.meta(line); lm != nil {
 		lm.upgraded = false
 	}
 }
@@ -303,6 +187,7 @@ func New(world *sim.World, cfg Config) *Machine {
 		rng:      rng,
 		spec:     spec,
 		llcTrust: cfg.Mitigations.LLCNotifiedOfEToM || !spec.SilentUpgrades(),
+		lines:    lineTable{sockets: cfg.Sockets},
 	}
 	m.InvalidateMemo()
 	lat := cfg.Latencies
@@ -318,7 +203,6 @@ func New(world *sim.World, cfg Config) *Machine {
 		sock := &Socket{
 			ID:   s,
 			LLC:  cache.MustNew(cfg.LLC, pol),
-			Dir:  coherence.NewDirectory(cfg.CoresPerSocket),
 			Ring: interconnect.NewLink(linkName, lat.Ring, service, rng.Split()),
 		}
 		for c := 0; c < cfg.CoresPerSocket; c++ {
@@ -424,17 +308,12 @@ func (p Path) String() string {
 	return fmt.Sprintf("Path(%d)", uint8(p))
 }
 
-// GlobalSharers returns the number of private caches across all sockets
-// holding line, excluding socket `exceptSocket` core `exceptLocal` (pass
-// -1, -1 for none).
-func (m *Machine) globalSharers(line uint64, exceptSocket, exceptLocal int) int {
+// globalSharers returns the number of private caches across all sockets
+// holding line.
+func (m *Machine) globalSharers(line uint64) int {
 	n := 0
-	for _, s := range m.sockets {
-		mask := s.Dir.SharerMask(line)
-		if s.ID == exceptSocket && exceptLocal >= 0 {
-			mask &^= 1 << uint(exceptLocal)
-		}
-		n += bits.OnesCount64(mask)
+	for s := range m.sockets {
+		n += bits.OnesCount64(m.lines.sharerMask(line, s))
 	}
 	return n
 }
@@ -442,14 +321,8 @@ func (m *Machine) globalSharers(line uint64, exceptSocket, exceptLocal int) int 
 // anyOtherCopy reports whether any cache outside socket s holds the line
 // (private or LLC); used to decide E vs. S on a fill.
 func (m *Machine) anyOtherCopy(line uint64, s int) bool {
-	for _, sock := range m.sockets {
-		if sock.ID == s {
-			continue
-		}
-		if sock.Dir.SharerCount(line) > 0 {
-			return true
-		}
-		if e, ok := sock.Dir.Lookup(line); ok && e.LLCValid {
+	for other := range m.sockets {
+		if other != s && m.lines.live(line, other) {
 			return true
 		}
 	}
@@ -470,7 +343,7 @@ func (m *Machine) ProbeState(g int, addr uint64) coherence.State {
 // covert channel's trojan uses it to count spy periods (each spy period
 // begins with exactly one flush of the shared block).
 func (m *Machine) FlushEpoch(addr uint64) uint64 {
-	if lm := m.meta(cache.LineAddr(addr)); lm != nil {
+	if lm := m.lines.meta(cache.LineAddr(addr)); lm != nil {
 		return lm.flushEpochs
 	}
 	return 0
@@ -483,7 +356,7 @@ func (m *Machine) FlushEpoch(addr uint64) uint64 {
 // executes clflush; a real trojan observes the same events as misses on
 // its next reload.
 func (m *Machine) InvalidationEpoch(addr uint64) uint64 {
-	if lm := m.meta(cache.LineAddr(addr)); lm != nil {
+	if lm := m.lines.meta(cache.LineAddr(addr)); lm != nil {
 		return lm.flushEpochs + lm.evictEpochs
 	}
 	return 0
@@ -492,7 +365,5 @@ func (m *Machine) InvalidationEpoch(addr uint64) uint64 {
 // LLCHasClean reports whether socket s's LLC holds a clean serviceable
 // copy of addr's line.
 func (m *Machine) LLCHasClean(s int, addr uint64) bool {
-	line := cache.LineAddr(addr)
-	e, ok := m.Socket(s).Dir.Lookup(line)
-	return ok && e.LLCValid && m.Socket(s).LLC.Contains(line)
+	return m.lines.llcValid(cache.LineAddr(addr), m.Socket(s).ID)
 }

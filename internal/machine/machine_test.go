@@ -33,6 +33,16 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("zero sockets accepted")
 	}
 	bad = DefaultConfig()
+	bad.Sockets = maxSockets + 1
+	if bad.Validate() == nil {
+		t.Errorf("%d sockets accepted", maxSockets+1)
+	}
+	good := DefaultConfig()
+	good.Sockets = maxSockets
+	if err := good.Validate(); err != nil {
+		t.Errorf("%d sockets rejected: %v", maxSockets, err)
+	}
+	bad = DefaultConfig()
 	bad.CoresPerSocket = 65
 	if bad.Validate() == nil {
 		t.Error("65 cores/socket accepted")
