@@ -9,7 +9,7 @@ GO ?= go
 # Worker count for test-dispatch and run-workers.
 N ?= 4
 
-.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci results-verify run-daemon run-workers
+.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke fuzz-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci results-verify run-daemon run-workers
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,16 @@ replacement-smoke:
 # harness as a standalone binary for real deployments (BENCH_9.json).
 loadgen-smoke:
 	$(GO) test -count=1 -run TestLoadgenSmoke ./internal/loadgen/
+
+# Short fuzzing pass over the untrusted submit decoders (a job body
+# through plan building, a sweep spec through expansion) and the
+# executor-vs-reference differential, 10 s each. `go test` alone
+# replays every target's seed corpus; this explores beyond it. Not part
+# of `make ci`: fuzzing time is open-ended by nature.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzSubmitJob$$' -fuzztime=10s ./internal/service/
+	$(GO) test -run='^$$' -fuzz='^FuzzSubmitSweep$$' -fuzztime=10s ./internal/service/
+	$(GO) test -run='^$$' -fuzz='^FuzzDifferential$$' -fuzztime=10s ./internal/kernel/difftest/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -10,7 +10,6 @@ import (
 	"coherentleak/internal/experiments"
 	"coherentleak/internal/harness"
 	"coherentleak/internal/loadgen"
-	"coherentleak/internal/machine"
 	"coherentleak/internal/service"
 	"coherentleak/internal/tenant"
 )
@@ -32,10 +31,8 @@ func TestLoadgenSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := machine.DefaultConfig()
 	svc, err := service.New(service.Options{
 		Registry:    experiments.Artifacts(),
-		BaseConfig:  &base,
 		Executors:   2,
 		QueueDepth:  64,
 		DefaultSeed: experiments.DefaultSeed,

@@ -1,10 +1,10 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -14,6 +14,7 @@ import (
 	"coherentleak/internal/cache"
 	"coherentleak/internal/coherence"
 	"coherentleak/internal/harness"
+	"coherentleak/internal/machine"
 	"coherentleak/internal/replay"
 	"coherentleak/internal/sweep"
 	"coherentleak/internal/tenant"
@@ -42,15 +43,20 @@ import (
 //	GET    /v1/sweeps/{id}/frontier.tsv        ranked frontier (deterministic bytes)
 //	GET    /v1/tenants/self                    the caller's quota and live usage
 //
-// When a tenant registry with keys is loaded, every job, sweep and
-// tenant route requires "Authorization: Bearer <key>" and each tenant
-// sees only its own jobs and sweeps; infrastructure routes (healthz,
-// metrics, version, the read-only artifact/protocol listings, and the
-// worker-fleet protocol) stay open.
+// The route table below is the one place that says which routes need
+// a key: every job, sweep and tenant route is registered through
+// authed, which requires "Authorization: Bearer <key>" when a tenant
+// registry with keys is loaded and hands the handler the caller's
+// tenant (the anonymous tenant without a keys file). Each tenant sees
+// only its own jobs and sweeps. The infrastructure routes (healthz,
+// metrics, version, the read-only artifact/protocol/replacement
+// listings, and the worker-fleet protocol) are registered bare and
+// stay open; a path or method no route serves gets the mux's 404/405.
 //
 // When dispatch is enabled the worker-fleet protocol mounts alongside:
 // POST/GET /v1/workers, DELETE /v1/workers/{id}, and the per-worker
-// lease / result / heartbeat routes (see internal/dispatch).
+// lease / result / heartbeat routes (see internal/dispatch). Workers
+// are operator-deployed infrastructure, not tenants.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -58,72 +64,50 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/artifacts", s.handleArtifacts)
 	mux.HandleFunc("GET /v1/protocols", s.handleProtocols)
 	mux.HandleFunc("GET /v1/replacements", s.handleReplacements)
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/artifacts/{file}", s.handleDownload)
+	mux.HandleFunc("POST /v1/jobs", s.authed(s.handleSubmit))
+	mux.HandleFunc("GET /v1/jobs", s.authed(s.handleJobs))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.authed(s.handleJob))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.authed(s.handleCancel))
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.authed(s.handleCancel))
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.authed(s.handleEvents))
+	mux.HandleFunc("GET /v1/jobs/{id}/artifacts/{file}", s.authed(s.handleDownload))
 	mux.HandleFunc("GET /v1/version", s.handleVersion)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	mux.HandleFunc("GET /v1/sweeps", s.handleSweeps)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweep)
-	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
-	mux.HandleFunc("POST /v1/sweeps/{id}/cancel", s.handleSweepCancel)
-	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.handleSweepEvents)
-	mux.HandleFunc("GET /v1/sweeps/{id}/frontier.tsv", s.handleSweepFrontier)
-	mux.HandleFunc("GET /v1/tenants/self", s.handleTenantSelf)
+	mux.HandleFunc("POST /v1/sweeps", s.authed(s.handleSweepSubmit))
+	mux.HandleFunc("GET /v1/sweeps", s.authed(s.handleSweeps))
+	mux.HandleFunc("GET /v1/sweeps/{id}", s.authed(s.handleSweep))
+	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.authed(s.handleSweepCancel))
+	mux.HandleFunc("POST /v1/sweeps/{id}/cancel", s.authed(s.handleSweepCancel))
+	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.authed(s.handleSweepEvents))
+	mux.HandleFunc("GET /v1/sweeps/{id}/frontier.tsv", s.authed(s.handleSweepFrontier))
+	mux.HandleFunc("GET /v1/tenants/self", s.authed(s.handleTenantSelf))
 	if s.fleet != nil {
 		s.fleet.Routes(mux)
 	}
-	return s.withAuth(mux)
+	return mux
 }
 
-// tenantKey carries the authenticated tenant in the request context.
-type tenantKey struct{}
-
-// withAuth authenticates tenant-scoped requests against the registry
-// and stows the caller's tenant in the request context. In anonymous
-// mode (no keys file) every request authenticates as the anonymous
-// tenant, preserving the open pre-tenant API.
-func (s *Service) withAuth(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if authExempt(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
+// authed wraps a tenant route: it authenticates the request against the
+// tenant registry (401 + WWW-Authenticate on a missing or unknown key)
+// and passes the caller's tenant to h.
+func (s *Service) authed(h func(http.ResponseWriter, *http.Request, *tenant.Tenant)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		tn, err := s.opts.Tenants.Authenticate(r.Header.Get("Authorization"))
 		if err != nil {
 			w.Header().Set("WWW-Authenticate", `Bearer realm="cohsimd"`)
 			writeJSON(w, http.StatusUnauthorized, apiError{Error: err.Error()})
 			return
 		}
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), tenantKey{}, tn)))
-	})
+		h(w, r, tn)
+	}
 }
 
-// authExempt lists the infrastructure surface that stays open when
-// authentication is on: liveness, metrics scraping, build identity,
-// the read-only artifact/protocol listings, and the worker-fleet
-// protocol (workers are operator-deployed infrastructure, not
-// tenants).
-func authExempt(path string) bool {
-	switch path {
-	case "/healthz", "/metrics", "/v1/version", "/v1/artifacts", "/v1/protocols", "/v1/replacements":
-		return true
-	}
-	return strings.HasPrefix(path, "/v1/workers")
-}
-
-// tenantOf returns the request's authenticated tenant. The middleware
-// installs it for every non-exempt route; the fallback covers direct
-// handler invocations in tests.
-func (s *Service) tenantOf(r *http.Request) *tenant.Tenant {
-	if tn, ok := r.Context().Value(tenantKey{}).(*tenant.Tenant); ok {
-		return tn
-	}
-	return s.fallbackTenant()
+// decodeStrict decodes one JSON document from r into v, rejecting
+// unknown fields: the submit bodies and config overrides are all
+// decoded this way, so a typo is a 400 instead of a silent default.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 type apiError struct {
@@ -198,6 +182,7 @@ type artifactInfo struct {
 }
 
 func (s *Service) handleArtifacts(w http.ResponseWriter, r *http.Request) {
+	cfg := machine.DefaultConfig()
 	var out []artifactInfo
 	for _, a := range s.opts.Registry.Artifacts() {
 		info := artifactInfo{
@@ -209,7 +194,7 @@ func (s *Service) handleArtifacts(w http.ResponseWriter, r *http.Request) {
 		// Cell planning is cheap (no cell bodies run), so the listing
 		// can report the decomposition width per sizing.
 		for _, sz := range []harness.Sizing{harness.SizingQuick, harness.SizingFull} {
-			if cells, err := a.Cells(harness.Plan{Cfg: *s.opts.BaseConfig, Seed: s.opts.DefaultSeed, Sizing: sz}); err == nil {
+			if cells, err := a.Cells(harness.Plan{Cfg: cfg, Seed: s.opts.DefaultSeed, Sizing: sz}); err == nil {
 				if sz == harness.SizingQuick {
 					info.QuickCells = len(cells)
 				} else {
@@ -248,7 +233,7 @@ type replacementInfo struct {
 // handleReplacements lists the registered cache replacement policies —
 // the names a job's config override may set as "Replacement".
 func (s *Service) handleReplacements(w http.ResponseWriter, r *http.Request) {
-	def := s.opts.BaseConfig.ReplacementPolicy()
+	def := machine.DefaultConfig().ReplacementPolicy()
 	var out []replacementInfo
 	for _, info := range cache.Policies() {
 		out = append(out, replacementInfo{
@@ -263,7 +248,7 @@ func (s *Service) handleReplacements(w http.ResponseWriter, r *http.Request) {
 // handleProtocols lists the registered coherence protocols — the names a
 // job's config override may set as "Protocol".
 func (s *Service) handleProtocols(w http.ResponseWriter, r *http.Request) {
-	def, _ := coherence.SpecFor(s.opts.BaseConfig.Protocol)
+	def, _ := coherence.SpecFor(machine.DefaultConfig().Protocol)
 	var out []protocolInfo
 	for _, p := range coherence.Protocols() {
 		spec := coherence.MustSpec(p)
@@ -283,16 +268,13 @@ func (s *Service) handleProtocols(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"protocols": out})
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "request body: " + err.Error()})
 		return
 	}
-	tn := s.tenantOf(r)
-	job, err := s.SubmitAs(tn, &req)
+	job, err := s.Submit(tn, &req)
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrQuota):
 		s.writeAdmissionError(w, tn, err)
@@ -304,17 +286,17 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
-	v, _ := s.JobView(job.ID)
+	v, _ := s.JobView(tn, job.ID)
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
 	writeJSON(w, http.StatusAccepted, v)
 }
 
-func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.JobViewsFor(s.tenantOf(r))})
+func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.JobViews(tn)})
 }
 
-func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.JobViewFor(s.tenantOf(r), r.PathValue("id"))
+func (s *Service) handleJob(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
+	v, ok := s.JobView(tn, r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown job"})
 		return
@@ -322,20 +304,20 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
 	id := r.PathValue("id")
-	if !s.CancelFor(s.tenantOf(r), id) {
+	if !s.Cancel(tn, id) {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown job"})
 		return
 	}
-	v, _ := s.JobView(id)
+	v, _ := s.JobView(tn, id)
 	writeJSON(w, http.StatusOK, v)
 }
 
 // handleTenantSelf reports the caller's identity, quotas and live
 // usage — what a client consults to understand its own 429s.
-func (s *Service) handleTenantSelf(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.TenantSelf(s.tenantOf(r)))
+func (s *Service) handleTenantSelf(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
+	writeJSON(w, http.StatusOK, s.TenantSelf(tn))
 }
 
 // handleEvents streams a job's progress as Server-Sent Events. The
@@ -344,8 +326,8 @@ func (s *Service) handleTenantSelf(w http.ResponseWriter, r *http.Request) {
 // client disconnects. A reconnecting subscriber sends Last-Event-ID
 // (the standard SSE header, mirroring the id: field we emit) and
 // resumes from the next event instead of replaying the full history.
-func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
-	history, ch, unsub, ok := s.SubscribeFor(s.tenantOf(r), r.PathValue("id"))
+func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
+	history, ch, unsub, ok := s.Subscribe(tn, r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown job"})
 		return
@@ -421,16 +403,13 @@ func (s *Service) handleVersion(w http.ResponseWriter, r *http.Request) {
 // handleSweepSubmit admits a parameter sweep. The body is a sweep.Spec;
 // the whole grid is validated (including every point's config) before
 // anything is accepted.
-func (s *Service) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleSweepSubmit(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
 	var spec sweep.Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeStrict(r.Body, &spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "request body: " + err.Error()})
 		return
 	}
-	tn := s.tenantOf(r)
-	sw, err := s.SubmitSweepAs(tn, spec)
+	sw, err := s.SubmitSweep(tn, spec)
 	switch {
 	case errors.Is(err, ErrQuota):
 		s.writeAdmissionError(w, tn, err)
@@ -442,17 +421,17 @@ func (s *Service) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
-	v, _ := s.SweepView(sw.ID)
+	v, _ := s.SweepView(tn, sw.ID)
 	w.Header().Set("Location", "/v1/sweeps/"+sw.ID)
 	writeJSON(w, http.StatusAccepted, v)
 }
 
-func (s *Service) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"sweeps": s.SweepViewsFor(s.tenantOf(r))})
+func (s *Service) handleSweeps(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
+	writeJSON(w, http.StatusOK, map[string]any{"sweeps": s.SweepViews(tn)})
 }
 
-func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.SweepViewFor(s.tenantOf(r), r.PathValue("id"))
+func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
+	v, ok := s.SweepView(tn, r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown sweep"})
 		return
@@ -460,21 +439,21 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-func (s *Service) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleSweepCancel(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
 	id := r.PathValue("id")
-	if !s.CancelSweepFor(s.tenantOf(r), id) {
+	if !s.CancelSweep(tn, id) {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown sweep"})
 		return
 	}
-	v, _ := s.SweepView(id)
+	v, _ := s.SweepView(tn, id)
 	writeJSON(w, http.StatusOK, v)
 }
 
 // handleSweepEvents streams sweep progress (point completions, backoff
 // notices, frontier updates) over SSE with the same history-replay and
 // Last-Event-ID resume semantics as job streams.
-func (s *Service) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	history, ch, unsub, ok := s.SubscribeSweepFor(s.tenantOf(r), r.PathValue("id"))
+func (s *Service) handleSweepEvents(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
+	history, ch, unsub, ok := s.SubscribeSweep(tn, r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown sweep"})
 		return
@@ -488,8 +467,8 @@ func (s *Service) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 // handleSweepFrontier serves the sweep's ranked frontier as TSV. The
 // bytes are deterministic for a fixed spec + seed regardless of how the
 // points were scheduled.
-func (s *Service) handleSweepFrontier(w http.ResponseWriter, r *http.Request) {
-	tsv, ok := s.SweepFrontierTSVFor(s.tenantOf(r), r.PathValue("id"))
+func (s *Service) handleSweepFrontier(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
+	tsv, ok := s.SweepFrontierTSV(tn, r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown sweep"})
 		return
@@ -501,17 +480,16 @@ func (s *Service) handleSweepFrontier(w http.ResponseWriter, r *http.Request) {
 
 // handleDownload serves an assembled artifact as TSV (byte-identical to
 // the cmd/experiments file output) or as a versioned replay JSON record.
-func (s *Service) handleDownload(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleDownload(w http.ResponseWriter, r *http.Request, tn *tenant.Tenant) {
 	id, file := r.PathValue("id"), r.PathValue("file")
 	name, ext, ok := strings.Cut(file, ".")
 	if !ok || name == "" {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "want <artifact>.tsv or <artifact>.json"})
 		return
 	}
-	tn := s.tenantOf(r)
-	res, found := s.ResultFor(tn, id, name)
+	res, found := s.Result(tn, id, name)
 	if !found {
-		if _, jobExists := s.JobViewFor(tn, id); !jobExists {
+		if _, jobExists := s.JobView(tn, id); !jobExists {
 			writeJSON(w, http.StatusNotFound, apiError{Error: "unknown job"})
 		} else {
 			writeJSON(w, http.StatusNotFound, apiError{Error: "no assembled result for artifact " + name + " (job still running, cancelled early, or artifact not requested)"})

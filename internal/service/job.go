@@ -178,14 +178,3 @@ func (j *Job) publish(ev Event) {
 	ev.Seq = j.stream.seq()
 	j.stream.publish(ev, ev.Type == "state" && ev.State.Terminal())
 }
-
-// subscribe returns the event history so far plus a live channel (nil
-// if the job is already terminal). Caller holds the service lock.
-func (j *Job) subscribe() (history []Event, ch chan Event, id int) {
-	return j.stream.subscribe(j.state.Terminal())
-}
-
-// unsubscribe detaches a live subscriber. Caller holds the service lock.
-func (j *Job) unsubscribe(id int) {
-	j.stream.unsubscribe(id)
-}

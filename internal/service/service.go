@@ -7,6 +7,12 @@
 // repeated request returns in milliseconds. cmd/cohsimd wraps it in a
 // binary; every future scaling layer (sharding, batching, multi-backend
 // dispatch) is meant to plug in behind this API.
+//
+// Every job and sweep belongs to the tenant that submitted it, and
+// every method that reads, cancels or follows one takes that tenant:
+// the record is resolved by one owner-checked lookup (jobOf, sweepOf),
+// so another tenant's ID is indistinguishable from an unknown one.
+// Without a keys file every caller is the registry's anonymous tenant.
 package service
 
 import (
@@ -29,11 +35,9 @@ import (
 
 // Options configures a Service. Zero values pick sane defaults.
 type Options struct {
-	// Registry supplies the runnable artifacts. Required.
+	// Registry supplies the runnable artifacts. Required. Every job
+	// starts from machine.DefaultConfig() before its JSON overrides.
 	Registry *harness.Registry
-	// BaseConfig is the machine every job starts from before JSON
-	// overrides; zero means machine.DefaultConfig().
-	BaseConfig *machine.Config
 	// Manifest is the shared cell cache; nil creates an empty one.
 	Manifest *store.Memory
 	// ManifestPath, when set, persists the manifest after every job and
@@ -94,10 +98,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.BaseConfig == nil {
-		cfg := machine.DefaultConfig()
-		o.BaseConfig = &cfg
-	}
 	if o.Manifest == nil {
 		o.Manifest = store.NewMemory()
 	}
@@ -191,9 +191,6 @@ func New(opts Options) (*Service, error) {
 	if opts.Registry == nil {
 		return nil, errors.New("service: Options.Registry is required")
 	}
-	if err := opts.BaseConfig.Validate(); err != nil {
-		return nil, fmt.Errorf("service: base config: %w", err)
-	}
 	s := &Service{
 		opts:      opts,
 		metrics:   NewMetrics(),
@@ -228,20 +225,6 @@ func New(opts Options) (*Service, error) {
 // disabled). Tests and the HTTP layer reach it here.
 func (s *Service) Fleet() *dispatch.Fleet { return s.fleet }
 
-// Metrics exposes the service's metrics registry.
-func (s *Service) Metrics() *Metrics { return s.metrics }
-
-// Manifest exposes the shared cell cache (read-mostly: tests and the
-// metrics endpoint ask for its size).
-func (s *Service) Manifest() *store.Memory { return s.opts.Manifest }
-
-// Store exposes the cell store jobs actually consult (Options.Store
-// when set, the manifest otherwise).
-func (s *Service) Store() store.CellStore { return s.cache }
-
-// Tenants exposes the tenant registry.
-func (s *Service) Tenants() *tenant.Registry { return s.opts.Tenants }
-
 // tenantUsage is one tenant's live load, guarded by s.mu.
 type tenantUsage struct {
 	queued  int // jobs admitted and waiting for an executor
@@ -261,15 +244,6 @@ func (s *Service) usageLocked(name string) *tenantUsage {
 		s.usage[name] = u
 	}
 	return u
-}
-
-// fallbackTenant is the principal for direct Go-API submissions
-// (tests, in-process tooling) that bypass HTTP authentication.
-func (s *Service) fallbackTenant() *tenant.Tenant {
-	if t := s.opts.Tenants.Anonymous(); t != nil {
-		return t
-	}
-	return &tenant.Tenant{Name: tenant.AnonymousName, Weight: 1}
 }
 
 func (s *Service) logf(format string, args ...any) {
@@ -303,11 +277,9 @@ func (s *Service) buildPlan(req *SubmitRequest) (harness.Plan, []*harness.Artifa
 	if err != nil {
 		return zero, nil, 0, err
 	}
-	cfg := *s.opts.BaseConfig
+	cfg := machine.DefaultConfig()
 	if len(req.Config) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(req.Config))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&cfg); err != nil {
+		if err := decodeStrict(bytes.NewReader(req.Config), &cfg); err != nil {
 			return zero, nil, 0, fmt.Errorf("config overrides: %w", err)
 		}
 	}
@@ -332,27 +304,22 @@ func (s *Service) buildPlan(req *SubmitRequest) (harness.Plan, []*harness.Artifa
 		return zero, nil, 0, fmt.Errorf("timeoutSeconds %v: must be >= 0", req.TimeoutSeconds)
 	}
 	if req.TimeoutSeconds > 0 {
-		timeout = time.Duration(req.TimeoutSeconds * float64(time.Second))
-		if timeout > s.opts.MaxTimeout {
-			timeout = s.opts.MaxTimeout
+		// Clamp in seconds: converting first would wrap a huge request
+		// to a negative Duration that slips under the clamp.
+		timeout = s.opts.MaxTimeout
+		if req.TimeoutSeconds < s.opts.MaxTimeout.Seconds() {
+			timeout = time.Duration(req.TimeoutSeconds * float64(time.Second))
 		}
 	}
 	return harness.Plan{Cfg: cfg, Seed: seed, Sizing: sizing}, arts, timeout, nil
 }
 
-// Submit validates and enqueues a job on the anonymous tenant's
-// behalf. ErrQueueFull and ErrDraining are admission failures; other
-// errors are invalid requests.
-func (s *Service) Submit(req *SubmitRequest) (*Job, error) {
-	return s.SubmitAs(s.fallbackTenant(), req)
-}
-
-// SubmitAs validates and enqueues a job owned by tn: the tenant's
+// Submit validates and enqueues a job owned by tn: the tenant's
 // MaxInFlight quota is checked, then the job lands on the tenant's
 // fair-queue lane so one tenant's backlog cannot head-of-line-block
 // another's. ErrQueueFull, ErrQuota and ErrDraining are admission
 // failures; other errors are invalid requests.
-func (s *Service) SubmitAs(tn *tenant.Tenant, req *SubmitRequest) (*Job, error) {
+func (s *Service) Submit(tn *tenant.Tenant, req *SubmitRequest) (*Job, error) {
 	plan, arts, timeout, err := s.buildPlan(req)
 	if err != nil {
 		return nil, err
@@ -402,37 +369,23 @@ func (s *Service) SubmitAs(tn *tenant.Tenant, req *SubmitRequest) (*Job, error) 
 	return job, nil
 }
 
-// RetryAfter estimates how long a rejected client should wait before
-// resubmitting: the mean job duration scaled by the backlog ahead of
-// it, clamped to [1s, 60s].
-func (s *Service) RetryAfter() time.Duration {
-	s.mu.Lock()
-	backlog := s.queued + s.running
-	executors := s.opts.Executors
-	s.mu.Unlock()
-	return s.retryEstimate(backlog, executors)
-}
-
-// RetryAfterTenant estimates the wait for one tenant from that
-// tenant's own backlog, not the global queue: under fair queueing a
-// lightly-loaded tenant rejected because another tenant filled the
-// queue drains near the front, so telling it to wait for the whole
-// global backlog would be wildly pessimistic.
+// RetryAfterTenant estimates how long a rejected tenant should wait
+// before resubmitting: the mean job duration scaled by that tenant's
+// own backlog, clamped to [1s, 60s]. The global queue is the wrong
+// measure: under fair queueing a lightly-loaded tenant rejected
+// because another tenant filled the queue drains near the front, so
+// telling it to wait for the whole global backlog would be wildly
+// pessimistic.
 func (s *Service) RetryAfterTenant(name string) time.Duration {
 	s.mu.Lock()
 	u := s.usageLocked(name)
 	backlog := u.queued + u.running
-	executors := s.opts.Executors
 	s.mu.Unlock()
-	return s.retryEstimate(backlog, executors)
-}
-
-func (s *Service) retryEstimate(backlog, executors int) time.Duration {
 	avg := s.metrics.AvgJobSeconds()
 	if avg <= 0 {
 		avg = 1
 	}
-	est := time.Duration(avg * float64(backlog) / float64(executors) * float64(time.Second))
+	est := time.Duration(avg * float64(backlog) / float64(s.opts.Executors) * float64(time.Second))
 	if est < time.Second {
 		est = time.Second
 	}
@@ -486,27 +439,19 @@ func (s *Service) TenantSelf(tn *tenant.Tenant) TenantSelfView {
 	}
 }
 
-// Job looks up one job by ID.
-func (s *Service) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// jobOf returns job id if tn owns it. A job owned by another tenant
+// reports not-found, indistinguishable from a job that does not exist,
+// so IDs cannot be probed across tenants. Caller holds s.mu.
+func (s *Service) jobOf(tn *tenant.Tenant, id string) (*Job, bool) {
 	j, ok := s.jobs[id]
-	return j, ok
-}
-
-// JobViews lists every job in submission order.
-func (s *Service) JobViews() []View {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]View, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id].view())
+	if !ok || j.Tenant != tn.Name {
+		return nil, false
 	}
-	return out
+	return j, true
 }
 
-// JobViewsFor lists one tenant's jobs in submission order.
-func (s *Service) JobViewsFor(tn *tenant.Tenant) []View {
+// JobViews lists tn's jobs in submission order.
+func (s *Service) JobViews(tn *tenant.Tenant) []View {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]View, 0, len(s.order))
@@ -518,73 +463,22 @@ func (s *Service) JobViewsFor(tn *tenant.Tenant) []View {
 	return out
 }
 
-// JobView renders one job.
-func (s *Service) JobView(id string) (View, bool) {
+// JobView renders one of tn's jobs.
+func (s *Service) JobView(tn *tenant.Tenant, id string) (View, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobOf(tn, id)
 	if !ok {
 		return View{}, false
 	}
 	return j.view(), true
 }
 
-// JobViewFor renders one job if tn owns it. A job owned by another
-// tenant reports not-found, indistinguishable from a job that does not
-// exist, so IDs cannot be probed across tenants.
-func (s *Service) JobViewFor(tn *tenant.Tenant, id string) (View, bool) {
+// Result returns one assembled artifact of a job tn owns.
+func (s *Service) Result(tn *tenant.Tenant, id, artifact string) (*harness.ArtifactResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok || j.Tenant != tn.Name {
-		return View{}, false
-	}
-	return j.view(), true
-}
-
-// ResultFor returns one artifact of a job tn owns.
-func (s *Service) ResultFor(tn *tenant.Tenant, id, artifact string) (*harness.ArtifactResult, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok || j.Tenant != tn.Name {
-		return nil, false
-	}
-	res, ok := j.results[artifact]
-	return res, ok
-}
-
-// CancelFor cancels a job tn owns (other tenants' jobs look unknown).
-func (s *Service) CancelFor(tn *tenant.Tenant, id string) bool {
-	s.mu.Lock()
-	owned := false
-	if j, ok := s.jobs[id]; ok && j.Tenant == tn.Name {
-		owned = true
-	}
-	s.mu.Unlock()
-	if !owned {
-		return false
-	}
-	return s.Cancel(id)
-}
-
-// SubscribeFor is Subscribe restricted to jobs tn owns.
-func (s *Service) SubscribeFor(tn *tenant.Tenant, id string) (history []Event, ch chan Event, cancel func(), ok bool) {
-	s.mu.Lock()
-	j, found := s.jobs[id]
-	owned := found && j.Tenant == tn.Name
-	s.mu.Unlock()
-	if !owned {
-		return nil, nil, nil, false
-	}
-	return s.Subscribe(id)
-}
-
-// Result returns one job's assembled artifact by name.
-func (s *Service) Result(id, artifact string) (*harness.ArtifactResult, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobOf(tn, id)
 	if !ok {
 		return nil, false
 	}
@@ -592,12 +486,12 @@ func (s *Service) Result(id, artifact string) (*harness.ArtifactResult, bool) {
 	return res, ok
 }
 
-// Cancel cancels a queued or running job. It reports whether the job
-// exists; cancelling a terminal job is a no-op.
-func (s *Service) Cancel(id string) bool {
+// Cancel cancels a queued or running job tn owns. It reports whether
+// the job exists; cancelling a terminal job is a no-op.
+func (s *Service) Cancel(tn *tenant.Tenant, id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobOf(tn, id)
 	if !ok {
 		return false
 	}
@@ -611,24 +505,17 @@ func (s *Service) Cancel(id string) bool {
 	return true
 }
 
-// Subscribe returns a job's event history and live channel (nil channel
-// when the job is terminal), plus an unsubscribe func.
-func (s *Service) Subscribe(id string) (history []Event, ch chan Event, cancel func(), ok bool) {
+// Subscribe returns the event history and live channel (nil channel
+// when the job is terminal) of a job tn owns, plus an unsubscribe func.
+func (s *Service) Subscribe(tn *tenant.Tenant, id string) (history []Event, ch chan Event, cancel func(), ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, okj := s.jobs[id]
-	if !okj {
+	j, ok := s.jobOf(tn, id)
+	if !ok {
 		return nil, nil, nil, false
 	}
-	history, ch, subID := j.subscribe()
-	if ch == nil {
-		return history, nil, func() {}, true
-	}
-	return history, ch, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		j.unsubscribe(subID)
-	}, true
+	history, ch, cancel = j.stream.subscribe(&s.mu, j.state.Terminal())
+	return history, ch, cancel, true
 }
 
 // Gauges samples point-in-time values for the metrics endpoint.

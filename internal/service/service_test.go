@@ -108,6 +108,13 @@ func fetch(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 // blockingRegistry registers "block": cells that wait on release, plus
 // "echo": instant deterministic cells.
 func blockingRegistry(cells int, release <-chan struct{}) *harness.Registry {
+	return signallingRegistry(cells, release, nil)
+}
+
+// signallingRegistry is blockingRegistry whose block cells also send on
+// started (when non-nil, buffered for every cell) as they begin to run,
+// so a test can wait until a job is really executing a cell.
+func signallingRegistry(cells int, release <-chan struct{}, started chan<- struct{}) *harness.Registry {
 	reg := harness.NewRegistry()
 	reg.MustRegister(&harness.Artifact{
 		Name: "block", Description: "cells block until released", File: "block.tsv", Header: "cell\tv",
@@ -115,6 +122,9 @@ func blockingRegistry(cells int, release <-chan struct{}) *harness.Registry {
 			out := make([]harness.Cell, cells)
 			for i := range out {
 				out[i] = harness.Cell{Name: fmt.Sprintf("c%d", i), Run: func() (harness.CellOutput, error) {
+					if started != nil {
+						started <- struct{}{}
+					}
 					<-release
 					return harness.CellOutput{Rows: []string{fmt.Sprintf("c%d\t%d", i, i)}}, nil
 				}}
@@ -357,11 +367,15 @@ func TestQueueFullReturns429(t *testing.T) {
 	_ = svc
 }
 
-// TestCancelMidRunAndWhileQueued covers both cancellation paths.
+// TestCancelMidRunAndWhileQueued covers both cancellation paths. The
+// mid-run cancel waits until a cell has started: a job turns "running"
+// before its Runner hands out any cell, and a cancel in that window
+// would stop the job before any cell could report.
 func TestCancelMidRunAndWhileQueued(t *testing.T) {
 	release := make(chan struct{})
+	started := make(chan struct{}, 4)
 	_, ts := newTestServer(t, service.Options{
-		Registry:     blockingRegistry(4, release),
+		Registry:     signallingRegistry(4, release, started),
 		QueueDepth:   4,
 		Executors:    1,
 		CellParallel: 1,
@@ -389,6 +403,7 @@ func TestCancelMidRunAndWhileQueued(t *testing.T) {
 	}
 
 	// Cancel the running job mid-run, then release its blocked cell.
+	<-started
 	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+running.ID, nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -505,6 +520,20 @@ func TestBadRequests(t *testing.T) {
 			t.Fatalf("GET %s = %d, want 404", path, code)
 		}
 	}
+}
+
+// TestHugeTimeoutClampsToMax: a timeout too large for a Duration
+// clamps to MaxTimeout instead of wrapping negative and failing the job
+// at once.
+func TestHugeTimeoutClampsToMax(t *testing.T) {
+	release := make(chan struct{})
+	close(release)
+	_, ts := newTestServer(t, service.Options{Registry: blockingRegistry(1, release), DisableDispatch: true})
+	status, v, _ := postJob(t, ts, `{"artifacts":["echo"],"timeoutSeconds":1e10}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit = %d", status)
+	}
+	waitState(t, ts, v.ID, service.StateDone)
 }
 
 // TestConfigOverridesChangeDigest submits a job with a machine-config

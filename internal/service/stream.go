@@ -1,5 +1,7 @@
 package service
 
+import "sync"
+
 // eventLog is the shared publish/subscribe core behind job and sweep
 // progress streams: an append-only event history (replayed to late
 // subscribers), a set of live subscriber channels, and the slow-
@@ -54,23 +56,24 @@ func (l *eventLog[E]) publish(ev E, terminal bool) {
 }
 
 // subscribe returns the history so far plus a live channel — nil when
-// the stream has already ended (the caller passes done).
-func (l *eventLog[E]) subscribe(done bool) (history []E, ch chan E, id int) {
+// the stream has already ended (the caller passes done) — and the
+// func that detaches it. mu is the lock the caller holds now; the
+// detach func takes it, since it runs later.
+func (l *eventLog[E]) subscribe(mu sync.Locker, done bool) (history []E, ch chan E, cancel func()) {
 	history = l.history()
 	if done {
-		return history, nil, 0
+		return history, nil, func() {}
 	}
 	ch = make(chan E, l.buffer)
-	id = l.nextSub
+	id := l.nextSub
 	l.nextSub++
 	l.subs[id] = ch
-	return history, ch, id
-}
-
-// unsubscribe detaches a live subscriber.
-func (l *eventLog[E]) unsubscribe(id int) {
-	if ch, ok := l.subs[id]; ok {
-		close(ch)
-		delete(l.subs, id)
+	return history, ch, func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if ch, ok := l.subs[id]; ok {
+			close(ch)
+			delete(l.subs, id)
+		}
 	}
 }

@@ -214,21 +214,15 @@ func (sw *Sweep) publish(ev SweepEvent) {
 	sw.stream.publish(ev, ev.Type == "state" && ev.State.Terminal())
 }
 
-// SubmitSweep validates and launches a sweep on the anonymous
-// tenant's behalf.
-func (s *Service) SubmitSweep(spec sweep.Spec) (*Sweep, error) {
-	return s.SubmitSweepAs(s.fallbackTenant(), spec)
-}
-
-// SubmitSweepAs validates and launches a sweep owned by tn. The whole
+// SubmitSweep validates and launches a sweep owned by tn. The whole
 // grid is expanded and every point's config is dry-run through plan
 // building up front, so a typo'd axis path or over-budget grid fails
 // the submit (HTTP 400) instead of failing hundreds of points later.
-// The tenant's SweepBudget caps the expanded point count (a client
-// error: resubmitting the same grid can never succeed), and
-// MaxQueuedPoints caps pending points across its active sweeps
-// (ErrQuota, an admission failure worth retrying).
-func (s *Service) SubmitSweepAs(tn *tenant.Tenant, spec sweep.Spec) (*Sweep, error) {
+// The tenant's SweepBudget caps the point count, checked before any
+// point is built (a client error: resubmitting the same grid can never
+// succeed), and MaxQueuedPoints caps pending points across its active
+// sweeps (ErrQuota, an admission failure worth retrying).
+func (s *Service) SubmitSweep(tn *tenant.Tenant, spec sweep.Spec) (*Sweep, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -241,13 +235,17 @@ func (s *Service) SubmitSweepAs(tn *tenant.Tenant, spec sweep.Spec) (*Sweep, err
 			return nil, fmt.Errorf("sweep: objective reads artifact %q but the sweep only runs %v", a, spec.Artifacts)
 		}
 	}
-	points, err := sweep.Expand(spec, s.opts.DefaultSeed)
+	size, err := spec.Size()
 	if err != nil {
 		return nil, err
 	}
-	if tn.SweepBudget > 0 && len(points) > tn.SweepBudget {
+	if tn.SweepBudget > 0 && size > tn.SweepBudget {
 		return nil, fmt.Errorf("sweep: %d point(s) exceed tenant %s's sweep budget of %d",
-			len(points), tn.Name, tn.SweepBudget)
+			size, tn.Name, tn.SweepBudget)
+	}
+	points, err := sweep.Expand(spec, s.opts.DefaultSeed)
+	if err != nil {
+		return nil, err
 	}
 	for _, pt := range points {
 		req := s.sweepPointRequest(spec, pt)
@@ -311,38 +309,18 @@ func (s *Service) sweepPointRequest(spec sweep.Spec, pt sweep.Point) *SubmitRequ
 	}
 }
 
-// Sweep looks up one sweep by ID.
-func (s *Service) Sweep(id string) (*Sweep, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// sweepOf returns sweep id if tn owns it; other tenants' sweeps report
+// not-found so IDs cannot be probed across tenants. Caller holds s.mu.
+func (s *Service) sweepOf(tn *tenant.Tenant, id string) (*Sweep, bool) {
 	sw, ok := s.sweeps[id]
-	return sw, ok
-}
-
-// SweepViews lists every sweep in submission order.
-func (s *Service) SweepViews() []SweepView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]SweepView, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		out = append(out, s.sweeps[id].view())
+	if !ok || sw.Tenant != tn.Name {
+		return nil, false
 	}
-	return out
+	return sw, true
 }
 
-// SweepView renders one sweep.
-func (s *Service) SweepView(id string) (SweepView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	if !ok {
-		return SweepView{}, false
-	}
-	return sw.view(), true
-}
-
-// SweepViewsFor lists one tenant's sweeps in submission order.
-func (s *Service) SweepViewsFor(tn *tenant.Tenant) []SweepView {
+// SweepViews lists tn's sweeps in submission order.
+func (s *Service) SweepViews(tn *tenant.Tenant) []SweepView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]SweepView, 0, len(s.sweepOrder))
@@ -354,56 +332,24 @@ func (s *Service) SweepViewsFor(tn *tenant.Tenant) []SweepView {
 	return out
 }
 
-// SweepViewFor renders one sweep if tn owns it; other tenants' sweeps
-// report not-found so IDs cannot be probed across tenants.
-func (s *Service) SweepViewFor(tn *tenant.Tenant, id string) (SweepView, bool) {
+// SweepView renders one of tn's sweeps.
+func (s *Service) SweepView(tn *tenant.Tenant, id string) (SweepView, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	if !ok || sw.Tenant != tn.Name {
+	sw, ok := s.sweepOf(tn, id)
+	if !ok {
 		return SweepView{}, false
 	}
 	return sw.view(), true
 }
 
-// ownsSweep reports whether tn owns the sweep.
-func (s *Service) ownsSweep(tn *tenant.Tenant, id string) bool {
+// SweepFrontierTSV renders the current ranked frontier of a sweep tn
+// owns — the deterministic table a fixed spec + seed reproduces
+// byte-for-byte.
+func (s *Service) SweepFrontierTSV(tn *tenant.Tenant, id string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	return ok && sw.Tenant == tn.Name
-}
-
-// CancelSweepFor cancels a sweep tn owns.
-func (s *Service) CancelSweepFor(tn *tenant.Tenant, id string) bool {
-	if !s.ownsSweep(tn, id) {
-		return false
-	}
-	return s.CancelSweep(id)
-}
-
-// SubscribeSweepFor is SubscribeSweep restricted to sweeps tn owns.
-func (s *Service) SubscribeSweepFor(tn *tenant.Tenant, id string) (history []SweepEvent, ch chan SweepEvent, cancel func(), ok bool) {
-	if !s.ownsSweep(tn, id) {
-		return nil, nil, nil, false
-	}
-	return s.SubscribeSweep(id)
-}
-
-// SweepFrontierTSVFor serves the frontier of a sweep tn owns.
-func (s *Service) SweepFrontierTSVFor(tn *tenant.Tenant, id string) ([]byte, bool) {
-	if !s.ownsSweep(tn, id) {
-		return nil, false
-	}
-	return s.SweepFrontierTSV(id)
-}
-
-// SweepFrontierTSV renders a sweep's current ranked frontier — the
-// deterministic table a fixed spec + seed reproduces byte-for-byte.
-func (s *Service) SweepFrontierTSV(id string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
+	sw, ok := s.sweepOf(tn, id)
 	if !ok {
 		return nil, false
 	}
@@ -414,12 +360,12 @@ func (s *Service) SweepFrontierTSV(id string) ([]byte, bool) {
 	return f.TSV(sw.Spec.AxisNames()), true
 }
 
-// CancelSweep cancels a queued or running sweep. It reports whether the
-// sweep exists; cancelling a terminal sweep is a no-op.
-func (s *Service) CancelSweep(id string) bool {
+// CancelSweep cancels a queued or running sweep tn owns. It reports
+// whether the sweep exists; cancelling a terminal sweep is a no-op.
+func (s *Service) CancelSweep(tn *tenant.Tenant, id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
+	sw, ok := s.sweepOf(tn, id)
 	if !ok {
 		return false
 	}
@@ -435,24 +381,18 @@ func (s *Service) CancelSweep(id string) bool {
 	return true
 }
 
-// SubscribeSweep returns a sweep's event history and live channel (nil
-// channel when the sweep is terminal), plus an unsubscribe func.
-func (s *Service) SubscribeSweep(id string) (history []SweepEvent, ch chan SweepEvent, cancel func(), ok bool) {
+// SubscribeSweep returns the event history and live channel (nil
+// channel when the sweep is terminal) of a sweep tn owns, plus an
+// unsubscribe func.
+func (s *Service) SubscribeSweep(tn *tenant.Tenant, id string) (history []SweepEvent, ch chan SweepEvent, cancel func(), ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, oks := s.sweeps[id]
-	if !oks {
+	sw, ok := s.sweepOf(tn, id)
+	if !ok {
 		return nil, nil, nil, false
 	}
-	history, ch, subID := sw.stream.subscribe(sw.state.Terminal())
-	if ch == nil {
-		return history, nil, func() {}, true
-	}
-	return history, ch, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		sw.stream.unsubscribe(subID)
-	}, true
+	history, ch, cancel = sw.stream.subscribe(&s.mu, sw.state.Terminal())
+	return history, ch, cancel, true
 }
 
 // finishSweepLocked moves a sweep to a terminal state. Caller holds s.mu.
@@ -595,21 +535,21 @@ func (s *Service) observeSweep(sw *Sweep, ev sweep.Event) {
 // store dedupes repeated cells across points automatically.
 func (s *Service) runSweepPoint(ctx context.Context, sw *Sweep, pt sweep.Point) (sweep.PointResult, error) {
 	var res sweep.PointResult
-	job, err := s.SubmitAs(sw.owner, s.sweepPointRequest(sw.Spec, pt))
+	job, err := s.Submit(sw.owner, s.sweepPointRequest(sw.Spec, pt))
 	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrQuota) {
 		return res, &sweep.RetryError{After: s.RetryAfterTenant(sw.Tenant), Err: err}
 	}
 	if err != nil {
 		return res, err
 	}
-	state, errMsg, err := s.followJob(ctx, job.ID)
+	state, errMsg, err := s.followJob(ctx, sw.owner, job.ID)
 	if err != nil {
 		return res, err
 	}
 	if state != StateDone {
 		return res, fmt.Errorf("%s %s%s", job.ID, state, suffixIf(errMsg))
 	}
-	v, ok := s.JobView(job.ID)
+	v, ok := s.JobView(sw.owner, job.ID)
 	if !ok {
 		return res, fmt.Errorf("%s vanished", job.ID)
 	}
@@ -622,7 +562,7 @@ func (s *Service) runSweepPoint(ctx context.Context, sw *Sweep, pt sweep.Point) 
 	}
 	res.TSV = make(map[string][]byte, len(job.Artifacts))
 	for _, name := range job.Artifacts {
-		r, okr := s.Result(job.ID, name)
+		r, okr := s.Result(sw.owner, job.ID, name)
 		if !okr {
 			return res, fmt.Errorf("%s finished without an assembled %s table", job.ID, name)
 		}
@@ -631,12 +571,12 @@ func (s *Service) runSweepPoint(ctx context.Context, sw *Sweep, pt sweep.Point) 
 	return res, nil
 }
 
-// followJob waits for a job to reach a terminal state via its event
-// stream (resubscribing if this subscriber is ever evicted). Context
-// cancellation cancels the job.
-func (s *Service) followJob(ctx context.Context, id string) (State, string, error) {
+// followJob waits for one of tn's jobs to reach a terminal state via
+// its event stream (resubscribing if this subscriber is ever evicted).
+// Context cancellation cancels the job.
+func (s *Service) followJob(ctx context.Context, tn *tenant.Tenant, id string) (State, string, error) {
 	for {
-		history, ch, unsub, ok := s.Subscribe(id)
+		history, ch, unsub, ok := s.Subscribe(tn, id)
 		if !ok {
 			return "", "", fmt.Errorf("%s vanished", id)
 		}
@@ -650,7 +590,7 @@ func (s *Service) followJob(ctx context.Context, id string) (State, string, erro
 			// Terminal without a terminal event cannot happen, but fall
 			// back to the view rather than spinning.
 			unsub()
-			v, okv := s.JobView(id)
+			v, okv := s.JobView(tn, id)
 			if !okv {
 				return "", "", fmt.Errorf("%s vanished", id)
 			}
@@ -669,7 +609,7 @@ func (s *Service) followJob(ctx context.Context, id string) (State, string, erro
 				}
 			case <-ctx.Done():
 				unsub()
-				s.Cancel(id)
+				s.Cancel(tn, id)
 				return "", "", ctx.Err()
 			}
 		}

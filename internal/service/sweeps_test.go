@@ -17,6 +17,7 @@ import (
 	"coherentleak/internal/experiments"
 	"coherentleak/internal/harness"
 	"coherentleak/internal/service"
+	"coherentleak/internal/tenant"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files from the current run")
@@ -253,8 +254,9 @@ func TestSweepSlowSubscriberEvictionAndResume(t *testing.T) {
 			}}}, nil
 		},
 	})
+	tenants := tenant.Open()
 	svc, ts := newTestServer(t, service.Options{
-		Registry: reg, DefaultSeed: 3, DisableDispatch: true, SweepInFlight: 1,
+		Registry: reg, Tenants: tenants, DefaultSeed: 3, DisableDispatch: true, SweepInFlight: 1,
 	})
 
 	// Park a gate job on the single executor so the sweep cannot publish
@@ -277,7 +279,7 @@ func TestSweepSlowSubscriberEvictionAndResume(t *testing.T) {
 		t.Fatalf("POST /v1/sweeps = %d: %s", code, raw)
 	}
 
-	history, ch, unsub, ok := svc.SubscribeSweep(sw.ID)
+	history, ch, unsub, ok := svc.SubscribeSweep(tenants.Anonymous(), sw.ID)
 	if !ok {
 		t.Fatalf("SubscribeSweep(%s) missing", sw.ID)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"coherentleak/internal/machine"
 	"coherentleak/internal/service"
 	"coherentleak/internal/store"
+	"coherentleak/internal/sweep"
 	"coherentleak/internal/tenant"
 )
 
@@ -154,8 +156,9 @@ func TestSharedDiskStoreAcrossReplicas(t *testing.T) {
 	}
 }
 
-// TestAuthRequiredAndExemptRoutes: with a keys file loaded, job routes
-// demand a bearer key while the infrastructure surface stays open.
+// TestAuthRequiredAndExemptRoutes: with a keys file loaded, every
+// tenant route Handler registers demands a bearer key while the
+// infrastructure surface stays open.
 func TestAuthRequiredAndExemptRoutes(t *testing.T) {
 	release := make(chan struct{})
 	close(release)
@@ -165,28 +168,88 @@ func TestAuthRequiredAndExemptRoutes(t *testing.T) {
 		Registry: blockingRegistry(1, release), Tenants: twoTenants(t),
 	})
 
-	code, _, hdr := doAs(t, ts, "", "POST", "/v1/jobs", `{"artifacts":["echo"]}`)
-	if code != http.StatusUnauthorized {
-		t.Fatalf("unauthenticated submit = %d, want 401", code)
-	}
-	if hdr.Get("WWW-Authenticate") == "" {
-		t.Fatal("401 must carry WWW-Authenticate")
-	}
-	if code, _, _ := doAs(t, ts, "wrong-key-123456", "GET", "/v1/jobs", ""); code != http.StatusUnauthorized {
-		t.Fatalf("bad-key list = %d, want 401", code)
+	for _, route := range []struct{ method, path, body string }{
+		{"POST", "/v1/jobs", `{"artifacts":["echo"]}`},
+		{"GET", "/v1/jobs", ""},
+		{"GET", "/v1/jobs/job-000001", ""},
+		{"DELETE", "/v1/jobs/job-000001", ""},
+		{"POST", "/v1/jobs/job-000001/cancel", ""},
+		{"GET", "/v1/jobs/job-000001/events", ""},
+		{"GET", "/v1/jobs/job-000001/artifacts/echo.tsv", ""},
+		{"POST", "/v1/sweeps", `{}`},
+		{"GET", "/v1/sweeps", ""},
+		{"GET", "/v1/sweeps/sweep-000001", ""},
+		{"DELETE", "/v1/sweeps/sweep-000001", ""},
+		{"POST", "/v1/sweeps/sweep-000001/cancel", ""},
+		{"GET", "/v1/sweeps/sweep-000001/events", ""},
+		{"GET", "/v1/sweeps/sweep-000001/frontier.tsv", ""},
+		{"GET", "/v1/tenants/self", ""},
+	} {
+		for _, key := range []string{"", "wrong-key-123456"} {
+			code, body, hdr := doAs(t, ts, key, route.method, route.path, route.body)
+			if code != http.StatusUnauthorized {
+				t.Fatalf("%s %s with key %q = %d (%s), want 401", route.method, route.path, key, code, body)
+			}
+			if hdr.Get("WWW-Authenticate") == "" {
+				t.Fatalf("%s %s: 401 must carry WWW-Authenticate", route.method, route.path)
+			}
+		}
 	}
 	for _, path := range []string{"/healthz", "/metrics", "/v1/version", "/v1/artifacts", "/v1/protocols", "/v1/replacements", "/v1/workers"} {
 		if code, body, _ := doAs(t, ts, "", "GET", path, ""); code != http.StatusOK {
 			t.Fatalf("exempt route %s = %d (%s), want 200", path, code, body)
 		}
 	}
+	// Authentication is decided per registered route: a path or method
+	// no route serves gets the mux's answer, not 401.
+	if code, _, _ := doAs(t, ts, "", "GET", "/v1/nowhere", ""); code != http.StatusNotFound {
+		t.Fatalf("unrouted path = %d, want 404", code)
+	}
+	if code, _, _ := doAs(t, ts, "", "PUT", "/v1/jobs", ""); code != http.StatusMethodNotAllowed {
+		t.Fatalf("unrouted method = %d, want 405", code)
+	}
 	if code, _, _ := doAs(t, ts, aliceKey, "POST", "/v1/jobs", `{"artifacts":["echo"]}`); code != http.StatusAccepted {
 		t.Fatalf("authenticated submit = %d, want 202", code)
 	}
 }
 
-// TestTenantOwnership: a tenant's jobs are invisible to other tenants —
-// GET, DELETE, events, downloads and listings all report not-found.
+// TestSweepBudgetCheckedBeforeExpansion: a tenant's sweepBudget rejects
+// an oversized grid from its size alone — the 5,000,000 points the spec
+// allows itself are never built.
+func TestSweepBudgetCheckedBeforeExpansion(t *testing.T) {
+	reg, err := tenant.New([]*tenant.Tenant{{Name: "alice", Key: aliceKey, Quotas: tenant.Quotas{SweepBudget: 10}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, _ := newTestServer(t, service.Options{Registry: blockingRegistry(1, nil), Tenants: reg, DisableDispatch: true})
+	alice, err := reg.Authenticate("Bearer " + aliceKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec sweep.Spec
+	if err := json.Unmarshal([]byte(`{
+		"artifacts": ["echo"], "maxPoints": 10000000,
+		"axes": [{"param": "Latencies.QPI", "min": 1, "max": 100, "steps": 5000000, "ints": true}],
+		"objective": {"artifact": "echo", "column": "v"}
+	}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = svc.SubmitSweep(alice, spec)
+	runtime.ReadMemStats(&after)
+	const want = "sweep: 5000000 point(s) exceed tenant alice's sweep budget of 10"
+	if err == nil || err.Error() != want {
+		t.Fatalf("SubmitSweep = %v, want %q", err, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting the sweep allocated %d bytes, want < 1 MiB", alloc)
+	}
+}
+
+// TestTenantOwnership: a tenant's jobs and sweeps are invisible to
+// other tenants — GET, DELETE, events, downloads, frontiers and
+// listings all report not-found.
 func TestTenantOwnership(t *testing.T) {
 	release := make(chan struct{})
 	close(release)
@@ -237,6 +300,70 @@ func TestTenantOwnership(t *testing.T) {
 	}
 	if len(list.Jobs) != 1 {
 		t.Fatalf("alice's listing shows %d job(s), want 1", len(list.Jobs))
+	}
+
+	// Sweeps are owned the same way.
+	code, body, _ = doAs(t, ts, aliceKey, "POST", "/v1/sweeps", `{
+		"artifacts": ["echo"],
+		"axes": [{"param": "seed", "values": [1, 2]}],
+		"objective": {"artifact": "echo", "column": "v"}
+	}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("sweep submit = %d (%s)", code, body)
+	}
+	var sw service.SweepView
+	if err := json.Unmarshal(body, &sw); err != nil {
+		t.Fatal(err)
+	}
+	if sw.Tenant != "alice" {
+		t.Fatalf("sweep tenant = %q, want alice", sw.Tenant)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		code, body, _ := doAs(t, ts, aliceKey, "GET", "/v1/sweeps/"+sw.ID, "")
+		if code != http.StatusOK {
+			t.Fatalf("alice GET sweep = %d", code)
+		}
+		var v service.SweepView
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		if v.State == service.StateDone {
+			break
+		}
+		if v.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("sweep %s = %s (%s), want done", sw.ID, v.State, v.Error)
+		}
+	}
+	for _, probe := range []struct{ method, path string }{
+		{"GET", "/v1/sweeps/" + sw.ID},
+		{"DELETE", "/v1/sweeps/" + sw.ID},
+		{"POST", "/v1/sweeps/" + sw.ID + "/cancel"},
+		{"GET", "/v1/sweeps/" + sw.ID + "/events"},
+		{"GET", "/v1/sweeps/" + sw.ID + "/frontier.tsv"},
+	} {
+		if code, _, _ := doAs(t, ts, bobKey, probe.method, probe.path, ""); code != http.StatusNotFound {
+			t.Fatalf("bob %s %s = %d, want 404", probe.method, probe.path, code)
+		}
+		if code, _, _ := doAs(t, ts, aliceKey, probe.method, probe.path, ""); code != http.StatusOK {
+			t.Fatalf("alice %s %s = %d, want 200", probe.method, probe.path, code)
+		}
+	}
+	var sweeps struct {
+		Sweeps []service.SweepView `json:"sweeps"`
+	}
+	_, body, _ = doAs(t, ts, bobKey, "GET", "/v1/sweeps", "")
+	if err := json.Unmarshal(body, &sweeps); err != nil {
+		t.Fatal(err)
+	}
+	if len(sweeps.Sweeps) != 0 {
+		t.Fatalf("bob's sweep listing shows %d sweep(s), want 0", len(sweeps.Sweeps))
+	}
+	_, body, _ = doAs(t, ts, aliceKey, "GET", "/v1/sweeps", "")
+	if err := json.Unmarshal(body, &sweeps); err != nil {
+		t.Fatal(err)
+	}
+	if len(sweeps.Sweeps) != 1 {
+		t.Fatalf("alice's sweep listing shows %d sweep(s), want 1", len(sweeps.Sweeps))
 	}
 }
 

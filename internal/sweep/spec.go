@@ -80,15 +80,25 @@ func (a Axis) validate() error {
 
 func (a Axis) isSeed() bool { return strings.EqualFold(a.Param, SeedParam) }
 
-// gridValues materializes the axis for grid expansion.
-func (a Axis) gridValues() ([]json.RawMessage, error) {
+// gridLen is how many values the axis contributes to a grid, known
+// without materializing them.
+func (a Axis) gridLen() (int, error) {
 	if len(a.Values) > 0 {
-		return a.Values, nil
+		return len(a.Values), nil
+	}
+	if a.Steps <= 0 {
+		return 0, fmt.Errorf("sweep: range axis %s needs steps >= 1 for grid expansion", a.Param)
+	}
+	return a.Steps, nil
+}
+
+// gridValues materializes the axis for grid expansion. Call it only
+// once Size has bounded the grid.
+func (a Axis) gridValues() []json.RawMessage {
+	if len(a.Values) > 0 {
+		return a.Values
 	}
 	steps := a.Steps
-	if steps <= 0 {
-		return nil, fmt.Errorf("sweep: range axis %s needs steps >= 1 for grid expansion", a.Param)
-	}
 	out := make([]json.RawMessage, 0, steps)
 	for i := 0; i < steps; i++ {
 		v := *a.Min
@@ -97,7 +107,7 @@ func (a Axis) gridValues() ([]json.RawMessage, error) {
 		}
 		out = append(out, numberJSON(v, a.Ints))
 	}
-	return out, nil
+	return out
 }
 
 // sample draws one value for random expansion.
@@ -194,7 +204,7 @@ func (s *Spec) Validate() error {
 	switch s.Strategy {
 	case "", StrategyGrid:
 		for _, a := range s.Axes {
-			if _, err := a.gridValues(); err != nil {
+			if _, err := a.gridLen(); err != nil {
 				return err
 			}
 		}
@@ -218,6 +228,28 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("sweep: config overrides are not valid JSON")
 	}
 	return s.Objective.validate()
+}
+
+// Size returns how many points a validated spec expands to, without
+// materializing any axis: the samples count, or the grid's product of
+// axis lengths. A grid past the budget is an error, found before the
+// product can overflow.
+func (s *Spec) Size() (int, error) {
+	if s.Strategy == StrategyRandom {
+		return s.Samples, nil
+	}
+	total, budget := 1, s.Budget()
+	for _, a := range s.Axes {
+		n, err := a.gridLen()
+		if err != nil {
+			return 0, err
+		}
+		if n > budget/total {
+			return 0, fmt.Errorf("sweep: grid expands to more than the point budget %d (use maxPoints, random sampling, or fewer axis values)", budget)
+		}
+		total *= n
+	}
+	return total, nil
 }
 
 // AxisNames returns the swept parameter names in axis order — the
@@ -264,10 +296,15 @@ type Point struct {
 
 // Expand materializes the spec's points in deterministic order.
 // defaultSeed seeds points when the spec carries no Seed field and no
-// seed axis. The hard budget is enforced here: a grid larger than the
-// budget (or a samples count above it) fails rather than truncates.
+// seed axis. The hard budget is enforced here, before any axis is
+// materialized: a grid larger than the budget (or a samples count
+// above it) fails rather than truncates.
 func Expand(spec Spec, defaultSeed uint64) ([]Point, error) {
 	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	total, err := spec.Size()
+	if err != nil {
 		return nil, err
 	}
 	baseSeed := defaultSeed
@@ -278,17 +315,8 @@ func Expand(spec Spec, defaultSeed uint64) ([]Point, error) {
 	switch spec.Strategy {
 	case "", StrategyGrid:
 		grids := make([][]json.RawMessage, len(spec.Axes))
-		total := 1
 		for i, a := range spec.Axes {
-			g, err := a.gridValues()
-			if err != nil {
-				return nil, err
-			}
-			grids[i] = g
-			total *= len(g)
-			if total > spec.Budget() {
-				return nil, fmt.Errorf("sweep: grid expands to more than the point budget %d (use maxPoints, random sampling, or fewer axis values)", spec.Budget())
-			}
+			grids[i] = a.gridValues()
 		}
 		assignments = make([][]json.RawMessage, 0, total)
 		idx := make([]int, len(grids))

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -143,6 +145,37 @@ func TestBudgetEnforced(t *testing.T) {
 	spec.Samples = 5
 	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("5 samples with budget 4 accepted: %v", err)
+	}
+
+	// A few-hundred-byte spec naming a 5,000,000-step range axis is
+	// rejected from its size alone, without building the axis.
+	long := Spec{
+		Axes:      []Axis{{Param: "Latencies.QPI", Min: f64(1), Max: f64(100), Steps: 5_000_000, Ints: true}},
+		Objective: ObjectiveSpec{Artifact: "a", Column: "c"},
+	}
+	const want = "sweep: grid expands to more than the point budget 1024 (use maxPoints, random sampling, or fewer axis values)"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Expand(long, 0)
+	runtime.ReadMemStats(&after)
+	if err == nil || err.Error() != want {
+		t.Fatalf("5e6-step axis: Expand = %v, want %q", err, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting the 5e6-step axis allocated %d bytes, want < 1 MiB", alloc)
+	}
+
+	// A product of axis lengths past MaxInt is rejected, not wrapped.
+	huge := Spec{
+		MaxPoints: math.MaxInt,
+		Axes: []Axis{
+			{Param: "Latencies.QPI", Min: f64(1), Max: f64(2), Steps: math.MaxInt / 2},
+			{Param: "Latencies.LLC", Min: f64(1), Max: f64(2), Steps: 3},
+		},
+		Objective: ObjectiveSpec{Artifact: "a", Column: "c"},
+	}
+	if _, err := huge.Size(); err == nil || !strings.Contains(err.Error(), "budget") {
+		t.Fatalf("overflowing grid sized without error: %v", err)
 	}
 }
 
