@@ -83,16 +83,17 @@ bench:
 
 # Per-access hot-path benchmarks: the refactored kernel/cache/directory
 # layers and the sim scheduler's thread switch and inline advance must
-# stay at ~0 allocs/op here.
+# stay at ~0 allocs/op here. MachineNew is the construction cost every
+# covert run pays (TestMachineNewAllocationBound bounds its bytes).
 bench-hotpath:
-	$(GO) test -bench='LoadHit|LoadMiss|StoreRFO' -benchmem -run=^$$ ./internal/machine/
+	$(GO) test -bench='LoadHit|LoadMiss|StoreRFO|MachineNew' -benchmem -run=^$$ ./internal/machine/
 	$(GO) test -bench='WorldSwitch|WorldAdvanceInline' -benchmem -run=^$$ ./internal/sim/
 
 # One-iteration smoke pass over the artifact benchmarks — catches bench
 # bit-rot in CI without paying for stable numbers.
 bench-smoke:
 	$(GO) test -bench=BenchmarkArtifact -benchtime=1x -run=^$$ .
-	$(GO) test -bench='LoadHit|LoadMiss' -benchtime=100x -benchmem -run=^$$ ./internal/machine/
+	$(GO) test -bench='LoadHit|LoadMiss|MachineNew' -benchtime=100x -benchmem -run=^$$ ./internal/machine/
 
 # Access-stream executor performance gate: run the hot-path benches,
 # then time kernel.Thread.Exec against the hand-written per-op loop it

@@ -49,6 +49,9 @@ func (g Geometry) Validate() error {
 type Line struct {
 	Tag   uint64
 	State coherence.State
+	// rrpv is the 2-bit re-reference prediction value (PolicySRRIP and
+	// PolicyBRRIP only); it fits in State's padding.
+	rrpv uint8
 	// lru is the recency stamp used by the LRU policy.
 	lru uint64
 }
@@ -56,23 +59,36 @@ type Line struct {
 // Valid reports whether the line holds usable data.
 func (l *Line) Valid() bool { return l.State.Valid() }
 
-// Cache is a single set-associative cache array. Line metadata lives in
-// per-set slices allocated on first fill: a set probe still walks one
-// contiguous run of memory, but constructing a cache costs only the
-// set-pointer table. That matters because the harness builds many
+// Cache is a single set-associative cache array. A set's ways are one
+// contiguous run of Lines, so a set probe walks one run of memory, but a
+// set gets its run only on its first fill: the harness builds many
 // short-lived machines (one per calibration band, per covert session)
-// that touch a handful of sets — eagerly zeroing a multi-megabyte LLC
-// array for each dominated construction cost.
+// that touch a handful of sets, and eagerly zeroing a multi-megabyte LLC
+// array, or even a table of per-set slice headers, for each of them
+// dominated construction cost.
 //
-// Replacement metadata lives in flat arrays owned by the cache, indexed
-// by set (and way), never in maps keyed by set identity: policy state is
-// part of the cache, cannot alias across caches, and costs no per-access
-// allocation. The default LRU policy keeps its devirtualized fast path
-// (recency stamps on the lines themselves + lruVictim); tree-PLRU and
-// the RRIP family are dispatched by a small enum switch.
+// The store is pointer-free per set. slot maps a set to its position in
+// first-fill order, and the positions are packed blockSets sets to a
+// block; blocks are appended as sets fill and never reallocated, so a
+// *Line from Lookup stays valid for the cache's lifetime. Construction
+// costs one uint32 per set, which the garbage collector never scans.
+//
+// Replacement metadata is filled in with the set, never kept in maps
+// keyed by set identity: policy state is part of the cache, cannot alias
+// across caches, and costs no per-access allocation. LRU recency stamps
+// and RRIP prediction values live on the Lines; tree-PLRU's per-set bits
+// live in a slice indexed by store position. The default LRU policy
+// keeps its devirtualized fast path (lruVictim); tree-PLRU and the RRIP
+// family are dispatched by a small enum switch.
 type Cache struct {
-	geo     Geometry
-	sets    [][]Line // sets[s] is nil until the first fill touches set s
+	geo Geometry
+	// slot[s] is 1 + set s's position in the store, or 0 until the
+	// first fill touches set s.
+	slot []uint32
+	// blocks[b] holds the ways of positions [b*blockSets, (b+1)*blockSets),
+	// position-major. used counts the positions handed out.
+	blocks  [][]Line
+	used    uint32
 	ways    int
 	policy  Policy
 	clock   uint64 // recency counter for LRU stamps
@@ -80,13 +96,11 @@ type Cache struct {
 	setMask uint64 // numSets-1 when numSets is a power of two
 	pow2    bool
 
-	// plruBits[s] is set s's tree-PLRU node-bit word (PolicyTreePLRU
-	// only; nil otherwise). Bit k is internal node k of the binary
-	// decision tree over the set's ways; set = victim search goes right.
+	// plruBits[p] is the tree-PLRU node-bit word of the set at store
+	// position p (PolicyTreePLRU only; nil otherwise). Bit k is internal
+	// node k of the binary decision tree over the set's ways; set =
+	// victim search goes right.
 	plruBits []uint64
-	// rrpv[s*ways+w] is way w of set s's 2-bit re-reference prediction
-	// value (PolicySRRIP/PolicyBRRIP only; nil otherwise).
-	rrpv []uint8
 	// brripFills counts fills for BRRIP's deterministic bimodal
 	// insertion (every brripLongEvery-th fill inserts at "long").
 	brripFills uint64
@@ -105,9 +119,7 @@ type Stats struct {
 }
 
 // New returns a cache with the given geometry and replacement policy
-// (the Policy zero value is LRU, the historical default). Non-LRU
-// policies allocate their flat metadata arrays here, once — nothing on
-// the per-access path ever allocates.
+// (the Policy zero value is LRU, the historical default).
 func New(geo Geometry, policy Policy) (*Cache, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
@@ -118,16 +130,10 @@ func New(geo Geometry, policy Policy) (*Cache, error) {
 	sets := geo.Sets()
 	c := &Cache{
 		geo:     geo,
-		sets:    make([][]Line, sets),
+		slot:    make([]uint32, sets),
 		ways:    geo.Ways,
 		policy:  policy,
 		numSets: uint64(sets),
-	}
-	switch policy {
-	case PolicyTreePLRU:
-		c.plruBits = make([]uint64, sets)
-	case PolicySRRIP, PolicyBRRIP:
-		c.rrpv = make([]uint8, sets*geo.Ways)
 	}
 	if c.numSets&(c.numSets-1) == 0 {
 		c.pow2 = true
@@ -151,21 +157,25 @@ func (c *Cache) Geometry() Geometry { return c.geo }
 // Policy returns the replacement policy.
 func (c *Cache) Policy() Policy { return c.policy }
 
+// plru returns the tree-PLRU bits of set s, which must have been filled.
+func (c *Cache) plru(s uint64) *uint64 { return &c.plruBits[c.slot[s]-1] }
+
 // touchSlow updates non-LRU replacement metadata after a hit or re-fill
-// of way w in set s. The LRU fast path (recency stamp) is inlined at the
-// call sites; this runs only for the enum policies that keep state in
-// the flat arrays.
-func (c *Cache) touchSlow(s uint64, w int) {
+// of way w of set s. The LRU fast path (recency stamp) is inlined at the
+// call sites; this runs only for the enum policies.
+func (c *Cache) touchSlow(s uint64, ways []Line, w int) {
 	switch c.policy {
 	case PolicyTreePLRU:
-		c.plruBits[s] = plruTouch(c.plruBits[s], c.ways, w)
+		b := c.plru(s)
+		*b = plruTouch(*b, c.ways, w)
 	default: // PolicySRRIP, PolicyBRRIP: a hit predicts near re-reference.
-		c.rrpv[s*uint64(c.ways)+uint64(w)] = 0
+		ways[w].rrpv = 0
 	}
 }
 
 // victimSlow selects a victim way for the enum policies. Invalid ways
-// are always preferred, scanning from way 0, matching lruVictim.
+// are always preferred, scanning from way 0, matching lruVictim; so an
+// invalid way's stale RRIP value is never read.
 func (c *Cache) victimSlow(s uint64, ways []Line) int {
 	for i := range ways {
 		if !ways[i].Valid() {
@@ -173,29 +183,28 @@ func (c *Cache) victimSlow(s uint64, ways []Line) int {
 		}
 	}
 	if c.policy == PolicyTreePLRU {
-		return plruVictim(c.plruBits[s], c.ways)
+		return plruVictim(*c.plru(s), c.ways)
 	}
 	// RRIP: the victim is the first way (from way 0) at "distant";
 	// if none, age every way until one reaches it.
-	base := s * uint64(c.ways)
-	r := c.rrpv[base : base+uint64(c.ways)]
 	for {
-		for i, v := range r {
-			if v >= maxRRPV {
+		for i := range ways {
+			if ways[i].rrpv >= maxRRPV {
 				return i
 			}
 		}
-		for i := range r {
-			r[i]++
+		for i := range ways {
+			ways[i].rrpv++
 		}
 	}
 }
 
 // fillMeta sets the replacement metadata for a newly filled way.
-func (c *Cache) fillMeta(s uint64, w int) {
+func (c *Cache) fillMeta(s uint64, ways []Line, w int) {
 	switch c.policy {
 	case PolicyTreePLRU:
-		c.plruBits[s] = plruTouch(c.plruBits[s], c.ways, w)
+		b := c.plru(s)
+		*b = plruTouch(*b, c.ways, w)
 	default: // PolicySRRIP, PolicyBRRIP
 		ins := uint8(srripInsertRRPV)
 		if c.policy == PolicyBRRIP {
@@ -204,7 +213,7 @@ func (c *Cache) fillMeta(s uint64, w int) {
 				ins = maxRRPV
 			}
 		}
-		c.rrpv[s*uint64(c.ways)+uint64(w)] = ins
+		ways[w].rrpv = ins
 	}
 }
 
@@ -219,19 +228,45 @@ func (c *Cache) index(line uint64) (set uint64, tag uint64) {
 	return n % c.numSets, n
 }
 
+// blockSets is the number of sets per store block: large enough that a
+// block costs one allocation per many fills, small enough that a machine
+// touching a few sets allocates little.
+const blockSets = 32
+
 // set returns the ways of set s, or nil when the set was never filled.
 func (c *Cache) set(s uint64) []Line {
-	return c.sets[s]
+	p := c.slot[s]
+	if p == 0 {
+		return nil
+	}
+	return c.at(p - 1)
 }
 
-// setMake returns the ways of set s, allocating them on first use.
+// at returns the ways stored at position p.
+func (c *Cache) at(p uint32) []Line {
+	off := int(p%blockSets) * c.ways
+	return c.blocks[p/blockSets][off : off+c.ways : off+c.ways]
+}
+
+// setMake returns the ways of set s, giving it the next position on
+// first use and appending a block when the last one is full. A cache
+// with fewer than blockSets unfilled sets left gets a block sized to
+// them.
 func (c *Cache) setMake(s uint64) []Line {
-	ws := c.sets[s]
-	if ws == nil {
-		ws = make([]Line, c.ways)
-		c.sets[s] = ws
+	if p := c.slot[s]; p != 0 {
+		return c.at(p - 1)
 	}
-	return ws
+	p := c.used
+	if int(p/blockSets) == len(c.blocks) {
+		n := min(blockSets, c.numSets-uint64(p))
+		c.blocks = append(c.blocks, make([]Line, n*uint64(c.ways)))
+	}
+	if c.policy == PolicyTreePLRU {
+		c.plruBits = append(c.plruBits, 0)
+	}
+	c.used++
+	c.slot[s] = p + 1
+	return c.at(p)
 }
 
 // Probe returns the line's state without updating recency, or Invalid if
@@ -262,7 +297,7 @@ func (c *Cache) Lookup(addr uint64) *Line {
 			c.clock++
 			l.lru = c.clock
 			if c.policy != PolicyLRU {
-				c.touchSlow(set, i)
+				c.touchSlow(set, ways, i)
 			}
 			c.Stats.Hits++
 			return l
@@ -299,7 +334,7 @@ func (c *Cache) Insert(addr uint64, state coherence.State) (ev Evicted, ok bool)
 			c.clock++
 			l.lru = c.clock
 			if c.policy != PolicyLRU {
-				c.touchSlow(set, i)
+				c.touchSlow(set, ways, i)
 			}
 			return Evicted{}, false
 		}
@@ -320,7 +355,7 @@ func (c *Cache) Insert(addr uint64, state coherence.State) (ev Evicted, ok bool)
 	c.clock++
 	*victim = Line{Tag: tag, State: state, lru: c.clock}
 	if c.policy != PolicyLRU {
-		c.fillMeta(set, w)
+		c.fillMeta(set, ways, w)
 	}
 	c.Stats.Fills++
 	return ev, ok
@@ -354,7 +389,7 @@ func (c *Cache) InsertAbsent(addr uint64, state coherence.State) (ev Evicted, ok
 	c.clock++
 	*victim = Line{Tag: tag, State: state, lru: c.clock}
 	if c.policy != PolicyLRU {
-		c.fillMeta(set, w)
+		c.fillMeta(set, ways, w)
 	}
 	c.Stats.Fills++
 	return ev, ok
@@ -422,9 +457,9 @@ func (c *Cache) SetAddrs(addr uint64) []uint64 {
 // ValidLines returns the number of valid lines across all sets.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for _, ways := range c.sets {
-		for i := range ways {
-			if ways[i].Valid() {
+	for _, b := range c.blocks {
+		for i := range b {
+			if b[i].Valid() {
 				n++
 			}
 		}
@@ -436,7 +471,11 @@ func (c *Cache) ValidLines() int {
 // way order, with the line's address and coherence state. It is the
 // snapshot primitive behind the differential-test state digest.
 func (c *Cache) ForEachValid(fn func(addr uint64, st coherence.State)) {
-	for s, ways := range c.sets {
+	for s, p := range c.slot {
+		if p == 0 {
+			continue
+		}
+		ways := c.at(p - 1)
 		for i := range ways {
 			l := &ways[i]
 			if l.Valid() {
@@ -447,11 +486,15 @@ func (c *Cache) ForEachValid(fn func(addr uint64, st coherence.State)) {
 }
 
 // Clear invalidates the whole cache (test helper / machine reset),
-// including all replacement metadata.
+// including all replacement metadata. The blocks are kept and refilled
+// in the new first-fill order.
 func (c *Cache) Clear() {
-	clear(c.sets)
-	clear(c.plruBits)
-	clear(c.rrpv)
+	clear(c.slot)
+	for _, b := range c.blocks {
+		clear(b)
+	}
+	c.used = 0
+	c.plruBits = c.plruBits[:0]
 	c.brripFills = 0
 }
 
@@ -460,6 +503,22 @@ func (c *Cache) Clear() {
 func (c *Cache) SetIndexOf(addr uint64) uint64 {
 	set, _ := c.index(LineAddr(addr))
 	return set
+}
+
+// SetLines calls fn, in ascending order, with the address of each line
+// in [lo, hi) that maps to set s (lo is rounded down to its line), until
+// fn returns false. Like SetIndexOf it serves conflict-set construction,
+// but it visits only the matching lines: a set is the line number modulo
+// the set count, so consecutive lines of one set lie Sets()*LineSize
+// bytes apart.
+func (c *Cache) SetLines(lo, hi, s uint64, fn func(addr uint64) bool) {
+	lo = LineAddr(lo)
+	first := (s + c.numSets - c.SetIndexOf(lo)) % c.numSets
+	for a := lo + first*LineSize; a < hi; a += c.numSets * LineSize {
+		if !fn(a) {
+			return
+		}
+	}
 }
 
 // WayOf returns the way index currently holding addr's line, without

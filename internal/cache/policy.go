@@ -7,9 +7,8 @@ import (
 
 // Policy selects a replacement algorithm. Policies are a closed enum —
 // the per-access paths dispatch on a small switch, never through an
-// interface — and all per-set metadata lives in flat arrays owned by the
-// Cache (see the fields on Cache), so policy state can never alias
-// across caches and the hot path stays allocation-free.
+// interface — and all metadata lives in the Cache's own set store (see
+// the fields on Cache), so policy state can never alias across caches.
 type Policy uint8
 
 const (

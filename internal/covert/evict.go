@@ -19,34 +19,43 @@ import (
 // the spy's private pages, so probing them needs no sharing.
 func (s *Session) BuildSpyEvictionSet() ([]uint64, error) {
 	llc := s.Mach.Socket(s.Mach.Core(s.SpyCore).Socket).LLC
-	target := llc.SetIndexOf(s.SharedPA())
-	ways := llc.Geometry().Ways
+	vas, _, err := conflictLines(s.SpyProc, llc, s.SharedPA(), llc.Geometry().Ways, nil, "conflict")
+	return vas, err
+}
 
-	var out []uint64
-	const linesPerPage = kernel.PageSize / cache.LineSize
-	// Allocate in chunks; each page holds linesPerPage consecutive lines,
-	// so a matching line appears every Sets/linesPerPage pages.
-	for tries := 0; len(out) < ways && tries < 1_000_000; tries++ {
-		va, err := s.SpyProc.Mmap(1)
+// maxConflictPages bounds the pages one conflict-line search maps.
+const maxConflictPages = 1_000_000
+
+// conflictLines maps fresh pages into proc one Mmap(1) at a time until it
+// holds n lines other than targetPA's own that fall in targetPA's set of
+// c and pass keep (nil keeps all), and returns their VAs and PAs in
+// discovery order. This is the ground-truth construction behind every
+// conflict set: the simulator exposes its frame layout where real
+// attackers use timing-based group testing.
+//
+// Each page visits only its lines in the target set (Cache.SetLines).
+// what names the lines in the error when the search gives up.
+func conflictLines(proc *kernel.Process, c *cache.Cache, targetPA uint64, n int, keep func(pa uint64) bool, what string) (vas, pas []uint64, err error) {
+	target, own := c.SetIndexOf(targetPA), cache.LineAddr(targetPA)
+	for tries := 0; len(vas) < n && tries < maxConflictPages; tries++ {
+		va, err := proc.Mmap(1)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		base, err := s.SpyProc.Translate(va)
+		base, err := proc.Translate(va)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		for off := uint64(0); off < kernel.PageSize; off += cache.LineSize {
-			pa := base + off
-			if llc.SetIndexOf(pa) == target && cache.LineAddr(pa) != cache.LineAddr(s.SharedPA()) {
-				out = append(out, va+off)
-				if len(out) == ways {
-					break
-				}
+		c.SetLines(base, base+kernel.PageSize, target, func(pa uint64) bool {
+			if pa != own && (keep == nil || keep(pa)) {
+				vas = append(vas, va+pa-base)
+				pas = append(pas, pa)
 			}
-		}
+			return len(vas) < n
+		})
 	}
-	if len(out) < ways {
-		return nil, fmt.Errorf("covert: found only %d/%d conflict lines", len(out), ways)
+	if len(vas) < n {
+		return nil, nil, fmt.Errorf("covert: found only %d/%d %s lines", len(vas), n, what)
 	}
-	return out, nil
+	return vas, pas, nil
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 
-	"coherentleak/internal/cache"
 	"coherentleak/internal/kernel"
 	"coherentleak/internal/machine"
 	"coherentleak/internal/sim"
@@ -51,69 +50,6 @@ const DefaultLRUStatePeriod = sim.Cycles(32768)
 // monitored lines from a core's private caches between passes; > the
 // 8-way private associativity so one pass suffices under LRU.
 const scrubLines = 12
-
-// collectConflicts allocates pages in proc until n private lines mapping
-// to the same LLC set as targetPA are found (excluding targetPA's own
-// line). Same ground-truth construction as BuildSpyEvictionSet: the
-// simulator exposes its frame layout where real attackers use
-// timing-based group testing. Returns each line's VA and PA.
-func collectConflicts(proc *kernel.Process, llc *cache.Cache, targetPA uint64, n int) (vas, pas []uint64, err error) {
-	target := llc.SetIndexOf(targetPA)
-	for tries := 0; len(vas) < n && tries < 1_000_000; tries++ {
-		va, err := proc.Mmap(1)
-		if err != nil {
-			return nil, nil, err
-		}
-		base, err := proc.Translate(va)
-		if err != nil {
-			return nil, nil, err
-		}
-		for off := uint64(0); off < kernel.PageSize && len(vas) < n; off += cache.LineSize {
-			pa := base + off
-			if llc.SetIndexOf(pa) == target && cache.LineAddr(pa) != cache.LineAddr(targetPA) {
-				vas = append(vas, va+off)
-				pas = append(pas, pa)
-			}
-		}
-	}
-	if len(vas) < n {
-		return nil, nil, fmt.Errorf("covert: found only %d/%d LLC conflict lines", len(vas), n)
-	}
-	return vas, pas, nil
-}
-
-// collectScrub allocates private lines that share targetPA's L1/L2 set
-// but *not* its LLC set: loading them evicts the monitored lines from
-// the core's private caches (so the next touch is visible to the LLC)
-// without disturbing the monitored LLC set's replacement metadata. The
-// default geometry guarantees such lines exist: the L2 set count (512)
-// divides the LLC set count (12288), so same-L2-set lines recur every
-// 512 lines while only every 24th of those shares the LLC set.
-func collectScrub(proc *kernel.Process, l2, llc *cache.Cache, targetPA uint64, n int) ([]uint64, error) {
-	l2target := l2.SetIndexOf(targetPA)
-	llctarget := llc.SetIndexOf(targetPA)
-	var out []uint64
-	for tries := 0; len(out) < n && tries < 1_000_000; tries++ {
-		va, err := proc.Mmap(1)
-		if err != nil {
-			return nil, err
-		}
-		base, err := proc.Translate(va)
-		if err != nil {
-			return nil, err
-		}
-		for off := uint64(0); off < kernel.PageSize && len(out) < n; off += cache.LineSize {
-			pa := base + off
-			if l2.SetIndexOf(pa) == l2target && llc.SetIndexOf(pa) != llctarget {
-				out = append(out, va+off)
-			}
-		}
-	}
-	if len(out) < n {
-		return nil, fmt.Errorf("covert: found only %d/%d scrub lines", len(out), n)
-	}
-	return out, nil
-}
 
 // Run transmits bits and returns the decoded result.
 func (c LRUStateChannel) Run(bits []byte) (*SlotResult, error) {
@@ -156,17 +92,25 @@ func (c LRUStateChannel) Run(bits []byte) (*SlotResult, error) {
 		return nil, fmt.Errorf("covert: lrustate needs an associative LLC")
 	}
 	// ways-1 prime lines (set = {B, C1..C15}) plus one forcing line F.
-	confVAs, confPAs, err := collectConflicts(spyProc, llc, sharedPA, ways)
+	confVAs, confPAs, err := conflictLines(spyProc, llc, sharedPA, ways, nil, "LLC conflict")
 	if err != nil {
 		return nil, err
 	}
 	primeVAs, primePAs := confVAs[:ways-1], confPAs[:ways-1]
 	forceVA := confVAs[ways-1]
-	spyScrub, err := collectScrub(spyProc, m.Core(spyCore).L2, llc, sharedPA, scrubLines)
+	// Scrub lines share B's L2 (hence L1) set but *not* its LLC set:
+	// loading them evicts the monitored lines from the core's private
+	// caches (so the next touch is visible to the LLC) without disturbing
+	// the monitored LLC set's replacement metadata. The default geometry
+	// guarantees such lines exist: the L2 set count (512) divides the LLC
+	// set count (12288), so same-L2-set lines recur every 512 lines while
+	// only every 24th of those shares the LLC set.
+	outsideLLCSet := func(pa uint64) bool { return llc.SetIndexOf(pa) != llc.SetIndexOf(sharedPA) }
+	spyScrub, _, err := conflictLines(spyProc, m.Core(spyCore).L2, sharedPA, scrubLines, outsideLLCSet, "scrub")
 	if err != nil {
 		return nil, err
 	}
-	trojanScrub, err := collectScrub(trojanProc, m.Core(trojanCore).L2, llc, sharedPA, scrubLines)
+	trojanScrub, _, err := conflictLines(trojanProc, m.Core(trojanCore).L2, sharedPA, scrubLines, outsideLLCSet, "scrub")
 	if err != nil {
 		return nil, err
 	}

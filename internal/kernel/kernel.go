@@ -38,10 +38,24 @@ type Process struct {
 	// address spaces in start order (earliest first, §IV).
 	Start sim.Cycles
 
-	kern  *Kernel
-	pages map[uint64]*PTE // keyed by virtual page number
-	brk   uint64          // next free virtual page number
+	kern *Kernel
+	// pages[i] maps virtual page base+i, or is nil once unmapped. Pages
+	// are only ever mapped at the break, which only grows, so the table
+	// is dense and base+len(pages) is the next free virtual page number.
+	base  uint64
+	pages []*PTE
 }
+
+// pte returns the entry mapping virtual page vp, or nil.
+func (p *Process) pte(vp uint64) *PTE {
+	if i := vp - p.base; i < uint64(len(p.pages)) {
+		return p.pages[i]
+	}
+	return nil
+}
+
+// brk returns the next free virtual page number.
+func (p *Process) brk() uint64 { return p.base + uint64(len(p.pages)) }
 
 // Kernel owns the machine, physical memory and the process table.
 type Kernel struct {
@@ -102,11 +116,10 @@ func (k *Kernel) NewProcess(name string) *Process {
 		Name:  name,
 		Start: k.world.Now(),
 		kern:  k,
-		pages: make(map[uint64]*PTE),
 		// Leave virtual page 0 unmapped so address 0 faults, and give
 		// each process a distinct base so stray cross-process address
 		// reuse is caught.
-		brk: uint64(k.nextPID) << 20,
+		base: uint64(k.nextPID) << 20,
 	}
 	k.nextPID++
 	k.procs = append(k.procs, p)
@@ -126,21 +139,20 @@ func (p *Process) Mmap(npages int) (uint64, error) {
 	if npages <= 0 {
 		return 0, fmt.Errorf("kernel: mmap of %d pages", npages)
 	}
-	basePage := p.brk
+	basePage, mapped := p.brk(), len(p.pages)
 	for i := 0; i < npages; i++ {
 		f, err := p.kern.mem.Alloc()
 		if err != nil {
 			// Roll back what we mapped so far.
-			for j := uint64(0); j < uint64(i); j++ {
-				pte := p.pages[basePage+j]
+			for _, pte := range p.pages[mapped:] {
 				p.kern.mem.Release(pte.Frame)
-				delete(p.pages, basePage+j)
 			}
+			clear(p.pages[mapped:])
+			p.pages = p.pages[:mapped]
 			return 0, err
 		}
-		p.pages[basePage+uint64(i)] = &PTE{Frame: f, Writable: true}
+		p.pages = append(p.pages, &PTE{Frame: f, Writable: true})
 	}
-	p.brk += uint64(npages)
 	p.kern.mapEpoch++
 	return basePage * PageSize, nil
 }
@@ -160,26 +172,28 @@ func (p *Process) Munmap(va uint64, npages int) error {
 	base := va / PageSize
 	// Validate the whole range before touching anything.
 	for i := uint64(0); i < uint64(npages); i++ {
-		if p.pages[base+i] == nil {
+		if p.pte(base+i) == nil {
 			return fmt.Errorf("kernel: munmap of unmapped page %#x", (base+i)*PageSize)
 		}
 	}
-	for i := uint64(0); i < uint64(npages); i++ {
-		pte := p.pages[base+i]
-		p.kern.mem.Release(pte.Frame)
-		delete(p.pages, base+i)
+	for vp := base; vp < base+uint64(npages); vp++ {
+		p.kern.mem.Release(p.pte(vp).Frame)
+		p.pages[vp-p.base] = nil
 	}
 	p.kern.mapEpoch++
 	return nil
 }
 
-// Exit tears down the process's address space. Threads of the process
-// are not tracked here; callers stop them first (the simulator's
-// processes are scheduling containers only).
+// Exit tears down the process's address space, releasing frames in
+// ascending page order. Threads of the process are not tracked here;
+// callers stop them first (the simulator's processes are scheduling
+// containers only).
 func (p *Process) Exit() {
-	for vp, pte := range p.pages {
-		p.kern.mem.Release(pte.Frame)
-		delete(p.pages, vp)
+	for i, pte := range p.pages {
+		if pte != nil {
+			p.kern.mem.Release(pte.Frame)
+			p.pages[i] = nil
+		}
 	}
 	p.kern.mapEpoch++
 }
@@ -188,7 +202,7 @@ func (p *Process) Exit() {
 // candidates (the madvise() call of §VII-A).
 func (p *Process) Madvise(va uint64, npages int) error {
 	for i := 0; i < npages; i++ {
-		pte := p.pages[va/PageSize+uint64(i)]
+		pte := p.pte(va/PageSize + uint64(i))
 		if pte == nil {
 			return fmt.Errorf("kernel: madvise on unmapped page %#x", va+uint64(i)*PageSize)
 		}
@@ -199,22 +213,23 @@ func (p *Process) Madvise(va uint64, npages int) error {
 }
 
 // PTEOf returns the page-table entry covering va, or nil.
-func (p *Process) PTEOf(va uint64) *PTE { return p.pages[va/PageSize] }
+func (p *Process) PTEOf(va uint64) *PTE { return p.pte(va / PageSize) }
 
 // Pages returns the process's mapped virtual page numbers in ascending
 // order (for reverse-mapping walks by OS-level defenses).
 func (p *Process) Pages() []uint64 {
-	out := make([]uint64, 0, len(p.pages))
-	for vp := range p.pages {
-		out = append(out, vp)
+	var out []uint64
+	for i, pte := range p.pages {
+		if pte != nil {
+			out = append(out, p.base+uint64(i))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Translate returns the physical address for va.
 func (p *Process) Translate(va uint64) (uint64, error) {
-	pte := p.pages[va/PageSize]
+	pte := p.pte(va / PageSize)
 	if pte == nil {
 		return 0, fmt.Errorf("kernel: segfault: pid %d has no mapping for %#x", p.PID, va)
 	}
@@ -226,15 +241,14 @@ func (p *Process) Translate(va uint64) (uint64, error) {
 // it honours COW, breaking shared frames exactly as a timed store would.
 func (p *Process) WriteBytes(va uint64, data []byte) error {
 	for len(data) > 0 {
-		pte := p.pages[va/PageSize]
+		pte := p.pte(va / PageSize)
 		if pte == nil {
 			return fmt.Errorf("kernel: segfault writing %#x", va)
 		}
 		if !pte.Writable {
-			if err := p.kern.cowBreak(p, va/PageSize, pte); err != nil {
+			if err := p.kern.cowBreak(pte); err != nil {
 				return err
 			}
-			pte = p.pages[va/PageSize]
 		}
 		off := va % PageSize
 		n := copy(pte.Frame.Data()[off:], data)
@@ -248,7 +262,7 @@ func (p *Process) WriteBytes(va uint64, data []byte) error {
 func (p *Process) ReadBytes(va uint64, n int) ([]byte, error) {
 	out := make([]byte, 0, n)
 	for n > 0 {
-		pte := p.pages[va/PageSize]
+		pte := p.pte(va / PageSize)
 		if pte == nil {
 			return nil, fmt.Errorf("kernel: segfault reading %#x", va)
 		}
@@ -279,13 +293,11 @@ func (k *Kernel) MapSharedReadOnly(procs ...*Process) ([]uint64, error) {
 	}
 	vas := make([]uint64, len(procs))
 	for i, p := range procs {
-		vpage := p.brk
-		p.brk++
 		if i > 0 {
 			k.mem.AddRef(frame)
 		}
-		p.pages[vpage] = &PTE{Frame: frame, Writable: false}
-		vas[i] = vpage * PageSize
+		vas[i] = p.brk() * PageSize
+		p.pages = append(p.pages, &PTE{Frame: frame, Writable: false})
 	}
 	k.mapEpoch++
 	return vas, nil
@@ -307,13 +319,11 @@ func (k *Kernel) MapSharedWritable(procs ...*Process) ([]uint64, error) {
 	}
 	vas := make([]uint64, len(procs))
 	for i, p := range procs {
-		vpage := p.brk
-		p.brk++
 		if i > 0 {
 			k.mem.AddRef(frame)
 		}
-		p.pages[vpage] = &PTE{Frame: frame, Writable: true}
-		vas[i] = vpage * PageSize
+		vas[i] = p.brk() * PageSize
+		p.pages = append(p.pages, &PTE{Frame: frame, Writable: true})
 	}
 	k.mapEpoch++
 	return vas, nil
@@ -322,12 +332,12 @@ func (k *Kernel) MapSharedWritable(procs ...*Process) ([]uint64, error) {
 // SharesFrameWith reports whether two processes map the same physical
 // frame at the given virtual addresses — the attack precondition.
 func (p *Process) SharesFrameWith(va uint64, q *Process, qva uint64) bool {
-	a, b := p.pages[va/PageSize], q.pages[qva/PageSize]
+	a, b := p.PTEOf(va), q.PTEOf(qva)
 	return a != nil && b != nil && a.Frame == b.Frame
 }
 
-// cowBreak gives proc a private writable copy of the frame behind vpage.
-func (k *Kernel) cowBreak(proc *Process, vpage uint64, pte *PTE) error {
+// cowBreak gives pte's mapping a private writable copy of its frame.
+func (k *Kernel) cowBreak(pte *PTE) error {
 	k.mapEpoch++
 	if pte.Frame.Refs() == 1 {
 		// Sole mapper: just restore write permission.
@@ -346,30 +356,19 @@ func (k *Kernel) cowBreak(proc *Process, vpage uint64, pte *PTE) error {
 	return nil
 }
 
-// mergeCandidates returns every (process, vpage, pte) with a mergeable
-// mapping, in process start order then vpage order — the deterministic
-// scan order KSM uses.
-func (k *Kernel) mergeCandidates() []candidate {
-	var out []candidate
+// mergeCandidates returns every mergeable mapping, in process start
+// order then ascending page order — the deterministic scan order KSM
+// uses.
+func (k *Kernel) mergeCandidates() []*PTE {
+	var out []*PTE
 	procs := k.Processes()
 	sort.SliceStable(procs, func(i, j int) bool { return procs[i].Start < procs[j].Start })
 	for _, p := range procs {
-		var vpages []uint64
-		for vp, pte := range p.pages {
-			if pte.Mergeable {
-				vpages = append(vpages, vp)
+		for _, pte := range p.pages {
+			if pte != nil && pte.Mergeable {
+				out = append(out, pte)
 			}
-		}
-		sort.Slice(vpages, func(i, j int) bool { return vpages[i] < vpages[j] })
-		for _, vp := range vpages {
-			out = append(out, candidate{proc: p, vpage: vp, pte: p.pages[vp]})
 		}
 	}
 	return out
-}
-
-type candidate struct {
-	proc  *Process
-	vpage uint64
-	pte   *PTE
 }

@@ -36,20 +36,19 @@ func (s *KSM) Scan() int {
 	// canonical maps content hash -> candidates whose frame is the
 	// surviving copy for that content. Hash collisions are resolved with
 	// a byte comparison, as in the real KSM's stable tree.
-	canonical := make(map[uint64][]candidate)
+	canonical := make(map[uint64][]*PTE)
 	merged := 0
 
 	for _, cand := range cands {
-		h := cand.pte.Frame.ContentHash()
-		var target *candidate
+		h := cand.Frame.ContentHash()
+		var target *PTE
 		alreadyCanonical := false
-		for i := range canonical[h] {
-			cc := &canonical[h][i]
-			if cc.pte.Frame == cand.pte.Frame {
+		for _, cc := range canonical[h] {
+			if cc.Frame == cand.Frame {
 				alreadyCanonical = true // mapping already shares the survivor
 				break
 			}
-			if cc.pte.Frame.SameContents(cand.pte.Frame) {
+			if cc.Frame.SameContents(cand.Frame) {
 				target = cc
 				break
 			}
@@ -63,13 +62,13 @@ func (s *KSM) Scan() int {
 		}
 		// Merge: cand's mapping is redirected onto target's frame; both
 		// mappings become read-only COW; cand's old frame drops a ref.
-		old := cand.pte.Frame
-		k.mem.AddRef(target.pte.Frame)
+		old := cand.Frame
+		k.mem.AddRef(target.Frame)
 		k.mem.Release(old)
-		cand.pte.Frame = target.pte.Frame
-		cand.pte.Writable = false
-		target.pte.Writable = false
-		target.pte.Frame.MergedByKSM = true
+		cand.Frame = target.Frame
+		cand.Writable = false
+		target.Writable = false
+		target.Frame.MergedByKSM = true
 		k.mapEpoch++
 		merged++
 	}
@@ -90,17 +89,19 @@ func (s *KSM) StartDaemon(period sim.Cycles) *sim.Thread {
 	})
 }
 
-// UnmergePage force-splits every mapping of the frame behind (proc, va)
-// back to private copies — the paper's second mitigation (§VIII-E):
-// "setup timeouts for KSM to un-merge shared pages with suspicious
-// access patterns". It returns the number of mappings split.
+// UnmergePage force-splits every mapping of merged frame frameNum back
+// to private copies — the paper's second mitigation (§VIII-E): "setup
+// timeouts for KSM to un-merge shared pages with suspicious access
+// patterns". Mappings split in process creation order then ascending
+// page order; each split but the last copies the frame. It returns the
+// number of mappings split.
 func (s *KSM) UnmergePage(frameNum uint64) int {
 	k := s.kern
 	split := 0
-	for _, p := range k.Processes() {
-		for vp, pte := range p.pages {
-			if pte.Frame.Number == frameNum && pte.Frame.MergedByKSM {
-				if err := k.cowBreak(p, vp, pte); err != nil {
+	for _, p := range k.procs {
+		for _, pte := range p.pages {
+			if pte != nil && pte.Frame.Number == frameNum && pte.Frame.MergedByKSM {
+				if err := k.cowBreak(pte); err != nil {
 					continue
 				}
 				split++

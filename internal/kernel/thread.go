@@ -67,7 +67,7 @@ func (t *Thread) Store(va uint64) machine.Access {
 	}
 	faulted := false
 	if !pte.Writable {
-		if err := t.kern.cowBreak(t.Proc, va/PageSize, pte); err != nil {
+		if err := t.kern.cowBreak(pte); err != nil {
 			panic(err)
 		}
 		t.Faults++

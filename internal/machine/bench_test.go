@@ -70,3 +70,30 @@ func BenchmarkStoreRFO(b *testing.B) {
 		},
 	)
 }
+
+// BenchmarkMachineNew measures building a default-config machine: every
+// covert run, calibration band and ECC retransmission builds a fresh
+// one, so construction is on the harness's hot path.
+func BenchmarkMachineNew(b *testing.B) {
+	w := sim.NewWorld(sim.Config{Seed: 1})
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchMachine = New(w, cfg)
+	}
+}
+
+// benchMachine keeps BenchmarkMachineNew's result live.
+var benchMachine *Machine
+
+// maxMachineNewBytes bounds what BenchmarkMachineNew may allocate per
+// machine. The caches' per-set tables are allocated lazily, so a
+// default-config machine costs about 150 KB; the bound leaves room for
+// growth but fails if construction again zeroes whole cache arrays.
+const maxMachineNewBytes = 256 << 10
+
+func TestMachineNewAllocationBound(t *testing.T) {
+	if got := testing.Benchmark(BenchmarkMachineNew).AllocedBytesPerOp(); got > maxMachineNewBytes {
+		t.Fatalf("machine.New allocates %d B, want <= %d B", got, maxMachineNewBytes)
+	}
+}

@@ -82,10 +82,11 @@ func isZero(b []byte) bool {
 }
 
 // Memory is the physical memory: a bump-pointer frame allocator with a
-// free list, plus DRAM service-time parameters consumed by the machine.
+// free list. The bump pointer and the free list keep frame numbers
+// dense, so the frame table is a slice indexed by frame number.
 type Memory struct {
-	frames map[uint64]*Frame
-	next   uint64
+	// frames[n] is live frame n, or nil; frame 0 is never allocated.
+	frames []*Frame
 	free   []uint64
 
 	// TotalFrames bounds allocation; zero means unbounded.
@@ -99,8 +100,7 @@ type Memory struct {
 // (0 = unbounded).
 func New(totalFrames int) *Memory {
 	return &Memory{
-		frames:      make(map[uint64]*Frame),
-		next:        1, // frame 0 reserved so physical address 0 stays invalid
+		frames:      []*Frame{nil}, // frame 0 reserved so physical address 0 stays invalid
 		TotalFrames: totalFrames,
 	}
 }
@@ -110,13 +110,12 @@ func (m *Memory) Alloc() (*Frame, error) {
 	if m.TotalFrames > 0 && m.Allocated >= m.TotalFrames {
 		return nil, fmt.Errorf("mem: out of physical frames (%d in use)", m.Allocated)
 	}
-	var num uint64
+	num := uint64(len(m.frames))
 	if n := len(m.free); n > 0 {
 		num = m.free[n-1]
 		m.free = m.free[:n-1]
 	} else {
-		num = m.next
-		m.next++
+		m.frames = append(m.frames, nil)
 	}
 	f := &Frame{Number: num, refs: 1}
 	m.frames[num] = f
@@ -125,10 +124,15 @@ func (m *Memory) Alloc() (*Frame, error) {
 }
 
 // Get returns the frame with the given number, or nil.
-func (m *Memory) Get(num uint64) *Frame { return m.frames[num] }
+func (m *Memory) Get(num uint64) *Frame {
+	if num >= uint64(len(m.frames)) {
+		return nil
+	}
+	return m.frames[num]
+}
 
 // FrameOf returns the frame containing physical address addr, or nil.
-func (m *Memory) FrameOf(addr uint64) *Frame { return m.frames[addr/PageSize] }
+func (m *Memory) FrameOf(addr uint64) *Frame { return m.Get(addr / PageSize) }
 
 // AddRef adds a page-table reference to f (COW sharing, KSM merge).
 func (m *Memory) AddRef(f *Frame) { f.refs++ }
@@ -141,7 +145,7 @@ func (m *Memory) Release(f *Frame) {
 	}
 	f.refs--
 	if f.refs == 0 {
-		delete(m.frames, f.Number)
+		m.frames[f.Number] = nil
 		m.free = append(m.free, f.Number)
 		m.Allocated--
 	}
@@ -160,11 +164,14 @@ func (m *Memory) CopyFrame(src *Frame) (*Frame, error) {
 	return dst, nil
 }
 
-// LiveFrames returns the numbers of all live frames (test helper).
+// LiveFrames returns the numbers of all live frames in ascending order
+// (test helper).
 func (m *Memory) LiveFrames() []uint64 {
-	out := make([]uint64, 0, len(m.frames))
-	for n := range m.frames {
-		out = append(out, n)
+	out := make([]uint64, 0, m.Allocated)
+	for n, f := range m.frames {
+		if f != nil {
+			out = append(out, uint64(n))
+		}
 	}
 	return out
 }
