@@ -9,7 +9,7 @@ GO ?= go
 # Worker count for test-dispatch and run-workers.
 N ?= 4
 
-.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke fuzz-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci results-verify run-daemon run-workers
+.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke fuzz-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci results-verify loc run-daemon run-workers
 
 build:
 	$(GO) build ./...
@@ -145,6 +145,31 @@ results-verify:
 	done; \
 	if [ $$status -eq 0 ]; then echo "results-verify: every results/*.tsv is byte-identical"; fi; \
 	exit $$status
+
+# Count non-test Go lines per package directory and in total: code,
+# comment and blank lines separately (a comment line starts with // or
+# lies inside a /* */ block). perfbench/ and .bench_build/ are excluded.
+# Read-only; not part of `make ci`. Simplicity changes report net LOC
+# from this target.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' ! -path './.git/*' | \
+	LC_ALL=C sort | xargs awk '\
+	FNR == 1 { pkg = FILENAME; sub(/\/[^\/]*$$/, "", pkg); sub(/^\.\//, "", pkg); pkgs[pkg] = 1; inblock = 0 } \
+	{ line = $$0; gsub(/^[ \t]+|[ \t]+$$/, "", line) } \
+	inblock { comment[pkg]++; if (line ~ /\*\//) inblock = 0; next } \
+	line == "" { blank[pkg]++; next } \
+	line ~ /^\/\// { comment[pkg]++; next } \
+	line ~ /^\/\*/ { comment[pkg]++; if (line !~ /\*\//) inblock = 1; next } \
+	{ code[pkg]++ } \
+	END { \
+		printf "%7s %8s %6s %7s  %s\n", "code", "comment", "blank", "total", "package"; fflush(); \
+		for (p in pkgs) { \
+			printf "%7d %8d %6d %7d  %s\n", code[p], comment[p], blank[p], code[p] + comment[p] + blank[p], p | "LC_ALL=C sort -k5"; \
+			c += code[p]; m += comment[p]; b += blank[p]; \
+		} \
+		close("LC_ALL=C sort -k5"); \
+		printf "%7d %8d %6d %7d  %s\n", c, m, b, c + m + b, "TOTAL"; \
+	}'
 
 # Start the experiment service daemon on :8080 (state under
 # results-daemon/). See EXPERIMENTS.md for the API walkthrough.

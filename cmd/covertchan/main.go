@@ -90,6 +90,7 @@ func main() {
 
 	ch, mb, err := channelFlags{
 		scenario: *scenario, rate: *rate, multibit: *multibit, lanes: *lanes, probe: *probe,
+		save: *saveFile != "",
 	}.build(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "covertchan:", err)
@@ -98,6 +99,7 @@ func main() {
 	if mb != nil {
 		mb.Mode, mb.WorldSeed, mb.PatternSeed, mb.PreRun = shareMode, *seed, *seed^0xfeed, preRun
 		runMultiBit(mb, bits, *verbose)
+		writeTrace(recorder, *traceFile)
 		return
 	}
 	ch.Mode, ch.WorldSeed, ch.PatternSeed, ch.PreRun = shareMode, *seed, *seed^0xfeed, preRun
@@ -167,12 +169,16 @@ type channelFlags struct {
 	multibit bool
 	lanes    int
 	probe    string
+	// save reports whether -save asked for a replay archive.
+	save bool
 }
 
 // build validates the channel flags and returns the channel they select:
 // the 2-bit channel when multibit is set, else the binary channel. The
-// 2-bit channel runs on one line with clflush probing, so it rejects
-// -lanes > 1 and -probe eviction rather than ignoring them.
+// 2-bit channel runs on one line with clflush probing, and the replay
+// schema records a binary channel's scenario and C1/C0/Cb parameters, so
+// it rejects -lanes > 1, -probe eviction and -save rather than ignoring
+// them.
 func (f channelFlags) build(cfg machine.Config) (*covert.Channel, *covert.MultiBitChannel, error) {
 	var probe covert.ProbeMethod
 	switch f.probe {
@@ -188,6 +194,9 @@ func (f channelFlags) build(cfg machine.Config) (*covert.Channel, *covert.MultiB
 		}
 		if probe == covert.ProbeEviction {
 			return nil, nil, fmt.Errorf("-multibit needs clflush probing; -probe eviction is not supported")
+		}
+		if f.save {
+			return nil, nil, fmt.Errorf("-multibit results have no replay schema; -save is not supported")
 		}
 		return nil, &covert.MultiBitChannel{Config: cfg, Params: covert.MultiBitParamsForRate(cfg, f.rate)}, nil
 	}

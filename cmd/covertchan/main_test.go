@@ -44,6 +44,9 @@ func TestChannelFlagsBuild(t *testing.T) {
 			multi: ptr(covert.MultiBitParamsForRate(cfg, 1400))},
 		{name: "multibit lanes", flags: with(func(f *channelFlags) { f.multibit, f.lanes = true, 4 }), wantErr: "-lanes 4"},
 		{name: "multibit eviction", flags: with(func(f *channelFlags) { f.multibit, f.probe = true, "eviction" }), wantErr: "-probe eviction"},
+		{name: "save", flags: with(func(f *channelFlags) { f.save = true }),
+			binary: &covert.Channel{Scenario: covert.Scenarios[0], Params: covert.DefaultParams(), Lanes: 1}},
+		{name: "multibit save", flags: with(func(f *channelFlags) { f.multibit, f.save = true, true }), wantErr: "-save"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ch, mb, err := tc.flags.build(cfg)

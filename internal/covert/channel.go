@@ -54,29 +54,21 @@ func NewChannel(sc Scenario) *Channel {
 	}
 }
 
-// Result is the outcome of one transmission.
+// Result is the outcome of one transmission. With several lanes,
+// Samples holds lane 0's trace.
 type Result struct {
+	Transmission
 	Scenario Scenario
 	Params   Params
 
-	// TxBits is what the trojan sent; RxBits what the spy decoded.
-	TxBits, RxBits []byte
 	// PerLane holds each lane's decoded bits (one entry per lane).
 	PerLane [][]byte
-	// Samples is the spy's reception trace (for Figure 7-style plots);
-	// with several lanes, lane 0's.
-	Samples []Sample
-
-	// Accuracy is the paper's raw-bit accuracy (§VIII-B).
-	Accuracy float64
 	// Synced reports whether the spy locked on at all.
 	Synced bool
 	// SyncCycles is the synchronization handshake cost (§VII-A's ~90 ms).
 	SyncCycles sim.Cycles
 	// Duration is the reception window in cycles.
 	Duration sim.Cycles
-	// RawKbps is transmitted raw bits over the reception window.
-	RawKbps float64
 	// AttemptedKbps is the rate the parameters aimed for.
 	AttemptedKbps float64
 	// Bands is the calibration the spy used.
@@ -157,17 +149,13 @@ func (c *Channel) Run(bits []byte) (*Result, error) {
 		return nil, err
 	}
 	return &Result{
+		Transmission:  rec.Transmission,
 		Scenario:      c.Scenario,
 		Params:        c.Params,
-		TxBits:        append([]byte(nil), bits...),
-		RxBits:        rec.rx,
 		PerLane:       perLane,
-		Samples:       rec.samples[0],
-		Accuracy:      rec.accuracy,
 		Synced:        rec.synced,
 		SyncCycles:    rec.syncCycles,
 		Duration:      rec.duration,
-		RawKbps:       rec.rawKbps,
 		AttemptedKbps: c.Params.EstimateKbps(c.Config, c.Scenario),
 		Bands:         rec.bands,
 	}, nil

@@ -167,24 +167,48 @@ func TestTranslateEmpty(t *testing.T) {
 
 // Every channel rejects a payload bit other than 0 and 1 instead of
 // transmitting it as something else and scoring the damage as channel
-// error.
+// error, and reports a copy of the payload it sent: TxBits never shares
+// the caller's backing array.
 func TestChannelsRejectNonBinaryBits(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	lanes := NewChannel(Scenarios[0])
 	lanes.Lanes = 4
+	binary := func(ch *Channel) func([]byte) (*Transmission, error) {
+		return func(b []byte) (*Transmission, error) {
+			res, err := ch.Run(b)
+			if err != nil {
+				return nil, err
+			}
+			return &res.Transmission, nil
+		}
+	}
 	for _, tc := range []struct {
 		name string
-		run  func([]byte) error
+		run  func([]byte) (*Transmission, error)
 	}{
-		{"binary", func(b []byte) error { _, err := NewChannel(Scenarios[0]).Run(b); return err }},
-		{"lanes", func(b []byte) error { _, err := lanes.Run(b); return err }},
-		{"multibit", func(b []byte) error { _, err := NewMultiBitChannel().Run(b); return err }},
-		{"lrustate", func(b []byte) error { _, err := LRUStateChannel{Config: cfg}.Run(b); return err }},
-		{"dirtystate", func(b []byte) error { _, err := DirtyStateChannel{Config: cfg}.Run(b); return err }},
+		{"binary", binary(NewChannel(Scenarios[0]))},
+		{"lanes", binary(lanes)},
+		{"multibit", func(b []byte) (*Transmission, error) {
+			res, err := NewMultiBitChannel().Run(b)
+			if err != nil {
+				return nil, err
+			}
+			return &res.Transmission, nil
+		}},
+		{"lrustate", LRUStateChannel{Config: cfg}.Run},
+		{"dirtystate", DirtyStateChannel{Config: cfg}.Run},
 	} {
-		err := tc.run([]byte{0, 2})
+		_, err := tc.run([]byte{0, 2})
 		if err == nil || !strings.Contains(err.Error(), "non-binary") {
 			t.Errorf("%s: payload {0, 2} gave err = %v, want a non-binary rejection", tc.name, err)
+		}
+		bits := []byte{1, 0, 1, 1}
+		tx, err := tc.run(bits)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if &tx.TxBits[0] == &bits[0] {
+			t.Errorf("%s: TxBits aliases the caller's payload", tc.name)
 		}
 	}
 }
@@ -299,11 +323,11 @@ func TestTextBitsRoundTrip(t *testing.T) {
 }
 
 func TestBitErrors(t *testing.T) {
-	r := &Result{TxBits: []byte{1, 0, 1}, RxBits: []byte{1, 1, 1}}
+	r := &Result{Transmission: Transmission{TxBits: []byte{1, 0, 1}, RxBits: []byte{1, 1, 1}}}
 	if r.BitErrors() != 1 {
 		t.Fatalf("BitErrors = %d", r.BitErrors())
 	}
-	r = &Result{TxBits: []byte{1, 0}, RxBits: []byte{1, 0, 1}}
+	r = &Result{Transmission: Transmission{TxBits: []byte{1, 0}, RxBits: []byte{1, 0, 1}}}
 	if r.BitErrors() != 1 {
 		t.Fatalf("length mismatch BitErrors = %d", r.BitErrors())
 	}

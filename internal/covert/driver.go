@@ -129,10 +129,9 @@ type reception struct {
 	// start and end bracket the reception window.
 	start, end sim.Cycles
 
-	rx       []byte
-	accuracy float64
+	// Transmission is the scored outcome; its Samples are lane 0's.
+	Transmission
 	duration sim.Cycles
-	rawKbps  float64
 }
 
 // checkBits rejects payload bits other than 0 and 1.
@@ -190,10 +189,12 @@ func transmit(s setup, bits []byte, build func(*Session, Bands) (*codec, error))
 	tr.stop()
 	sess.World.Drain()
 
-	r.accuracy = stats.Accuracy(bits, r.rx)
+	r.TxBits = append([]byte(nil), bits...)
+	r.Samples = r.samples[0]
+	r.Accuracy = stats.Accuracy(bits, r.RxBits)
 	if r.end > r.start {
 		r.duration = r.end - r.start
-		r.rawKbps = stats.Kbps(len(bits), s.cfg.CyclesToSeconds(r.duration))
+		r.RawKbps = stats.Kbps(len(bits), s.cfg.CyclesToSeconds(r.duration))
 	}
 	return r, nil
 }
@@ -363,5 +364,5 @@ func (r *reception) spy(kt *kernel.Thread, sess *Session, c *codec) {
 		}
 	}
 	r.end = kt.Now()
-	r.rx = c.decode(r)
+	r.RxBits = c.decode(r)
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"coherentleak/internal/coherence"
 	"coherentleak/internal/machine"
 	"coherentleak/internal/sim"
 )
@@ -125,8 +126,46 @@ func channelGoldenRuns(t *testing.T) string {
 // Run with -update-golden only after an intentional change to the
 // channels' observable behaviour.
 func TestChannelGolden(t *testing.T) {
-	got := channelGoldenRuns(t)
-	path := filepath.Join("testdata", "channels.golden")
+	checkGolden(t, "channels.golden", channelGoldenRuns(t))
+}
+
+// TestSlotsGolden pins every slot's (tx, rx, latency), the accuracy and
+// the rate of the slotted channels on machines no artifact reaches:
+// lrustate on a 2-core-per-socket MOESI tree-PLRU machine (the slot
+// driver must not inherit NewSession's 3-core floor) and dirtystate on a
+// 1-socket, 2-core MESI machine.
+func TestSlotsGolden(t *testing.T) {
+	var out strings.Builder
+	section := func(name string, res *Transmission) {
+		fmt.Fprintf(&out, "## %s\naccuracy %.6f\nraw_kbps %.6f\n", name, res.Accuracy, res.RawKbps)
+		for i, s := range res.Samples {
+			fmt.Fprintf(&out, "%d\t%d\t%d\t%d\n", i, res.TxBits[i], res.RxBits[i], s.Latency)
+		}
+	}
+	lru := machine.DefaultConfig()
+	lru.CoresPerSocket = 2
+	lru.Protocol = coherence.MOESI
+	lru.Replacement = "tree-plru"
+	res, err := LRUStateChannel{Config: lru, WorldSeed: 73}.Run(PatternBitsForTest(71, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	section("lrustate-2core-moesi-tree-plru", res)
+	dirty := machine.DefaultConfig()
+	dirty.Sockets, dirty.CoresPerSocket = 1, 2
+	dirty.Protocol = coherence.MESI
+	if res, err = (DirtyStateChannel{Config: dirty, WorldSeed: 75}.Run(PatternBitsForTest(77, 32))); err != nil {
+		t.Fatal(err)
+	}
+	section("dirtystate-1socket-2core-mesi", res)
+	checkGolden(t, "slots.golden", out.String())
+}
+
+// checkGolden compares got with testdata/name, rewriting the file first
+// under -update-golden.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -137,15 +176,15 @@ func TestChannelGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden (run go test -run TestChannelGolden -update-golden): %v", err)
+		t.Fatalf("missing golden (rerun with -update-golden): %v", err)
 	}
 	if got != string(want) {
 		g, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(g) && i < len(wl); i++ {
 			if g[i] != wl[i] {
-				t.Fatalf("channel run diverges at line %d: got %q, want %q", i+1, g[i], wl[i])
+				t.Fatalf("%s diverges at line %d: got %q, want %q", name, i+1, g[i], wl[i])
 			}
 		}
-		t.Fatalf("channel runs have %d lines, golden %d", len(g), len(wl))
+		t.Fatalf("run has %d lines, %s %d", len(g), name, len(wl))
 	}
 }

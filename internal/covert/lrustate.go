@@ -29,22 +29,19 @@ import (
 	"coherentleak/internal/sim"
 )
 
-// LRUStateChannel transmits through LLC replacement metadata. Trojan and
-// spy run on the same socket (cores 1 and 0) and are externally clocked
-// into fixed slots, like DirtyStateChannel.
+// LRUStateChannel transmits through LLC replacement metadata, one bit
+// per LRUStatePeriod slot. Trojan and spy run on the same socket (cores 1
+// and 0).
 type LRUStateChannel struct {
 	Config    machine.Config
 	WorldSeed uint64
-	// Period is the slot length in cycles; 0 selects the default. A slot
-	// must fit the spy's two scrub+prime passes (≈60 conflicting loads)
-	// in its first half.
-	Period sim.Cycles
 }
 
-// DefaultLRUStatePeriod fits the spy's prime (two scrub passes + two
-// passes over the 16-way conflict set) in the first half of the slot
-// with margin under the default latency model.
-const DefaultLRUStatePeriod = sim.Cycles(32768)
+// LRUStatePeriod is the slot length in cycles. It fits the spy's prime
+// (two scrub passes + two passes over the 16-way conflict set, ≈60
+// conflicting loads) in the first half of the slot with margin under the
+// default latency model.
+const LRUStatePeriod = sim.Cycles(32768)
 
 // scrubLines is the number of same-L2-set lines used to purge the
 // monitored lines from a core's private caches between passes; > the
@@ -52,47 +49,25 @@ const DefaultLRUStatePeriod = sim.Cycles(32768)
 const scrubLines = 12
 
 // Run transmits bits and returns the decoded result.
-func (c LRUStateChannel) Run(bits []byte) (*SlotResult, error) {
-	cfg := c.Config
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkBits(bits); err != nil {
-		return nil, err
-	}
-	if cfg.CoresPerSocket < 2 {
-		return nil, fmt.Errorf("covert: lrustate needs >= 2 cores per socket")
-	}
-	if !cfg.InclusiveLLC {
+func (c LRUStateChannel) Run(bits []byte) (*Transmission, error) {
+	return runSlots(c.Config, c.WorldSeed, "lrustate", false, bits, c.build)
+}
+
+// build stages the spy's conflict and scrub lines on the session and
+// returns the channel's slot behaviour.
+func (c LRUStateChannel) build(s *Session) (*slotted, error) {
+	if !c.Config.InclusiveLLC {
 		return nil, fmt.Errorf("covert: lrustate requires an inclusive LLC (fills must touch LLC metadata)")
 	}
-	period := c.Period
-	if period == 0 {
-		period = DefaultLRUStatePeriod
-	}
-	w := sim.NewWorld(sim.Config{Seed: c.WorldSeed})
-	m := machine.New(w, cfg)
-	k := kernel.New(m, 0)
-	trojanProc := k.NewProcess("trojan")
-	spyProc := k.NewProcess("spy")
-	vas, err := k.MapSharedReadOnly(trojanProc, spyProc)
-	if err != nil {
-		return nil, err
-	}
-	trojanVA, spyVA := vas[0], vas[1]
-	sharedPA, err := spyProc.Translate(spyVA)
-	if err != nil {
-		return nil, err
-	}
-
-	const spyCore, trojanCore = 0, 1
-	llc := m.Socket(m.Core(spyCore).Socket).LLC
+	m := s.Mach
+	sharedPA := s.SharedPA()
+	llc := m.Socket(m.Core(s.SpyCore).Socket).LLC
 	ways := llc.Geometry().Ways
 	if ways < 2 {
 		return nil, fmt.Errorf("covert: lrustate needs an associative LLC")
 	}
 	// ways-1 prime lines (set = {B, C1..C15}) plus one forcing line F.
-	confVAs, confPAs, err := conflictLines(spyProc, llc, sharedPA, ways, nil, "LLC conflict")
+	confVAs, confPAs, err := conflictLines(s.SpyProc, llc, sharedPA, ways, nil, "LLC conflict")
 	if err != nil {
 		return nil, err
 	}
@@ -106,50 +81,45 @@ func (c LRUStateChannel) Run(bits []byte) (*SlotResult, error) {
 	// set count (12288), so same-L2-set lines recur every 512 lines while
 	// only every 24th of those shares the LLC set.
 	outsideLLCSet := func(pa uint64) bool { return llc.SetIndexOf(pa) != llc.SetIndexOf(sharedPA) }
-	spyScrub, _, err := conflictLines(spyProc, m.Core(spyCore).L2, sharedPA, scrubLines, outsideLLCSet, "scrub")
+	spyScrub, _, err := conflictLines(s.SpyProc, m.Core(s.SpyCore).L2, sharedPA, scrubLines, outsideLLCSet, "scrub")
 	if err != nil {
 		return nil, err
 	}
-	trojanScrub, _, err := conflictLines(trojanProc, m.Core(trojanCore).L2, sharedPA, scrubLines, outsideLLCSet, "scrub")
+	trojanScrub, _, err := conflictLines(s.TrojanProc, m.Core(s.LocalCores[0]).L2, sharedPA, scrubLines, outsideLLCSet, "scrub")
 	if err != nil {
 		return nil, err
 	}
 
-	lat := cfg.Latencies
+	lat := c.Config.Latencies
 	// Reload bands: B surviving in the LLC costs at most the local
 	// forward path; B evicted costs the DRAM path. Split between them.
 	llcBound := lat.MissBase + 2*lat.Ring + lat.LLCService + lat.ForwardLocal
 	threshold := llcBound + lat.DRAMService/2
 
-	res := &SlotResult{TxBits: bits}
-
-	k.Spawn(trojanProc, trojanCore, "lru-trojan", func(kt *kernel.Thread) {
-		start := kt.Now()
-		for i, b := range bits {
+	prime := make([]int, ways-1) // C indices in touch order
+	return &slotted{
+		period: LRUStatePeriod,
+		send: func(kt *kernel.Thread, slotStart sim.Cycles, bit byte) {
 			// Mid-slot, after the spy's prime: scrub B from the private
 			// caches so the encode touch is a private miss that reaches
 			// the LLC's replacement metadata (an LLC *hit* — the touch
 			// changes recency only, never presence).
-			advanceTo(kt, start+sim.Cycles(i)*period+period*55/100)
+			advanceTo(kt, slotStart+LRUStatePeriod*55/100)
 			for _, a := range trojanScrub {
 				kt.Load(a)
 			}
-			if b == 1 {
-				kt.Load(trojanVA)
+			if bit == 1 {
+				kt.Load(s.TrojanVA)
 			}
-		}
-	})
-	k.Spawn(spyProc, spyCore, "lru-spy", func(kt *kernel.Thread) {
-		start := kt.Now()
-		prime := make([]int, ways-1) // C indices in touch order
-		for i := range bits {
-			advanceTo(kt, start+sim.Cycles(i)*period)
+		},
+		probe: func(kt *kernel.Thread, slotStart sim.Cycles) (Sample, byte) {
+			advanceTo(kt, slotStart)
 			// Pass 1: ensure residency. Scrub privates, then walk the
 			// full set so every line is in the LLC.
 			for _, a := range spyScrub {
 				kt.Load(a)
 			}
-			kt.Load(spyVA)
+			kt.Load(s.SpyVA)
 			for _, a := range primeVAs {
 				kt.Load(a)
 			}
@@ -177,29 +147,22 @@ func (c LRUStateChannel) Run(bits []byte) (*SlotResult, error) {
 					return wa^wayB < wb^wayB
 				})
 			}
-			kt.Load(spyVA)
+			kt.Load(s.SpyVA)
 			for _, j := range prime {
 				kt.Load(primeVAs[j])
 			}
 			// Trojan's window is 55%..85% of the slot.
-			advanceTo(kt, start+sim.Cycles(i)*period+period*85/100)
+			advanceTo(kt, slotStart+LRUStatePeriod*85/100)
 			// Force exactly one replacement decision, then time B.
 			kt.Load(forceVA)
-			a := kt.Load(spyVA)
-			bit := byte(0)
-			if a.Latency < threshold {
-				bit = 1 // fast reload: B survived, so the trojan touched it
-			}
-			res.RxBits = append(res.RxBits, bit)
-			res.Samples = append(res.Samples, SlotSample{Slot: i, Latency: a.Latency, Bit: bit})
+			a := kt.Load(s.SpyVA)
+			smp := Sample{Cycle: kt.Now(), Latency: a.Latency}
 			// Remove F so the next slot's set again holds only B + Cs.
 			kt.Flush(forceVA)
-		}
-	})
-	if err := w.Run(); err != nil {
-		return nil, err
-	}
-	res.Accuracy = slotAccuracy(res.TxBits, res.RxBits)
-	res.RawKbps = cfg.ClockHz / float64(period) / 1e3
-	return res, nil
+			if a.Latency < threshold {
+				return smp, 1 // fast reload: B survived, so the trojan touched it
+			}
+			return smp, 0
+		},
+	}, nil
 }

@@ -21,9 +21,9 @@ func TestDirtyStateChannelDecodes(t *testing.T) {
 	}
 	// The latency bands must straddle FlushBase vs FlushBase+FlushDirty.
 	lat := machine.DefaultLatencies()
-	for _, s := range res.Samples {
-		if s.Bit == 1 && s.Latency < lat.FlushBase+lat.FlushDirty/2 {
-			t.Fatalf("slot %d decoded 1 at %d cycles", s.Slot, s.Latency)
+	for i, s := range res.Samples {
+		if res.RxBits[i] == 1 && s.Latency < lat.FlushBase+lat.FlushDirty/2 {
+			t.Fatalf("slot %d decoded 1 at %d cycles", i, s.Latency)
 		}
 	}
 }
@@ -111,9 +111,9 @@ func TestLRUStateTrojanPreservesPresence(t *testing.T) {
 	}
 	lat := machine.DefaultLatencies()
 	llcBound := lat.MissBase + 2*lat.Ring + lat.LLCService + lat.ForwardLocal + sim.Cycles(lat.Jitter)
-	for _, s := range res.Samples {
-		if s.Bit == 1 && s.Latency > llcBound {
-			t.Fatalf("slot %d: decoded 1 from a %d-cycle reload (beyond LLC band %d)", s.Slot, s.Latency, llcBound)
+	for i, s := range res.Samples {
+		if res.RxBits[i] == 1 && s.Latency > llcBound {
+			t.Fatalf("slot %d: decoded 1 from a %d-cycle reload (beyond LLC band %d)", i, s.Latency, llcBound)
 		}
 	}
 }
@@ -132,7 +132,7 @@ func TestLRUStateRequiresInclusiveLLC(t *testing.T) {
 func TestSlottedChannelsDeterministic(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	cfg.Replacement = "tree-plru"
-	run := func() []SlotSample {
+	run := func() []Sample {
 		lr, err := LRUStateChannel{Config: cfg, WorldSeed: 99}.Run(metadataTestBits)
 		if err != nil {
 			t.Fatal(err)

@@ -153,15 +153,12 @@ func NewMultiBitChannel() *MultiBitChannel {
 
 // MultiBitResult is the outcome of a 2-bit-symbol transmission.
 type MultiBitResult struct {
-	TxBits, RxBits []byte
-	TxSymbols      []int
-	RxSymbols      []int
-	Samples        []Sample
-	SymbolTrace    []int // classified symbol per sample, -1 = idle
-	Accuracy       float64
-	Duration       sim.Cycles
-	RawKbps        float64
-	Synced         bool
+	Transmission
+	TxSymbols   []int
+	RxSymbols   []int
+	SymbolTrace []int // classified symbol per sample, -1 = idle
+	Duration    sim.Cycles
+	Synced      bool
 }
 
 // Run transmits bits two per symbol. Odd-length inputs are rejected.
@@ -212,16 +209,12 @@ func (c *MultiBitChannel) Run(bits []byte) (*MultiBitResult, error) {
 		return nil, err
 	}
 	return &MultiBitResult{
-		TxBits:      append([]byte(nil), bits...),
-		RxBits:      rec.rx,
-		TxSymbols:   symbols,
-		RxSymbols:   rxSymbols,
-		Samples:     rec.samples[0],
-		SymbolTrace: rec.syms[0],
-		Accuracy:    rec.accuracy,
-		Duration:    rec.duration,
-		RawKbps:     rec.rawKbps,
-		Synced:      rec.synced,
+		Transmission: rec.Transmission,
+		TxSymbols:    symbols,
+		RxSymbols:    rxSymbols,
+		SymbolTrace:  rec.syms[0],
+		Duration:     rec.duration,
+		Synced:       rec.synced,
 	}, nil
 }
 

@@ -103,35 +103,11 @@ func NewSession(cfg machine.Config, worldSeed, patternSeed uint64, mode SharingM
 	if cfg.CoresPerSocket < 3 {
 		return nil, fmt.Errorf("covert: need >= 3 cores on the spy's socket (spy + 2 local trojan threads), have %d", cfg.CoresPerSocket)
 	}
-	w := sim.NewWorld(sim.Config{Seed: worldSeed})
-	m := machine.New(w, cfg)
-	k := kernel.New(m, 0)
-
-	s := &Session{
-		World:         w,
-		Mach:          m,
-		Kern:          k,
-		TrojanProc:    k.NewProcess("trojan"),
-		SpyProc:       k.NewProcess("spy"),
-		SpyCore:       0,
-		LocalCores:    [2]int{1, 2},
-		HasRemote:     cfg.Sockets >= 2,
-		Mode:          mode,
-		OSNoiseProb:   0,
-		OSNoiseCycles: 1500,
-		osRand:        w.Rand().Split(),
-	}
-	if s.HasRemote {
-		if cfg.CoresPerSocket < 2 {
-			return nil, fmt.Errorf("covert: need >= 2 cores on the remote socket")
-		}
-		base := cfg.CoresPerSocket // first core of socket 1
-		s.RemoteCores = [2]int{base, base + 1}
-	}
-
+	s := newSession(cfg, worldSeed)
+	s.Mode = mode
 	switch mode {
 	case ShareExplicit:
-		vas, err := k.MapSharedReadOnly(s.TrojanProc, s.SpyProc)
+		vas, err := s.Kern.MapShared(false, s.TrojanProc, s.SpyProc)
 		if err != nil {
 			return nil, err
 		}
@@ -144,6 +120,31 @@ func NewSession(cfg machine.Config, worldSeed, patternSeed uint64, mode SharingM
 		return nil, fmt.Errorf("covert: unknown sharing mode %d", mode)
 	}
 	return s, nil
+}
+
+// newSession builds the world, machine, kernel and the trojan and spy
+// processes of a validated configuration, with no shared page yet.
+func newSession(cfg machine.Config, worldSeed uint64) *Session {
+	w := sim.NewWorld(sim.Config{Seed: worldSeed})
+	m := machine.New(w, cfg)
+	k := kernel.New(m, 0)
+	s := &Session{
+		World:         w,
+		Mach:          m,
+		Kern:          k,
+		TrojanProc:    k.NewProcess("trojan"),
+		SpyProc:       k.NewProcess("spy"),
+		SpyCore:       0,
+		LocalCores:    [2]int{1, 2},
+		HasRemote:     cfg.Sockets >= 2,
+		OSNoiseCycles: 1500,
+		osRand:        w.Rand().Split(),
+	}
+	if s.HasRemote {
+		base := cfg.CoresPerSocket // first core of socket 1
+		s.RemoteCores = [2]int{base, base + 1}
+	}
+	return s
 }
 
 // setupKSM creates the shared page the broader-adversary way: identical

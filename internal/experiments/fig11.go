@@ -7,26 +7,16 @@ import (
 	"coherentleak/internal/machine"
 )
 
-// Fig11Result reproduces Figure 11: the 2-bit-symbol channel's reception
-// trace for a pattern whose first 18 bits (100101000110011011) exercise
-// all four symbols, plus the measured rate.
-type Fig11Result struct {
-	TxBits      []byte
-	RxBits      []byte
-	SymbolTrace []int
-	Samples     []covert.Sample
-	Accuracy    float64
-	RawKbps     float64
-}
-
 // Fig11Prefix is the paper's 18-bit demonstration prefix.
 func Fig11Prefix() []byte {
 	return []byte{1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1}
 }
 
-// Fig11MultiBit runs the demonstration: the 18-bit prefix followed by
-// extraBits payload bits, at the default multi-bit operating point.
-func Fig11MultiBit(cfg machine.Config, extraBits int, seed uint64) (*Fig11Result, error) {
+// Fig11MultiBit runs the demonstration of Figure 11, the 2-bit-symbol
+// channel's reception trace: the 18-bit prefix (100101000110011011,
+// which exercises all four symbols) followed by extraBits payload bits,
+// at the default multi-bit operating point.
+func Fig11MultiBit(cfg machine.Config, extraBits int, seed uint64) (*covert.MultiBitResult, error) {
 	bits := append(Fig11Prefix(), PatternBits(seed^0x1111, extraBits-extraBits%2)...)
 	ch := &covert.MultiBitChannel{
 		Config:      cfg,
@@ -35,18 +25,7 @@ func Fig11MultiBit(cfg machine.Config, extraBits int, seed uint64) (*Fig11Result
 		WorldSeed:   seed,
 		PatternSeed: seed ^ 0xfeed,
 	}
-	res, err := ch.Run(bits)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig11Result{
-		TxBits:      res.TxBits,
-		RxBits:      res.RxBits,
-		SymbolTrace: res.SymbolTrace,
-		Samples:     res.Samples,
-		Accuracy:    res.Accuracy,
-		RawKbps:     res.RawKbps,
-	}, nil
+	return ch.Run(bits)
 }
 
 // PeakRates searches the achievable peak rates reported in the paper's

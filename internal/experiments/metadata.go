@@ -18,27 +18,16 @@ import (
 // flat accuracy row is the control that shows the leak rides on the
 // line's dirty bit, not on replacement state.
 
-// LRUStateTrace runs the replacement-metadata channel under the given
-// policy and returns the slot trace.
-func LRUStateTrace(base machine.Config, policy string, payloadBits int, seed uint64) (*covert.SlotResult, error) {
-	cfg := base
-	cfg.Replacement = policy
-	ch := covert.LRUStateChannel{Config: cfg, WorldSeed: seed + 31}
-	return ch.Run(PatternBits(seed^0xFACE, payloadBits))
-}
-
-// DirtyStateTrace runs the dirty-state channel under the given policy
-// and returns the slot trace.
-func DirtyStateTrace(base machine.Config, policy string, payloadBits int, seed uint64) (*covert.SlotResult, error) {
-	cfg := base
-	cfg.Replacement = policy
-	ch := covert.DirtyStateChannel{Config: cfg, WorldSeed: seed + 31}
-	return ch.Run(PatternBits(seed^0xFACE, payloadBits))
-}
-
-// slotCells builds one cell per registered replacement policy for a
-// slotted metadata channel.
-func slotCells(p harness.Plan, run func(policy string, payloadBits int, seed uint64) (*covert.SlotResult, error), label string) []harness.Cell {
+// slotCells builds one cell per registered replacement policy for the
+// slotted metadata channel of that name, run as its matrixChannels entry
+// runs it.
+func slotCells(p harness.Plan, channel string) []harness.Cell {
+	var run func(machine.Config, int, uint64) (*covert.Transmission, error)
+	for _, ch := range matrixChannels {
+		if ch.name == channel {
+			run = ch.run
+		}
+	}
 	pols := cache.Policies()
 	cells := make([]harness.Cell, 0, len(pols))
 	for i, info := range pols {
@@ -46,18 +35,20 @@ func slotCells(p harness.Plan, run func(policy string, payloadBits int, seed uin
 		cells = append(cells, harness.Cell{
 			Name: name,
 			Run: func() (harness.CellOutput, error) {
-				res, err := run(name, p.Size(120, 40), p.Seed+uint64(i)*29)
+				cfg := p.Cfg
+				cfg.Replacement = name
+				res, err := run(cfg, p.Size(120, 40), p.Seed+uint64(i)*29)
 				if err != nil {
 					return harness.CellOutput{}, err
 				}
 				var out harness.CellOutput
-				for _, s := range res.Samples {
+				for j, s := range res.Samples {
 					out.Rows = append(out.Rows, fmt.Sprintf("%s\t%d\t%d\t%d\t%d",
-						name, s.Slot, res.TxBits[s.Slot], s.Bit, s.Latency))
+						name, j, res.TxBits[j], res.RxBits[j], s.Latency))
 				}
 				out.Summary = append(out.Summary, fmt.Sprintf(
 					"%s %-9s accuracy=%.1f%% rate=%.0f Kbps",
-					label, name, res.Accuracy*100, res.RawKbps))
+					channel, name, res.Accuracy*100, res.RawKbps))
 				return out, nil
 			},
 		})
@@ -72,9 +63,7 @@ func lrustateArtifact() *harness.Artifact {
 		File:        "lrustate.tsv",
 		Header:      "policy\tslot\ttx_bit\trx_bit\tlatency_cycles",
 		Cells: func(p harness.Plan) ([]harness.Cell, error) {
-			return slotCells(p, func(policy string, bits int, seed uint64) (*covert.SlotResult, error) {
-				return LRUStateTrace(p.Cfg, policy, bits, seed)
-			}, "lrustate"), nil
+			return slotCells(p, "lrustate"), nil
 		},
 	}
 }
@@ -86,9 +75,7 @@ func dirtystateArtifact() *harness.Artifact {
 		File:        "dirtystate.tsv",
 		Header:      "policy\tslot\ttx_bit\trx_bit\tflush_latency_cycles",
 		Cells: func(p harness.Plan) ([]harness.Cell, error) {
-			return slotCells(p, func(policy string, bits int, seed uint64) (*covert.SlotResult, error) {
-				return DirtyStateTrace(p.Cfg, policy, bits, seed)
-			}, "dirtystate"), nil
+			return slotCells(p, "dirtystate"), nil
 		},
 	}
 }

@@ -32,12 +32,6 @@ type MatrixPoint struct {
 // levels tops out near 75%).
 const matrixSurvival = 0.9
 
-// matrixLink is what one matrix transmission reports.
-type matrixLink struct {
-	tx, rx            []byte
-	accuracy, rawKbps float64
-}
-
 // matrixChannel is one channel the matrix probes. run transmits
 // payloadBits bits on cfg; an error means the channel could not be
 // established there.
@@ -46,7 +40,7 @@ type matrixChannel struct {
 	// perPolicy channels are probed once per registered replacement
 	// policy; the others run under the plan's base policy.
 	perPolicy bool
-	run       func(cfg machine.Config, payloadBits int, seed uint64) (matrixLink, error)
+	run       func(cfg machine.Config, payloadBits int, seed uint64) (*covert.Transmission, error)
 }
 
 // matrixChannels is the matrix's channel table, in row order:
@@ -61,28 +55,28 @@ type matrixChannel struct {
 var matrixChannels = []matrixChannel{
 	{name: "binary-state", run: binaryMatrixRun(covert.Scenarios[0])},  // LExclc-LSharedb: only the state differs
 	{name: "binary-socket", run: binaryMatrixRun(covert.Scenarios[3])}, // RExclc-LSharedb: the robust pair
-	{name: "multibit", run: func(cfg machine.Config, payloadBits int, seed uint64) (matrixLink, error) {
+	{name: "multibit", run: func(cfg machine.Config, payloadBits int, seed uint64) (*covert.Transmission, error) {
 		res, err := Fig11MultiBit(cfg, payloadBits, seed)
 		if err != nil {
-			return matrixLink{}, err
+			return nil, err
 		}
-		return matrixLink{res.TxBits, res.RxBits, res.Accuracy, res.RawKbps}, nil
+		return &res.Transmission, nil
 	}},
-	{name: "lrustate", perPolicy: true, run: func(cfg machine.Config, payloadBits int, seed uint64) (matrixLink, error) {
-		return slottedMatrixRun(covert.LRUStateChannel{Config: cfg, WorldSeed: seed + 31}.Run(PatternBits(seed^0xFACE, payloadBits)))
+	{name: "lrustate", perPolicy: true, run: func(cfg machine.Config, payloadBits int, seed uint64) (*covert.Transmission, error) {
+		return covert.LRUStateChannel{Config: cfg, WorldSeed: seed + 31}.Run(PatternBits(seed^0xFACE, payloadBits))
 	}},
-	{name: "dirtystate", perPolicy: true, run: func(cfg machine.Config, payloadBits int, seed uint64) (matrixLink, error) {
-		return slottedMatrixRun(covert.DirtyStateChannel{Config: cfg, WorldSeed: seed + 31}.Run(PatternBits(seed^0xFACE, payloadBits)))
+	{name: "dirtystate", perPolicy: true, run: func(cfg machine.Config, payloadBits int, seed uint64) (*covert.Transmission, error) {
+		return covert.DirtyStateChannel{Config: cfg, WorldSeed: seed + 31}.Run(PatternBits(seed^0xFACE, payloadBits))
 	}},
 }
 
 // binaryMatrixRun probes the binary channel on scenario sc over an
 // explicitly shared page, calibrating first.
-func binaryMatrixRun(sc covert.Scenario) func(machine.Config, int, uint64) (matrixLink, error) {
-	return func(cfg machine.Config, payloadBits int, seed uint64) (matrixLink, error) {
+func binaryMatrixRun(sc covert.Scenario) func(machine.Config, int, uint64) (*covert.Transmission, error) {
+	return func(cfg machine.Config, payloadBits int, seed uint64) (*covert.Transmission, error) {
 		bands, err := covert.Calibrate(cfg, seed+7777, 200, covert.DefaultParams().BandMargin)
 		if err != nil {
-			return matrixLink{}, err
+			return nil, err
 		}
 		ch := covert.Channel{
 			Config:      cfg,
@@ -95,17 +89,10 @@ func binaryMatrixRun(sc covert.Scenario) func(machine.Config, int, uint64) (matr
 		}
 		res, err := ch.Run(PatternBits(seed^0xFACE, payloadBits))
 		if err != nil {
-			return matrixLink{}, err
+			return nil, err
 		}
-		return matrixLink{res.TxBits, res.RxBits, res.Accuracy, res.RawKbps}, nil
+		return &res.Transmission, nil
 	}
-}
-
-func slottedMatrixRun(res *covert.SlotResult, err error) (matrixLink, error) {
-	if err != nil {
-		return matrixLink{}, err
-	}
-	return matrixLink{res.TxBits, res.RxBits, res.Accuracy, res.RawKbps}, nil
 }
 
 // matrixCell measures one (protocol, channel) pair of the matrix.
@@ -125,13 +112,13 @@ func matrixCell(base machine.Config, proto coherence.Protocol, ch matrixChannel,
 	cfg := base
 	cfg.Protocol = coherence.Protocol(spec.Name())
 	pt := MatrixPoint{Protocol: spec.Name(), Policy: pol.String(), Channel: ch.name, Note: "-"}
-	link, err := ch.run(cfg, payloadBits, seed)
+	tx, err := ch.run(cfg, payloadBits, seed)
 	if err != nil {
 		pt.Note = strings.NewReplacer("\t", " ", "\n", " ").Replace(err.Error())
 		return pt, nil
 	}
-	pt.RawKbps, pt.Accuracy = link.rawKbps, link.accuracy
-	pt.InfoKbps = capacity.Analyze(link.tx, link.rx, link.rawKbps).InfoKbps
+	pt.RawKbps, pt.Accuracy = tx.RawKbps, tx.Accuracy
+	pt.InfoKbps = capacity.Analyze(tx.TxBits, tx.RxBits, tx.RawKbps).InfoKbps
 	pt.Survives = pt.Accuracy >= matrixSurvival
 	return pt, nil
 }

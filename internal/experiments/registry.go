@@ -138,11 +138,11 @@ func fig7Artifact() *harness.Artifact {
 				}
 				var out harness.CellOutput
 				for j, s := range res.Samples {
-					out.Rows = append(out.Rows, fmt.Sprintf("%s\t%d\t%d\t%s", res.Scenario, j, s.Latency, s.Class))
+					out.Rows = append(out.Rows, fmt.Sprintf("%s\t%d\t%d\t%s", sc.Name(), j, s.Latency, s.Class))
 				}
 				out.Summary = append(out.Summary, fmt.Sprintf(
 					"fig7 %-18s accuracy=%.1f%% rate=%.0f Kbps sync=%.2f us",
-					res.Scenario, res.Accuracy*100, res.RawKbps,
+					sc.Name(), res.Accuracy*100, res.RawKbps,
 					p.Cfg.CyclesToSeconds(res.SyncCycles)*1e6))
 				return out, nil
 			}), nil

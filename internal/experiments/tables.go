@@ -3,7 +3,6 @@ package experiments
 import (
 	"coherentleak/internal/covert"
 	"coherentleak/internal/machine"
-	"coherentleak/internal/sim"
 )
 
 // Table1Row is one row of Table I.
@@ -31,21 +30,10 @@ func TableI() []Table1Row {
 	return out
 }
 
-// Fig7Result is one subfigure of Figure 7: the spy's reception trace for
-// the 100-bit Figure 6 pattern, plus decode quality.
-type Fig7Result struct {
-	Scenario   string
-	TxBits     []byte
-	RxBits     []byte
-	Samples    []covert.Sample
-	Accuracy   float64
-	RawKbps    float64
-	SyncCycles sim.Cycles
-}
-
 // Fig7Reception runs the Figure 6/7 demonstration for one scenario at
-// the reliable operating point.
-func Fig7Reception(cfg machine.Config, sc covert.Scenario, seed uint64) (*Fig7Result, error) {
+// the reliable operating point: one subfigure of Figure 7, the spy's
+// reception trace for the 100-bit Figure 6 pattern plus decode quality.
+func Fig7Reception(cfg machine.Config, sc covert.Scenario, seed uint64) (*covert.Result, error) {
 	ch := &covert.Channel{
 		Config:      cfg,
 		Scenario:    sc,
@@ -54,17 +42,5 @@ func Fig7Reception(cfg machine.Config, sc covert.Scenario, seed uint64) (*Fig7Re
 		WorldSeed:   seed,
 		PatternSeed: seed ^ 0x7777,
 	}
-	res, err := ch.Run(Fig6Pattern())
-	if err != nil {
-		return nil, err
-	}
-	return &Fig7Result{
-		Scenario:   sc.Name(),
-		TxBits:     res.TxBits,
-		RxBits:     res.RxBits,
-		Samples:    res.Samples,
-		Accuracy:   res.Accuracy,
-		RawKbps:    res.RawKbps,
-		SyncCycles: res.SyncCycles,
-	}, nil
+	return ch.Run(Fig6Pattern())
 }

@@ -269,7 +269,7 @@ func run(tr Trace, exec bool) Result {
 	// the common frame at its own address).
 	shared := make([][]uint64, tr.Shared)
 	for s := range shared {
-		vas, err := k.MapSharedReadOnly(procs...)
+		vas, err := k.MapShared(false, procs...)
 		if err != nil {
 			panic(err)
 		}

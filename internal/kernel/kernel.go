@@ -278,12 +278,16 @@ func (p *Process) ReadBytes(va uint64, n int) ([]byte, error) {
 	return out, nil
 }
 
-// MapSharedReadOnly maps one fresh physical page read-only into every
-// process in procs, returning each process's virtual address for it. It
-// models the paper's *explicit* sharing path — read-only physical pages
-// holding shared library code or data (§IV) — as opposed to the implicit
-// KSM path.
-func (k *Kernel) MapSharedReadOnly(procs ...*Process) ([]uint64, error) {
+// MapShared maps one fresh physical page into every process in procs,
+// returning each process's virtual address for it. Read-only, it models
+// the paper's *explicit* sharing path — read-only physical pages holding
+// shared library code or data (§IV) — as opposed to the implicit KSM
+// path. Writable, it models the shm/MAP_SHARED path: stores hit the
+// common frame directly (no copy-on-write break), so a writer's cache
+// line turns Modified while every mapper still names the same physical
+// line — the precondition for the dirty-state (writeback-latency)
+// channel.
+func (k *Kernel) MapShared(writable bool, procs ...*Process) ([]uint64, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("kernel: shared mapping needs at least one process")
 	}
@@ -297,33 +301,7 @@ func (k *Kernel) MapSharedReadOnly(procs ...*Process) ([]uint64, error) {
 			k.mem.AddRef(frame)
 		}
 		vas[i] = p.brk() * PageSize
-		p.pages = append(p.pages, &PTE{Frame: frame, Writable: false})
-	}
-	k.mapEpoch++
-	return vas, nil
-}
-
-// MapSharedWritable maps one fresh physical page writable into every
-// process in procs, returning each process's virtual address for it. It
-// models the shm/MAP_SHARED sharing path: stores hit the common frame
-// directly (no copy-on-write break), so a writer's cache line turns
-// Modified while every mapper still names the same physical line — the
-// precondition for the dirty-state (writeback-latency) channel.
-func (k *Kernel) MapSharedWritable(procs ...*Process) ([]uint64, error) {
-	if len(procs) == 0 {
-		return nil, fmt.Errorf("kernel: shared mapping needs at least one process")
-	}
-	frame, err := k.mem.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	vas := make([]uint64, len(procs))
-	for i, p := range procs {
-		if i > 0 {
-			k.mem.AddRef(frame)
-		}
-		vas[i] = p.brk() * PageSize
-		p.pages = append(p.pages, &PTE{Frame: frame, Writable: true})
+		p.pages = append(p.pages, &PTE{Frame: frame, Writable: writable})
 	}
 	k.mapEpoch++
 	return vas, nil

@@ -10,7 +10,7 @@ import (
 func TestMapSharedReadOnlyThreeProcesses(t *testing.T) {
 	k := newKernel(t)
 	a, b, c := k.NewProcess("a"), k.NewProcess("b"), k.NewProcess("c")
-	vas, err := k.MapSharedReadOnly(a, b, c)
+	vas, err := k.MapShared(false, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +41,30 @@ func TestMapSharedReadOnlyThreeProcesses(t *testing.T) {
 	}
 }
 
+// A writable shared mapping is the shm path: a store lands on the
+// common frame instead of splitting it.
+func TestMapSharedWritableKeepsFrame(t *testing.T) {
+	k := newKernel(t)
+	a, b := k.NewProcess("a"), k.NewProcess("b")
+	vas, err := k.MapShared(true, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WriteBytes(vas[0], []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	if !a.SharesFrameWith(vas[0], b, vas[1]) {
+		t.Fatal("write split the writable shared mapping")
+	}
+	got, err := b.ReadBytes(vas[1], 1)
+	if err != nil || got[0] != 7 {
+		t.Fatalf("b reads %v, %v; want the shared store", got, err)
+	}
+}
+
 func TestMapSharedReadOnlyNoProcs(t *testing.T) {
 	k := newKernel(t)
-	if _, err := k.MapSharedReadOnly(); err == nil {
+	if _, err := k.MapShared(false); err == nil {
 		t.Fatal("empty process list accepted")
 	}
 }
@@ -89,7 +110,7 @@ func TestThreadPreemptAdvancesClock(t *testing.T) {
 func TestFlushOnReadOnlyPage(t *testing.T) {
 	k := newKernel(t)
 	a, b := k.NewProcess("a"), k.NewProcess("b")
-	vas, err := k.MapSharedReadOnly(a, b)
+	vas, err := k.MapShared(false, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
