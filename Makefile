@@ -69,13 +69,14 @@ loadgen-smoke:
 	$(GO) test -count=1 -run TestLoadgenSmoke ./internal/loadgen/
 
 # Short fuzzing pass over the untrusted submit decoders (a job body
-# through plan building, a sweep spec through expansion) and the
-# executor-vs-reference differential, 10 s each. `go test` alone
+# through plan building, a sweep spec through expansion), the replay
+# record loaders and the executor-vs-reference differential, 10 s each. `go test` alone
 # replays every target's seed corpus; this explores beyond it. Not part
 # of `make ci`: fuzzing time is open-ended by nature.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitJob$$' -fuzztime=10s ./internal/service/
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitSweep$$' -fuzztime=10s ./internal/service/
+	$(GO) test -run='^$$' -fuzz='^FuzzReplayLoad$$' -fuzztime=10s ./internal/replay/
 	$(GO) test -run='^$$' -fuzz='^FuzzDifferential$$' -fuzztime=10s ./internal/kernel/difftest/
 
 bench:
@@ -84,9 +85,12 @@ bench:
 # Per-access hot-path benchmarks: the refactored kernel/cache/directory
 # layers and the sim scheduler's thread switch and inline advance must
 # stay at ~0 allocs/op here. MachineNew is the construction cost every
-# covert run pays (TestMachineNewAllocationBound bounds its bytes).
+# covert run pays (TestMachineNewAllocationBound bounds its bytes);
+# MmapPages is one eviction-set search's 3073 single-page mappings
+# (TestMmapAllocatesPerTableGrowth bounds its objects).
 bench-hotpath:
 	$(GO) test -bench='LoadHit|LoadMiss|StoreRFO|MachineNew' -benchmem -run=^$$ ./internal/machine/
+	$(GO) test -bench='MmapPages' -benchmem -run=^$$ ./internal/kernel/
 	$(GO) test -bench='WorldSwitch|WorldAdvanceInline' -benchmem -run=^$$ ./internal/sim/
 
 # One-iteration smoke pass over the artifact benchmarks — catches bench
@@ -94,6 +98,7 @@ bench-hotpath:
 bench-smoke:
 	$(GO) test -bench=BenchmarkArtifact -benchtime=1x -run=^$$ .
 	$(GO) test -bench='LoadHit|LoadMiss|MachineNew' -benchtime=100x -benchmem -run=^$$ ./internal/machine/
+	$(GO) test -bench='MmapPages' -benchtime=10x -benchmem -run=^$$ ./internal/kernel/
 
 # Access-stream executor performance gate: run the hot-path benches,
 # then time kernel.Thread.Exec against the hand-written per-op loop it

@@ -19,6 +19,9 @@
 // sweeps the experiment seed. -objective is
 // "artifact:column[:aggregate[:direction]]".
 //
+// Against a daemon started with a keys file, -key sends the tenant's
+// API key as a bearer token on every request.
+//
 // The stream reconnects with Last-Event-ID on drops (including
 // slow-subscriber eviction), so progress output survives hiccups. Exit
 // status is 0 only when the sweep completes with every point scored.
@@ -26,6 +29,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -129,6 +133,7 @@ func parseObjective(arg string) (sweep.ObjectiveSpec, error) {
 func main() {
 	var (
 		server    = flag.String("server", "http://localhost:8080", "cohsimd base URL")
+		key       = flag.String("key", "", "tenant API key, sent as a bearer token (daemons with a keys file)")
 		specPath  = flag.String("spec", "", "sweep spec JSON file (\"-\" = stdin); overrides the spec-building flags")
 		name      = flag.String("name", "", "sweep name (used in the output filename)")
 		artifacts = flag.String("artifacts", "", "comma-separated artifact list (empty = all)")
@@ -160,23 +165,24 @@ func main() {
 		die(err)
 	}
 
-	id, err := submit(*server, spec)
+	c := client{server: *server, key: *key}
+	id, err := c.submit(spec)
 	if err != nil {
 		die(err)
 	}
 	fmt.Printf("submitted %s\n", id)
 
 	if *follow {
-		if err := followEvents(*server, id, *timeout); err != nil {
+		if err := c.followEvents(id, *timeout); err != nil {
 			die(err)
 		}
 	}
-	state, errMsg, err := waitTerminal(*server, id, *timeout)
+	state, errMsg, err := c.waitTerminal(id, *timeout)
 	if err != nil {
 		die(err)
 	}
 
-	tsv, err := fetchFrontier(*server, id)
+	tsv, err := c.fetchFrontier(id)
 	if err != nil {
 		die(err)
 	}
@@ -250,12 +256,42 @@ func buildSpec(path, name, artifacts, sizing string, seed uint64, strategy strin
 	return spec, nil
 }
 
-func submit(server string, spec sweep.Spec) (string, error) {
+// client talks to one daemon, authenticating every request with key
+// when it is set.
+type client struct {
+	server, key string
+}
+
+// request builds a request for path on the daemon, with the bearer key.
+func (c client) request(method, path string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequest(method, c.server+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if c.key != "" {
+		req.Header.Set("Authorization", "Bearer "+c.key)
+	}
+	return req, nil
+}
+
+// do sends a request built by request.
+func (c client) do(method, path string, body io.Reader) (*http.Response, error) {
+	req, err := c.request(method, path, body)
+	if err != nil {
+		return nil, err
+	}
+	return http.DefaultClient.Do(req)
+}
+
+func (c client) submit(spec sweep.Spec) (string, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return "", err
 	}
-	resp, err := http.Post(server+"/v1/sweeps", "application/json", strings.NewReader(string(body)))
+	resp, err := c.do("POST", "/v1/sweeps", bytes.NewReader(body))
 	if err != nil {
 		return "", err
 	}
@@ -307,11 +343,11 @@ type sweepEvent struct {
 
 // followEvents streams the sweep's SSE feed until the terminal state
 // event, reconnecting with Last-Event-ID when the connection drops.
-func followEvents(server, id string, timeout time.Duration) error {
+func (c client) followEvents(id string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	lastID := -1
 	for time.Now().Before(deadline) {
-		terminal, err := streamOnce(server, id, &lastID)
+		terminal, err := c.streamOnce(id, &lastID)
 		if terminal {
 			return nil
 		}
@@ -323,8 +359,8 @@ func followEvents(server, id string, timeout time.Duration) error {
 	return fmt.Errorf("timed out after %s following %s", timeout, id)
 }
 
-func streamOnce(server, id string, lastID *int) (terminal bool, err error) {
-	req, err := http.NewRequest("GET", server+"/v1/sweeps/"+id+"/events", nil)
+func (c client) streamOnce(id string, lastID *int) (terminal bool, err error) {
+	req, err := c.request("GET", "/v1/sweeps/"+id+"/events", nil)
 	if err != nil {
 		return false, err
 	}
@@ -397,12 +433,16 @@ func render(ev sweepEvent) bool {
 
 // waitTerminal polls the sweep view until it reaches a terminal state
 // (a fallback when -follow=false or the stream misses the ending).
-func waitTerminal(server, id string, timeout time.Duration) (state, errMsg string, err error) {
+func (c client) waitTerminal(id string, timeout time.Duration) (state, errMsg string, err error) {
 	deadline := time.Now().Add(timeout)
 	for {
-		resp, err := http.Get(server + "/v1/sweeps/" + id)
+		resp, err := c.do("GET", "/v1/sweeps/"+id, nil)
 		if err != nil {
 			return "", "", err
+		}
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			return "", "", fmt.Errorf("status: %s", resp.Status)
 		}
 		var v struct {
 			State string `json:"state"`
@@ -424,8 +464,8 @@ func waitTerminal(server, id string, timeout time.Duration) (state, errMsg strin
 	}
 }
 
-func fetchFrontier(server, id string) ([]byte, error) {
-	resp, err := http.Get(server + "/v1/sweeps/" + id + "/frontier.tsv")
+func (c client) fetchFrontier(id string) ([]byte, error) {
+	resp, err := c.do("GET", "/v1/sweeps/"+id+"/frontier.tsv", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -70,8 +70,10 @@ func (l *Line) Valid() bool { return l.State.Valid() }
 // The store is pointer-free per set. slot maps a set to its position in
 // first-fill order, and the positions are packed blockSets sets to a
 // block; blocks are appended as sets fill and never reallocated, so a
-// *Line from Lookup stays valid for the cache's lifetime. Construction
-// costs one uint32 per set, which the garbage collector never scans.
+// *Line from Lookup stays valid for the cache's lifetime. slot itself
+// is paged, slotPageSets sets to a page, and a page is allocated on the
+// first fill of any of its sets: construction costs one slice header
+// per page, and a set lookup one extra load.
 //
 // Replacement metadata is filled in with the set, never kept in maps
 // keyed by set identity: policy state is part of the cache, cannot alias
@@ -82,9 +84,10 @@ func (l *Line) Valid() bool { return l.State.Valid() }
 // family are dispatched by a small enum switch.
 type Cache struct {
 	geo Geometry
-	// slot[s] is 1 + set s's position in the store, or 0 until the
-	// first fill touches set s.
-	slot []uint32
+	// slot[s>>slotPageShift][s&slotPageMask] is 1 + set s's position in
+	// the store, or 0 until the first fill touches set s. A page is nil
+	// until then too, and otherwise sized to the sets it covers.
+	slot [][]uint32
 	// blocks[b] holds the ways of positions [b*blockSets, (b+1)*blockSets),
 	// position-major. used counts the positions handed out.
 	blocks  [][]Line
@@ -130,7 +133,7 @@ func New(geo Geometry, policy Policy) (*Cache, error) {
 	sets := geo.Sets()
 	c := &Cache{
 		geo:     geo,
-		slot:    make([]uint32, sets),
+		slot:    make([][]uint32, (sets+slotPageSets-1)/slotPageSets),
 		ways:    geo.Ways,
 		policy:  policy,
 		numSets: uint64(sets),
@@ -158,7 +161,9 @@ func (c *Cache) Geometry() Geometry { return c.geo }
 func (c *Cache) Policy() Policy { return c.policy }
 
 // plru returns the tree-PLRU bits of set s, which must have been filled.
-func (c *Cache) plru(s uint64) *uint64 { return &c.plruBits[c.slot[s]-1] }
+func (c *Cache) plru(s uint64) *uint64 {
+	return &c.plruBits[c.slot[s>>slotPageShift][s&slotPageMask]-1]
+}
 
 // touchSlow updates non-LRU replacement metadata after a hit or re-fill
 // of way w of set s. The LRU fast path (recency stamp) is inlined at the
@@ -233,13 +238,21 @@ func (c *Cache) index(line uint64) (set uint64, tag uint64) {
 // touching a few sets allocates little.
 const blockSets = 32
 
+// slotPageShift sets the slot page size: slotPageSets sets, 4 KiB of
+// positions, so the 12288-set LLC has 12 pages and a private cache one.
+const (
+	slotPageShift = 10
+	slotPageSets  = 1 << slotPageShift
+	slotPageMask  = slotPageSets - 1
+)
+
 // set returns the ways of set s, or nil when the set was never filled.
 func (c *Cache) set(s uint64) []Line {
-	p := c.slot[s]
-	if p == 0 {
-		return nil
+	pg, i := c.slot[s>>slotPageShift], s&slotPageMask
+	if i < uint64(len(pg)) && pg[i] != 0 { // a nil page has length 0
+		return c.at(pg[i] - 1)
 	}
-	return c.at(p - 1)
+	return nil
 }
 
 // at returns the ways stored at position p.
@@ -249,11 +262,17 @@ func (c *Cache) at(p uint32) []Line {
 }
 
 // setMake returns the ways of set s, giving it the next position on
-// first use and appending a block when the last one is full. A cache
-// with fewer than blockSets unfilled sets left gets a block sized to
-// them.
+// first use, allocating its slot page on the page's first fill, and
+// appending a block when the last one is full. A cache with fewer than
+// blockSets unfilled sets left gets a block sized to them.
 func (c *Cache) setMake(s uint64) []Line {
-	if p := c.slot[s]; p != 0 {
+	pg := c.slot[s>>slotPageShift]
+	if pg == nil {
+		pg = make([]uint32, min(slotPageSets, c.numSets-s&^slotPageMask))
+		c.slot[s>>slotPageShift] = pg
+	}
+	i := s & slotPageMask
+	if p := pg[i]; p != 0 {
 		return c.at(p - 1)
 	}
 	p := c.used
@@ -265,7 +284,7 @@ func (c *Cache) setMake(s uint64) []Line {
 		c.plruBits = append(c.plruBits, 0)
 	}
 	c.used++
-	c.slot[s] = p + 1
+	pg[i] = p + 1
 	return c.at(p)
 }
 
@@ -471,25 +490,30 @@ func (c *Cache) ValidLines() int {
 // way order, with the line's address and coherence state. It is the
 // snapshot primitive behind the differential-test state digest.
 func (c *Cache) ForEachValid(fn func(addr uint64, st coherence.State)) {
-	for s, p := range c.slot {
-		if p == 0 {
-			continue
-		}
-		ways := c.at(p - 1)
-		for i := range ways {
-			l := &ways[i]
-			if l.Valid() {
-				fn(c.addrOf(uint64(s), l.Tag), l.State)
+	for pi, pg := range c.slot {
+		for i, p := range pg {
+			if p == 0 {
+				continue
+			}
+			s := uint64(pi)<<slotPageShift | uint64(i)
+			ways := c.at(p - 1)
+			for w := range ways {
+				l := &ways[w]
+				if l.Valid() {
+					fn(c.addrOf(s, l.Tag), l.State)
+				}
 			}
 		}
 	}
 }
 
 // Clear invalidates the whole cache (test helper / machine reset),
-// including all replacement metadata. The blocks are kept and refilled
-// in the new first-fill order.
+// including all replacement metadata. The slot pages and blocks are
+// kept, and the blocks refilled in the new first-fill order.
 func (c *Cache) Clear() {
-	clear(c.slot)
+	for _, pg := range c.slot {
+		clear(pg)
+	}
 	for _, b := range c.blocks {
 		clear(b)
 	}

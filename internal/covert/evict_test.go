@@ -132,7 +132,7 @@ func bruteConflictLines(t *testing.T, proc *kernel.Process, c *cache.Cache, targ
 // pages at random physical bases.
 func fragmentedKernel(seed uint64, frames int) *kernel.Kernel {
 	k := kernel.New(machine.New(sim.NewWorld(sim.Config{Seed: 1}), machine.DefaultConfig()), 0)
-	fs := make([]*mem.Frame, frames)
+	fs := make([]mem.Frame, frames)
 	for i := range fs {
 		fs[i], _ = k.Memory().Alloc() // unbounded memory: cannot fail
 	}

@@ -223,7 +223,7 @@ func (s *Session) SharedPA() uint64 {
 // ground truth for it.)
 func (s *Session) ExternallyShared() bool {
 	pte := s.SpyProc.PTEOf(s.SpyVA)
-	return pte != nil && pte.Frame.Refs() > 2
+	return pte.Mapped() && s.Kern.Memory().Refs(pte.Frame) > 2
 }
 
 // Supports reports whether the machine can host the scenario (remote

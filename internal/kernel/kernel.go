@@ -19,14 +19,17 @@ import (
 // PageSize is the virtual/physical page size.
 const PageSize = mem.PageSize
 
-// PTE is a page-table entry.
+// PTE is a page-table entry. The zero PTE (Frame 0) maps nothing.
 type PTE struct {
-	Frame *mem.Frame
+	Frame mem.Frame
 	// Writable: a store to a non-writable mapping raises a COW fault.
 	Writable bool
 	// Mergeable marks the page as advised for KSM.
 	Mergeable bool
 }
+
+// Mapped reports whether the entry maps a frame.
+func (e PTE) Mapped() bool { return e.Frame != 0 }
 
 // Process is a simulated OS process: a virtual address space and an
 // owning kernel. Processes are scheduling containers only; execution
@@ -39,17 +42,22 @@ type Process struct {
 	Start sim.Cycles
 
 	kern *Kernel
-	// pages[i] maps virtual page base+i, or is nil once unmapped. Pages
-	// are only ever mapped at the break, which only grows, so the table
-	// is dense and base+len(pages) is the next free virtual page number.
+	// pages[i] maps virtual page base+i, or is the zero PTE once
+	// unmapped. Pages are only ever mapped at the break, which only
+	// grows, so the table is dense and base+len(pages) is the next free
+	// virtual page number. The table holds values, not pointers, so
+	// mapping a page allocates only when the table grows; a *PTE into it
+	// is valid only until the next append (Mmap, MapShared) and never
+	// leaves the package.
 	base  uint64
-	pages []*PTE
+	pages []PTE
 }
 
-// pte returns the entry mapping virtual page vp, or nil.
+// pte returns the entry mapping virtual page vp, or nil when vp is not
+// mapped.
 func (p *Process) pte(vp uint64) *PTE {
-	if i := vp - p.base; i < uint64(len(p.pages)) {
-		return p.pages[i]
+	if i := vp - p.base; i < uint64(len(p.pages)) && p.pages[i].Mapped() {
+		return &p.pages[i]
 	}
 	return nil
 }
@@ -147,11 +155,10 @@ func (p *Process) Mmap(npages int) (uint64, error) {
 			for _, pte := range p.pages[mapped:] {
 				p.kern.mem.Release(pte.Frame)
 			}
-			clear(p.pages[mapped:])
 			p.pages = p.pages[:mapped]
 			return 0, err
 		}
-		p.pages = append(p.pages, &PTE{Frame: f, Writable: true})
+		p.pages = append(p.pages, PTE{Frame: f, Writable: true})
 	}
 	p.kern.mapEpoch++
 	return basePage * PageSize, nil
@@ -178,7 +185,7 @@ func (p *Process) Munmap(va uint64, npages int) error {
 	}
 	for vp := base; vp < base+uint64(npages); vp++ {
 		p.kern.mem.Release(p.pte(vp).Frame)
-		p.pages[vp-p.base] = nil
+		p.pages[vp-p.base] = PTE{}
 	}
 	p.kern.mapEpoch++
 	return nil
@@ -190,9 +197,9 @@ func (p *Process) Munmap(va uint64, npages int) error {
 // containers only).
 func (p *Process) Exit() {
 	for i, pte := range p.pages {
-		if pte != nil {
+		if pte.Mapped() {
 			p.kern.mem.Release(pte.Frame)
-			p.pages[i] = nil
+			p.pages[i] = PTE{}
 		}
 	}
 	p.kern.mapEpoch++
@@ -207,20 +214,25 @@ func (p *Process) Madvise(va uint64, npages int) error {
 			return fmt.Errorf("kernel: madvise on unmapped page %#x", va+uint64(i)*PageSize)
 		}
 		pte.Mergeable = true
-		pte.Frame.Mergeable = true
 	}
 	return nil
 }
 
-// PTEOf returns the page-table entry covering va, or nil.
-func (p *Process) PTEOf(va uint64) *PTE { return p.pte(va / PageSize) }
+// PTEOf returns a copy of the page-table entry covering va; it is the
+// zero PTE (not Mapped) when va is unmapped.
+func (p *Process) PTEOf(va uint64) PTE {
+	if pte := p.pte(va / PageSize); pte != nil {
+		return *pte
+	}
+	return PTE{}
+}
 
 // Pages returns the process's mapped virtual page numbers in ascending
 // order (for reverse-mapping walks by OS-level defenses).
 func (p *Process) Pages() []uint64 {
 	var out []uint64
 	for i, pte := range p.pages {
-		if pte != nil {
+		if pte.Mapped() {
 			out = append(out, p.base+uint64(i))
 		}
 	}
@@ -251,7 +263,7 @@ func (p *Process) WriteBytes(va uint64, data []byte) error {
 			}
 		}
 		off := va % PageSize
-		n := copy(pte.Frame.Data()[off:], data)
+		n := copy(p.kern.mem.Data(pte.Frame)[off:], data)
 		data = data[n:]
 		va += uint64(n)
 	}
@@ -271,7 +283,7 @@ func (p *Process) ReadBytes(va uint64, n int) ([]byte, error) {
 		if uint64(n) < chunk {
 			chunk = uint64(n)
 		}
-		out = append(out, pte.Frame.Data()[off:off+chunk]...)
+		out = append(out, p.kern.mem.Data(pte.Frame)[off:off+chunk]...)
 		n -= int(chunk)
 		va += chunk
 	}
@@ -301,7 +313,7 @@ func (k *Kernel) MapShared(writable bool, procs ...*Process) ([]uint64, error) {
 			k.mem.AddRef(frame)
 		}
 		vas[i] = p.brk() * PageSize
-		p.pages = append(p.pages, &PTE{Frame: frame, Writable: writable})
+		p.pages = append(p.pages, PTE{Frame: frame, Writable: writable})
 	}
 	k.mapEpoch++
 	return vas, nil
@@ -311,16 +323,17 @@ func (k *Kernel) MapShared(writable bool, procs ...*Process) ([]uint64, error) {
 // frame at the given virtual addresses — the attack precondition.
 func (p *Process) SharesFrameWith(va uint64, q *Process, qva uint64) bool {
 	a, b := p.PTEOf(va), q.PTEOf(qva)
-	return a != nil && b != nil && a.Frame == b.Frame
+	return a.Mapped() && a.Frame == b.Frame
 }
 
-// cowBreak gives pte's mapping a private writable copy of its frame.
+// cowBreak gives pte's mapping a private writable copy of its frame. It
+// never grows a page table, so pte stays valid across the call.
 func (k *Kernel) cowBreak(pte *PTE) error {
 	k.mapEpoch++
-	if pte.Frame.Refs() == 1 {
+	if k.mem.Refs(pte.Frame) == 1 {
 		// Sole mapper: just restore write permission.
 		pte.Writable = true
-		pte.Frame.MergedByKSM = false
+		k.mem.SetMergedByKSM(pte.Frame, false)
 		return nil
 	}
 	private, err := k.mem.CopyFrame(pte.Frame)
@@ -334,17 +347,27 @@ func (k *Kernel) cowBreak(pte *PTE) error {
 	return nil
 }
 
+// pageRef names one page-table entry by process and index, so it stays
+// valid when the table grows.
+type pageRef struct {
+	proc *Process
+	i    int
+}
+
+// pte returns the entry r names; use it before the next append.
+func (r pageRef) pte() *PTE { return &r.proc.pages[r.i] }
+
 // mergeCandidates returns every mergeable mapping, in process start
 // order then ascending page order — the deterministic scan order KSM
 // uses.
-func (k *Kernel) mergeCandidates() []*PTE {
-	var out []*PTE
+func (k *Kernel) mergeCandidates() []pageRef {
+	var out []pageRef
 	procs := k.Processes()
 	sort.SliceStable(procs, func(i, j int) bool { return procs[i].Start < procs[j].Start })
 	for _, p := range procs {
-		for _, pte := range p.pages {
-			if pte != nil && pte.Mergeable {
-				out = append(out, pte)
+		for i, pte := range p.pages {
+			if pte.Mapped() && pte.Mergeable {
+				out = append(out, pageRef{p, i})
 			}
 		}
 	}

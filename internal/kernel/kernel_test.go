@@ -136,7 +136,7 @@ func TestKSMMergesIdenticalPages(t *testing.T) {
 	if trojan.PTEOf(vt).Writable || spy.PTEOf(vs).Writable {
 		t.Fatal("merged mapping left writable")
 	}
-	if !trojan.PTEOf(vt).Frame.MergedByKSM {
+	if !k.Memory().MergedByKSM(trojan.PTEOf(vt).Frame) {
 		t.Fatal("survivor frame not marked MergedByKSM")
 	}
 }
@@ -204,8 +204,8 @@ func TestKSMThreeWayMergeAndThirdPartyDetection(t *testing.T) {
 		t.Fatalf("merged %d mappings, want 2", n)
 	}
 	frame := procs[0].PTEOf(vas[0]).Frame
-	if frame.Refs() != 3 {
-		t.Fatalf("canonical frame refs = %d, want 3", frame.Refs())
+	if k.Memory().Refs(frame) != 3 {
+		t.Fatalf("canonical frame refs = %d, want 3", k.Memory().Refs(frame))
 	}
 }
 
@@ -265,7 +265,7 @@ func TestUnmergePageMitigation(t *testing.T) {
 	b.Madvise(vb, 1)
 	k.KSM.Scan()
 	frame := a.PTEOf(va).Frame
-	split := k.KSM.UnmergePage(frame.Number)
+	split := k.KSM.UnmergePage(frame)
 	if split == 0 {
 		t.Fatal("UnmergePage split nothing")
 	}

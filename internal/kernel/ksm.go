@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"coherentleak/internal/mem"
 	"coherentleak/internal/sim"
 )
 
@@ -36,19 +37,21 @@ func (s *KSM) Scan() int {
 	// canonical maps content hash -> candidates whose frame is the
 	// surviving copy for that content. Hash collisions are resolved with
 	// a byte comparison, as in the real KSM's stable tree.
-	canonical := make(map[uint64][]*PTE)
+	canonical := make(map[uint64][]pageRef)
 	merged := 0
 
-	for _, cand := range cands {
-		h := cand.Frame.ContentHash()
+	for _, ref := range cands {
+		cand := ref.pte()
+		h := k.mem.ContentHash(cand.Frame)
 		var target *PTE
 		alreadyCanonical := false
-		for _, cc := range canonical[h] {
+		for _, cr := range canonical[h] {
+			cc := cr.pte()
 			if cc.Frame == cand.Frame {
 				alreadyCanonical = true // mapping already shares the survivor
 				break
 			}
-			if cc.Frame.SameContents(cand.Frame) {
+			if k.mem.SameContents(cc.Frame, cand.Frame) {
 				target = cc
 				break
 			}
@@ -57,7 +60,7 @@ func (s *KSM) Scan() int {
 			continue
 		}
 		if target == nil {
-			canonical[h] = append(canonical[h], cand)
+			canonical[h] = append(canonical[h], ref)
 			continue
 		}
 		// Merge: cand's mapping is redirected onto target's frame; both
@@ -68,7 +71,7 @@ func (s *KSM) Scan() int {
 		cand.Frame = target.Frame
 		cand.Writable = false
 		target.Writable = false
-		target.Frame.MergedByKSM = true
+		k.mem.SetMergedByKSM(target.Frame, true)
 		k.mapEpoch++
 		merged++
 	}
@@ -89,18 +92,19 @@ func (s *KSM) StartDaemon(period sim.Cycles) *sim.Thread {
 	})
 }
 
-// UnmergePage force-splits every mapping of merged frame frameNum back
-// to private copies — the paper's second mitigation (§VIII-E): "setup
+// UnmergePage force-splits every mapping of the merged frame back to
+// private copies — the paper's second mitigation (§VIII-E): "setup
 // timeouts for KSM to un-merge shared pages with suspicious access
 // patterns". Mappings split in process creation order then ascending
 // page order; each split but the last copies the frame. It returns the
 // number of mappings split.
-func (s *KSM) UnmergePage(frameNum uint64) int {
+func (s *KSM) UnmergePage(frame mem.Frame) int {
 	k := s.kern
 	split := 0
 	for _, p := range k.procs {
-		for _, pte := range p.pages {
-			if pte != nil && pte.Frame.Number == frameNum && pte.Frame.MergedByKSM {
+		for i := range p.pages {
+			pte := &p.pages[i]
+			if pte.Frame == frame && k.mem.MergedByKSM(frame) {
 				if err := k.cowBreak(pte); err != nil {
 					continue
 				}

@@ -60,7 +60,7 @@ func TestUnmergePageDeterministic(t *testing.T) {
 		if k.KSM.Scan() != 1 {
 			t.Fatal("setup: the two zero pages did not merge")
 		}
-		frame := p.PTEOf(va).Frame.Number
+		frame := p.PTEOf(va).Frame
 		if split := k.KSM.UnmergePage(frame); split != 2 {
 			t.Fatalf("UnmergePage split %d mappings, want 2", split)
 		}

@@ -21,8 +21,8 @@ func TestMapSharedReadOnlyThreeProcesses(t *testing.T) {
 		t.Fatal("not all processes share the frame")
 	}
 	frame := a.PTEOf(vas[0]).Frame
-	if frame.Refs() != 3 {
-		t.Fatalf("refs = %d, want 3", frame.Refs())
+	if k.Memory().Refs(frame) != 3 {
+		t.Fatalf("refs = %d, want 3", k.Memory().Refs(frame))
 	}
 	// The mapping is read-only: any write must COW-split.
 	if a.PTEOf(vas[0]).Writable {
@@ -173,8 +173,8 @@ func TestExitReleasesEverythingButSharedSurvives(t *testing.T) {
 	frame := b.PTEOf(vb).Frame
 	a.Exit()
 	// b's view of the merged frame survives a's exit.
-	if b.PTEOf(vb).Frame != frame || frame.Refs() != 1 {
-		t.Fatalf("shared frame damaged by exit (refs %d)", frame.Refs())
+	if b.PTEOf(vb).Frame != frame || k.Memory().Refs(frame) != 1 {
+		t.Fatalf("shared frame damaged by exit (refs %d)", k.Memory().Refs(frame))
 	}
 	got, err := b.ReadBytes(vb, 8)
 	if err != nil || got[0] == 0 {

@@ -129,7 +129,7 @@ func (p *Program) add(k OpKind, va uint64, think sim.Cycles) {
 func (p *Program) resolve(epoch uint64) {
 	for i := range p.ops {
 		op := &p.ops[i]
-		pte := p.proc.PTEOf(op.VA)
+		pte := p.proc.pte(op.VA / PageSize)
 		if pte == nil || (op.Kind == OpStore && !pte.Writable) {
 			p.ok[i] = false
 			continue

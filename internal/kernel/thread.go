@@ -61,7 +61,7 @@ func (t *Thread) Load(va uint64) machine.Access {
 // COW) pages fault: the kernel un-merges the page, charges FaultLatency,
 // and the store proceeds against the private copy.
 func (t *Thread) Store(va uint64) machine.Access {
-	pte := t.Proc.PTEOf(va)
+	pte := t.Proc.pte(va / PageSize)
 	if pte == nil {
 		panic(fmt.Sprintf("kernel: segfault: store to %#x", va))
 	}

@@ -87,10 +87,11 @@ func BenchmarkMachineNew(b *testing.B) {
 var benchMachine *Machine
 
 // maxMachineNewBytes bounds what BenchmarkMachineNew may allocate per
-// machine. The caches' per-set tables are allocated lazily, so a
-// default-config machine costs about 150 KB; the bound leaves room for
-// growth but fails if construction again zeroes whole cache arrays.
-const maxMachineNewBytes = 256 << 10
+// machine. The caches' slot pages and the TLBs' entries are allocated on
+// first use, so a default-config machine costs about 10 KB; the bound
+// leaves room for growth but fails if construction zeroes a per-set
+// table or a TLB per core.
+const maxMachineNewBytes = 32 << 10
 
 func TestMachineNewAllocationBound(t *testing.T) {
 	if got := testing.Benchmark(BenchmarkMachineNew).AllocedBytesPerOp(); got > maxMachineNewBytes {

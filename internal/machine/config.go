@@ -213,6 +213,9 @@ func (c Config) Validate() error {
 	if c.ClockHz <= 0 {
 		return fmt.Errorf("machine: non-positive clock %v", c.ClockHz)
 	}
+	if c.TLBEntries < 0 {
+		return fmt.Errorf("machine: negative TLB capacity %d", c.TLBEntries)
+	}
 	if _, err := coherence.SpecFor(c.Protocol); err != nil {
 		return fmt.Errorf("machine: %w", err)
 	}

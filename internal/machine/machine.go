@@ -81,9 +81,9 @@ type Machine struct {
 	// the probe-pressure model.
 	lastUtil float64
 
-	// tlbs are the per-core translation buffers (nil entries when
-	// disabled).
-	tlbs []*tlb
+	// tlbs are the per-core translation buffers (unused when
+	// Config.TLBEntries is 0).
+	tlbs []tlb
 
 	// onAccess, when non-nil, observes every completed memory operation
 	// (loads, stores, and flushes). Tracers attach here; the hook must
@@ -230,11 +230,9 @@ func New(world *sim.World, cfg Config) *Machine {
 		}
 	}
 	m.dram = interconnect.NewLink("dram", lat.DRAMService, lat.DRAMChannelService, rng.Split())
-	m.tlbs = make([]*tlb, len(m.cores))
-	if cfg.TLBEntries > 0 {
-		for i := range m.tlbs {
-			m.tlbs[i] = newTLB(cfg.TLBEntries)
-		}
+	m.tlbs = make([]tlb, len(m.cores))
+	for i := range m.tlbs {
+		m.tlbs[i].size = cfg.TLBEntries
 	}
 	return m
 }

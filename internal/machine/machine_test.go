@@ -48,6 +48,11 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("65 cores/socket accepted")
 	}
 	bad = DefaultConfig()
+	bad.TLBEntries = -1
+	if bad.Validate() == nil {
+		t.Error("negative TLB capacity accepted")
+	}
+	bad = DefaultConfig()
 	bad.ClockHz = 0
 	if bad.Validate() == nil {
 		t.Error("zero clock accepted")

@@ -12,7 +12,7 @@ import (
 // always hot), but background workloads with large working sets pay
 // realistic extra latency, and the first-touch cost shows up in traces.
 type tlb struct {
-	entries []tlbEntry // flat LRU array, at most size entries
+	entries []tlbEntry // flat LRU array, at most size entries; nil until the first access
 	clock   uint64
 	size    int
 
@@ -27,15 +27,13 @@ type tlbEntry struct {
 	page, stamp uint64
 }
 
-func newTLB(size int) *tlb {
-	if size <= 0 {
-		size = 64
-	}
-	return &tlb{entries: make([]tlbEntry, 0, size), size: size}
-}
-
-// access touches the TLB for addr and reports whether it missed.
+// access touches the TLB for addr and reports whether it missed. The
+// entries are allocated on the first access: most of a machine's cores
+// never touch memory, so construction allocates no entries.
 func (t *tlb) access(addr uint64) bool {
+	if t.entries == nil {
+		t.entries = make([]tlbEntry, 0, t.size)
+	}
 	page := addr >> 12
 	t.clock++
 	for i := range t.entries {
@@ -79,9 +77,6 @@ func (m *Machine) tlbPenalty(g int, addr uint64) sim.Cycles {
 
 // TLBStats returns (hits, misses) for core g's TLB.
 func (m *Machine) TLBStats(g int) (uint64, uint64) {
-	t := m.tlbs[g]
-	if t == nil {
-		return 0, 0
-	}
+	t := &m.tlbs[g]
 	return t.hits, t.misses
 }

@@ -14,52 +14,157 @@ import (
 // PageSize is the physical page size in bytes.
 const PageSize = 4096
 
-// Frame is a physical page frame.
-type Frame struct {
-	// Number is the frame's index; the frame covers physical addresses
-	// [Number*PageSize, (Number+1)*PageSize).
-	Number uint64
-	// refs counts page-table mappings of this frame. Frames with refs > 1
-	// are necessarily mapped read-only (COW).
-	refs int
-	// data holds the page contents, allocated lazily on first write.
-	data []byte
-	// Mergeable marks the frame as advised for KSM merging by all mappers.
-	Mergeable bool
-	// MergedByKSM marks a frame that is the surviving copy of a KSM merge.
-	MergedByKSM bool
-}
-
-// Refs returns the current mapping count.
-func (f *Frame) Refs() int { return f.refs }
+// Frame is a physical page frame number; frame f covers physical
+// addresses [f*PageSize, (f+1)*PageSize). Frame 0 is never allocated,
+// so the zero Frame names no frame.
+type Frame uint64
 
 // Base returns the first physical address of the frame.
-func (f *Frame) Base() uint64 { return f.Number * PageSize }
+func (f Frame) Base() uint64 { return uint64(f) * PageSize }
 
-// Data returns the frame contents, allocating zeroed storage on first use.
-func (f *Frame) Data() []byte {
-	if f.data == nil {
-		f.data = make([]byte, PageSize)
-	}
-	return f.data
+// FrameOf returns the frame containing physical address addr.
+func FrameOf(addr uint64) Frame { return Frame(addr / PageSize) }
+
+// frameRec is one frame's bookkeeping. The table of them holds no
+// pointers, so the garbage collector never scans it, and allocating a
+// frame costs no heap object.
+type frameRec struct {
+	// refs counts page-table mappings; 0 means the frame is free.
+	// Frames with refs > 1 are necessarily mapped read-only (COW).
+	refs int32
+	// written marks a frame whose contents live in Memory.data.
+	written bool
+	// merged marks the surviving copy of a KSM merge.
+	merged bool
 }
 
-// ContentHash returns a 64-bit FNV-1a hash of the page contents. An
-// all-zero (never-written) page hashes equal to an explicit zero page.
-func (f *Frame) ContentHash() uint64 {
+// Memory is the physical memory: a bump-pointer frame allocator with a
+// free list. The bump pointer and the free list keep frame numbers
+// dense, so the frame table is a slice indexed by frame number.
+type Memory struct {
+	// frames[f] is frame f's record; frame 0 is never allocated.
+	frames []frameRec
+	free   []Frame
+	// data holds the contents of the frames that were written; a frame
+	// never written reads as zeros.
+	data map[Frame]*[PageSize]byte
+
+	// TotalFrames bounds allocation; zero means unbounded.
+	TotalFrames int
+
+	// Allocated counts live frames (for leak assertions in tests).
+	Allocated int
+}
+
+// New returns an empty physical memory with capacity totalFrames
+// (0 = unbounded).
+func New(totalFrames int) *Memory {
+	return &Memory{
+		frames:      make([]frameRec, 1), // frame 0 reserved so physical address 0 stays invalid
+		TotalFrames: totalFrames,
+	}
+}
+
+// Alloc returns a fresh zeroed frame with a single reference.
+func (m *Memory) Alloc() (Frame, error) {
+	if m.TotalFrames > 0 && m.Allocated >= m.TotalFrames {
+		return 0, fmt.Errorf("mem: out of physical frames (%d in use)", m.Allocated)
+	}
+	f := Frame(len(m.frames))
+	if n := len(m.free); n > 0 {
+		f = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		m.frames = append(m.frames, frameRec{})
+	}
+	m.frames[f].refs = 1
+	m.Allocated++
+	return f, nil
+}
+
+// live returns f's record, panicking unless f is allocated. The pointer
+// is into a growable table: use it before the next Alloc.
+func (m *Memory) live(f Frame) *frameRec {
+	if f >= Frame(len(m.frames)) || m.frames[f].refs <= 0 {
+		panic(fmt.Sprintf("mem: frame %d is not live", f))
+	}
+	return &m.frames[f]
+}
+
+// Refs returns f's mapping count, 0 when f is not allocated.
+func (m *Memory) Refs(f Frame) int {
+	if f >= Frame(len(m.frames)) {
+		return 0
+	}
+	return int(m.frames[f].refs)
+}
+
+// AddRef adds a page-table reference to f (COW sharing, KSM merge).
+func (m *Memory) AddRef(f Frame) { m.live(f).refs++ }
+
+// Release drops one reference; the frame is freed, and its contents
+// dropped, when the count hits zero. Releasing a frame with zero
+// references is a bug and panics.
+func (m *Memory) Release(f Frame) {
+	r := m.live(f)
+	r.refs--
+	if r.refs == 0 {
+		if r.written {
+			delete(m.data, f)
+		}
+		*r = frameRec{}
+		m.free = append(m.free, f)
+		m.Allocated--
+	}
+}
+
+// MergedByKSM reports whether f is the surviving copy of a KSM merge
+// (false when f is not allocated).
+func (m *Memory) MergedByKSM(f Frame) bool {
+	return f < Frame(len(m.frames)) && m.frames[f].merged
+}
+
+// SetMergedByKSM marks or clears f as the surviving copy of a KSM merge.
+func (m *Memory) SetMergedByKSM(f Frame, merged bool) { m.live(f).merged = merged }
+
+// Data returns f's contents for reading and writing, allocating zeroed
+// storage on first use.
+func (m *Memory) Data(f Frame) []byte {
+	r := m.live(f)
+	if !r.written {
+		if m.data == nil {
+			m.data = make(map[Frame]*[PageSize]byte)
+		}
+		m.data[f] = new([PageSize]byte)
+		r.written = true
+	}
+	return m.data[f][:]
+}
+
+// contents returns f's bytes, or nil for a never-written (zero) frame.
+func (m *Memory) contents(f Frame) []byte {
+	if !m.live(f).written {
+		return nil
+	}
+	return m.data[f][:]
+}
+
+// ContentHash returns a 64-bit FNV-1a hash of f's contents. An all-zero
+// (never-written) page hashes equal to an explicit zero page.
+func (m *Memory) ContentHash(f Frame) uint64 {
 	h := fnv.New64a()
-	if f.data == nil {
+	if d := m.contents(f); d != nil {
+		h.Write(d)
+	} else {
 		var zero [PageSize]byte
 		h.Write(zero[:])
-	} else {
-		h.Write(f.data)
 	}
 	return h.Sum64()
 }
 
 // SameContents reports whether two frames hold identical bytes.
-func (f *Frame) SameContents(g *Frame) bool {
-	fd, gd := f.data, g.data
+func (m *Memory) SameContents(f, g Frame) bool {
+	fd, gd := m.contents(f), m.contents(g)
 	switch {
 	case fd == nil && gd == nil:
 		return true
@@ -81,96 +186,25 @@ func isZero(b []byte) bool {
 	return true
 }
 
-// Memory is the physical memory: a bump-pointer frame allocator with a
-// free list. The bump pointer and the free list keep frame numbers
-// dense, so the frame table is a slice indexed by frame number.
-type Memory struct {
-	// frames[n] is live frame n, or nil; frame 0 is never allocated.
-	frames []*Frame
-	free   []uint64
-
-	// TotalFrames bounds allocation; zero means unbounded.
-	TotalFrames int
-
-	// Allocated counts live frames (for leak assertions in tests).
-	Allocated int
-}
-
-// New returns an empty physical memory with capacity totalFrames
-// (0 = unbounded).
-func New(totalFrames int) *Memory {
-	return &Memory{
-		frames:      []*Frame{nil}, // frame 0 reserved so physical address 0 stays invalid
-		TotalFrames: totalFrames,
-	}
-}
-
-// Alloc returns a fresh frame with a single reference.
-func (m *Memory) Alloc() (*Frame, error) {
-	if m.TotalFrames > 0 && m.Allocated >= m.TotalFrames {
-		return nil, fmt.Errorf("mem: out of physical frames (%d in use)", m.Allocated)
-	}
-	num := uint64(len(m.frames))
-	if n := len(m.free); n > 0 {
-		num = m.free[n-1]
-		m.free = m.free[:n-1]
-	} else {
-		m.frames = append(m.frames, nil)
-	}
-	f := &Frame{Number: num, refs: 1}
-	m.frames[num] = f
-	m.Allocated++
-	return f, nil
-}
-
-// Get returns the frame with the given number, or nil.
-func (m *Memory) Get(num uint64) *Frame {
-	if num >= uint64(len(m.frames)) {
-		return nil
-	}
-	return m.frames[num]
-}
-
-// FrameOf returns the frame containing physical address addr, or nil.
-func (m *Memory) FrameOf(addr uint64) *Frame { return m.Get(addr / PageSize) }
-
-// AddRef adds a page-table reference to f (COW sharing, KSM merge).
-func (m *Memory) AddRef(f *Frame) { f.refs++ }
-
-// Release drops one reference; the frame is freed when the count hits
-// zero. Releasing a frame with zero references is a bug and panics.
-func (m *Memory) Release(f *Frame) {
-	if f.refs <= 0 {
-		panic(fmt.Sprintf("mem: release of dead frame %d", f.Number))
-	}
-	f.refs--
-	if f.refs == 0 {
-		m.frames[f.Number] = nil
-		m.free = append(m.free, f.Number)
-		m.Allocated--
-	}
-}
-
 // CopyFrame allocates a new frame holding a copy of src's contents (the
 // COW break path).
-func (m *Memory) CopyFrame(src *Frame) (*Frame, error) {
+func (m *Memory) CopyFrame(src Frame) (Frame, error) {
 	dst, err := m.Alloc()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if src.data != nil {
-		copy(dst.Data(), src.data)
+	if d := m.contents(src); d != nil {
+		copy(m.Data(dst), d)
 	}
 	return dst, nil
 }
 
-// LiveFrames returns the numbers of all live frames in ascending order
-// (test helper).
-func (m *Memory) LiveFrames() []uint64 {
-	out := make([]uint64, 0, m.Allocated)
-	for n, f := range m.frames {
-		if f != nil {
-			out = append(out, uint64(n))
+// LiveFrames returns all live frames in ascending order (test helper).
+func (m *Memory) LiveFrames() []Frame {
+	out := make([]Frame, 0, m.Allocated)
+	for f, r := range m.frames {
+		if r.refs > 0 {
+			out = append(out, Frame(f))
 		}
 	}
 	return out

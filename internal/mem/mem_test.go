@@ -11,17 +11,17 @@ func TestAllocReleaseLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Refs() != 1 {
-		t.Fatalf("fresh frame refs = %d", f.Refs())
+	if m.Refs(f) != 1 {
+		t.Fatalf("fresh frame refs = %d", m.Refs(f))
 	}
-	if f.Number == 0 {
+	if f == 0 {
 		t.Fatal("frame 0 must stay reserved")
 	}
 	if m.Allocated != 1 {
 		t.Fatal("Allocated not tracked")
 	}
 	m.Release(f)
-	if m.Allocated != 0 || m.Get(f.Number) != nil {
+	if m.Allocated != 0 || m.Refs(f) != 0 {
 		t.Fatal("release did not free")
 	}
 }
@@ -56,11 +56,10 @@ func TestCapacityLimit(t *testing.T) {
 func TestFrameNumberReuse(t *testing.T) {
 	m := New(0)
 	f, _ := m.Alloc()
-	n := f.Number
 	m.Release(f)
 	g, _ := m.Alloc()
-	if g.Number != n {
-		t.Fatalf("freed frame %d not reused (got %d)", n, g.Number)
+	if g != f {
+		t.Fatalf("freed frame %d not reused (got %d)", f, g)
 	}
 }
 
@@ -69,27 +68,57 @@ func TestRefCounting(t *testing.T) {
 	f, _ := m.Alloc()
 	m.AddRef(f)
 	m.AddRef(f)
-	if f.Refs() != 3 {
-		t.Fatalf("refs = %d, want 3", f.Refs())
+	if m.Refs(f) != 3 {
+		t.Fatalf("refs = %d, want 3", m.Refs(f))
 	}
 	m.Release(f)
 	m.Release(f)
-	if m.Get(f.Number) == nil {
+	if m.Refs(f) == 0 {
 		t.Fatal("frame freed while referenced")
 	}
 	m.Release(f)
-	if m.Get(f.Number) != nil {
+	if m.Refs(f) != 0 {
 		t.Fatal("frame survives final release")
+	}
+}
+
+// TestReleaseDropsFrameState: a freed frame's contents and KSM mark go
+// with it, so the next allocation that reuses its number starts zeroed
+// and unmerged; a freed frame has no contents to read.
+func TestReleaseDropsFrameState(t *testing.T) {
+	m := New(0)
+	zero, _ := m.Alloc()
+	f, _ := m.Alloc()
+	copy(m.Data(f), []byte("secret"))
+	m.SetMergedByKSM(f, true)
+	m.Release(f)
+	if m.MergedByKSM(f) {
+		t.Fatal("freed frame still marked MergedByKSM")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Data of a freed frame did not panic")
+			}
+		}()
+		m.Data(f)
+	}()
+	g, _ := m.Alloc()
+	if g != f {
+		t.Fatalf("freed frame %d not reused (got %d)", f, g)
+	}
+	if !m.SameContents(g, zero) || m.ContentHash(g) != m.ContentHash(zero) || m.MergedByKSM(g) {
+		t.Fatal("reused frame kept its previous contents or KSM mark")
 	}
 }
 
 func TestFrameOfAndBase(t *testing.T) {
 	m := New(0)
 	f, _ := m.Alloc()
-	if m.FrameOf(f.Base()) != f || m.FrameOf(f.Base()+PageSize-1) != f {
+	if FrameOf(f.Base()) != f || FrameOf(f.Base()+PageSize-1) != f {
 		t.Fatal("FrameOf wrong inside frame")
 	}
-	if m.FrameOf(f.Base()+PageSize) == f {
+	if FrameOf(f.Base()+PageSize) == f {
 		t.Fatal("FrameOf wrong past frame end")
 	}
 }
@@ -98,16 +127,16 @@ func TestContentHashZeroPage(t *testing.T) {
 	m := New(0)
 	a, _ := m.Alloc()
 	b, _ := m.Alloc()
-	if a.ContentHash() != b.ContentHash() {
+	if m.ContentHash(a) != m.ContentHash(b) {
 		t.Fatal("two untouched pages hash differently")
 	}
 	// Forcing zero bytes explicitly must hash the same as untouched.
-	_ = b.Data()
-	if a.ContentHash() != b.ContentHash() {
+	_ = m.Data(b)
+	if m.ContentHash(a) != m.ContentHash(b) {
 		t.Fatal("explicit zero page hashes differently from untouched")
 	}
-	copy(a.Data(), []byte("x"))
-	if a.ContentHash() == b.ContentHash() {
+	copy(m.Data(a), []byte("x"))
+	if m.ContentHash(a) == m.ContentHash(b) {
 		t.Fatal("distinct contents hash equal")
 	}
 }
@@ -116,22 +145,22 @@ func TestSameContents(t *testing.T) {
 	m := New(0)
 	a, _ := m.Alloc()
 	b, _ := m.Alloc()
-	if !a.SameContents(b) {
+	if !m.SameContents(a, b) {
 		t.Fatal("untouched pages differ")
 	}
-	copy(a.Data(), []byte("hello"))
-	if a.SameContents(b) {
+	copy(m.Data(a), []byte("hello"))
+	if m.SameContents(a, b) {
 		t.Fatal("written page equals zero page")
 	}
-	copy(b.Data(), []byte("hello"))
-	if !a.SameContents(b) {
+	copy(m.Data(b), []byte("hello"))
+	if !m.SameContents(a, b) {
 		t.Fatal("identical pages differ")
 	}
 	// nil-vs-allocated-zero symmetry
 	c, _ := m.Alloc()
 	d, _ := m.Alloc()
-	_ = d.Data()
-	if !c.SameContents(d) || !d.SameContents(c) {
+	_ = m.Data(d)
+	if !m.SameContents(c, d) || !m.SameContents(d, c) {
 		t.Fatal("nil vs zeroed asymmetry")
 	}
 }
@@ -139,19 +168,19 @@ func TestSameContents(t *testing.T) {
 func TestCopyFrame(t *testing.T) {
 	m := New(0)
 	src, _ := m.Alloc()
-	copy(src.Data(), []byte("secret"))
+	copy(m.Data(src), []byte("secret"))
 	dst, err := m.CopyFrame(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !src.SameContents(dst) {
+	if !m.SameContents(src, dst) {
 		t.Fatal("copy contents differ")
 	}
-	dst.Data()[0] = 'X'
-	if src.SameContents(dst) {
+	m.Data(dst)[0] = 'X'
+	if m.SameContents(src, dst) {
 		t.Fatal("copy aliases source")
 	}
-	if dst.Refs() != 1 {
+	if m.Refs(dst) != 1 {
 		t.Fatal("copy refs wrong")
 	}
 }
@@ -162,10 +191,10 @@ func TestHashConsistentWithEquality(t *testing.T) {
 	f := func(a, b []byte) bool {
 		fa, _ := m.Alloc()
 		fb, _ := m.Alloc()
-		copy(fa.Data(), a)
-		copy(fb.Data(), b)
-		same := fa.SameContents(fb)
-		hashEq := fa.ContentHash() == fb.ContentHash()
+		copy(m.Data(fa), a)
+		copy(m.Data(fb), b)
+		same := m.SameContents(fa, fb)
+		hashEq := m.ContentHash(fa) == m.ContentHash(fb)
 		m.Release(fa)
 		m.Release(fb)
 		if same && !hashEq {
@@ -183,7 +212,7 @@ func TestHashConsistentWithEquality(t *testing.T) {
 func TestAllocatedInvariant(t *testing.T) {
 	f := func(ops []bool) bool {
 		m := New(0)
-		var live []*Frame
+		var live []Frame
 		for _, alloc := range ops {
 			if alloc || len(live) == 0 {
 				fr, err := m.Alloc()

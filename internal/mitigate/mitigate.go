@@ -15,6 +15,7 @@ import (
 	"coherentleak/internal/covert"
 	"coherentleak/internal/kernel"
 	"coherentleak/internal/machine"
+	"coherentleak/internal/mem"
 	"coherentleak/internal/sim"
 )
 
@@ -130,7 +131,7 @@ type KSMGuard struct {
 	kern *kernel.Kernel
 	th   *sim.Thread
 
-	lastEpoch map[uint64]uint64 // frame number -> flush epoch of its first line
+	lastEpoch map[mem.Frame]uint64 // frame -> flush epoch of its first line
 
 	// Splits counts pages un-merged by the guard.
 	Splits int
@@ -138,7 +139,7 @@ type KSMGuard struct {
 
 // AttachKSMGuard starts the guard daemon.
 func AttachKSMGuard(kern *kernel.Kernel, cfg KSMGuardConfig) *KSMGuard {
-	g := &KSMGuard{cfg: cfg, kern: kern, lastEpoch: make(map[uint64]uint64)}
+	g := &KSMGuard{cfg: cfg, kern: kern, lastEpoch: make(map[mem.Frame]uint64)}
 	g.th = kern.World().Spawn("ksm-guard", func(t *sim.Thread) {
 		for !t.StopRequested() {
 			t.Advance(cfg.Period)
@@ -153,20 +154,19 @@ func (g *KSMGuard) scan() {
 	mach := g.kern.Machine()
 	for _, p := range g.kern.Processes() {
 		for _, vp := range p.Pages() {
-			pte := p.PTEOf(vp * kernel.PageSize)
-			if pte == nil || !pte.Frame.MergedByKSM {
+			frame := p.PTEOf(vp * kernel.PageSize).Frame
+			if !g.kern.Memory().MergedByKSM(frame) {
 				continue
 			}
-			frame := pte.Frame
 			// Sum flush activity over the frame's lines.
 			var flushes uint64
 			for off := uint64(0); off < kernel.PageSize; off += 64 {
 				flushes += mach.FlushEpoch(frame.Base() + off)
 			}
-			last := g.lastEpoch[frame.Number]
-			g.lastEpoch[frame.Number] = flushes
+			last := g.lastEpoch[frame]
+			g.lastEpoch[frame] = flushes
 			if last != 0 && flushes-last > g.cfg.FlushBudget {
-				if n := g.kern.KSM.UnmergePage(frame.Number); n > 0 {
+				if n := g.kern.KSM.UnmergePage(frame); n > 0 {
 					g.Splits++
 				}
 			}

@@ -218,10 +218,12 @@ func (sw *Sweep) publish(ev SweepEvent) {
 // grid is expanded and every point's config is dry-run through plan
 // building up front, so a typo'd axis path or over-budget grid fails
 // the submit (HTTP 400) instead of failing hundreds of points later.
-// The tenant's SweepBudget caps the point count, checked before any
-// point is built (a client error: resubmitting the same grid can never
-// succeed), and MaxQueuedPoints caps pending points across its active
-// sweeps (ErrQuota, an admission failure worth retrying).
+// The tenant's SweepBudget caps the point count (the anonymous tenant
+// has none, so its cap is sweep.DefaultMaxPoints whatever the spec's
+// maxPoints), checked before any point is built (a client error:
+// resubmitting the same grid can never succeed), and MaxQueuedPoints
+// caps pending points across its active sweeps (ErrQuota, an admission
+// failure worth retrying).
 func (s *Service) SubmitSweep(tn *tenant.Tenant, spec sweep.Spec) (*Sweep, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -239,9 +241,15 @@ func (s *Service) SubmitSweep(tn *tenant.Tenant, spec sweep.Spec) (*Sweep, error
 	if err != nil {
 		return nil, err
 	}
-	if tn.SweepBudget > 0 && size > tn.SweepBudget {
+	budget := tn.SweepBudget
+	if tn == s.opts.Tenants.Anonymous() {
+		// No operator sets the anonymous tenant's budget, so a spec's
+		// own maxPoints must not lift the default cap.
+		budget = sweep.DefaultMaxPoints
+	}
+	if budget > 0 && size > budget {
 		return nil, fmt.Errorf("sweep: %d point(s) exceed tenant %s's sweep budget of %d",
-			size, tn.Name, tn.SweepBudget)
+			size, tn.Name, budget)
 	}
 	points, err := sweep.Expand(spec, s.opts.DefaultSeed)
 	if err != nil {

@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -245,6 +246,44 @@ func TestSweepBudgetCheckedBeforeExpansion(t *testing.T) {
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Fatalf("rejecting the sweep allocated %d bytes, want < 1 MiB", alloc)
 	}
+}
+
+// TestAnonymousSweepCap: in anonymous mode a spec's own maxPoints cannot
+// lift the default point cap. Over-cap grid and random specs get a 400
+// before any point is expanded; a spec that sets a large maxPoints but
+// stays under the cap is still accepted.
+func TestAnonymousSweepCap(t *testing.T) {
+	release := make(chan struct{})
+	close(release)
+	_, ts := newTestServer(t, service.Options{
+		Registry: blockingRegistry(1, release), Tenants: tenant.Open(), DisableDispatch: true,
+	})
+	want := fmt.Sprintf("sweep: 5000 point(s) exceed tenant anonymous's sweep budget of %d", sweep.DefaultMaxPoints)
+	for _, tc := range []struct{ name, body string }{
+		{"grid", `{"artifacts":["echo"],"maxPoints":10000000,
+			"axes":[{"param":"Latencies.QPI","min":1,"max":100,"steps":5000,"ints":true}],
+			"objective":{"artifact":"echo","column":"v"}}`},
+		{"random", `{"artifacts":["echo"],"maxPoints":10000000,"strategy":"random","samples":5000,
+			"axes":[{"param":"Latencies.QPI","min":1,"max":100,"ints":true}],
+			"objective":{"artifact":"echo","column":"v"}}`},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		code, _, raw := submitSweep(t, ts, tc.body)
+		runtime.ReadMemStats(&after)
+		if code != http.StatusBadRequest || !strings.Contains(string(raw), want) {
+			t.Fatalf("%s: POST /v1/sweeps = %d %s, want 400 %q", tc.name, code, raw, want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s: rejecting the sweep allocated %d bytes, want < 1 MiB", tc.name, alloc)
+		}
+	}
+	code, sw, raw := submitSweep(t, ts, `{"artifacts":["echo"],"maxPoints":10000000,
+		"axes":[{"param":"seed","values":[1,2]}],"objective":{"artifact":"echo","column":"v"}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("under-cap sweep = %d %s, want 202", code, raw)
+	}
+	waitSweep(t, ts, sw.ID, service.StateDone)
 }
 
 // TestTenantOwnership: a tenant's jobs and sweeps are invisible to

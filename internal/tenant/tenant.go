@@ -7,7 +7,8 @@
 //
 // With no keys file the daemon runs in anonymous mode: every caller is
 // the same built-in "anonymous" tenant with unbounded quotas, which is
-// byte-for-byte the pre-tenant behavior.
+// byte-for-byte the pre-tenant behavior, except that the service caps
+// an anonymous sweep at the sweep engine's default point budget.
 package tenant
 
 import (
