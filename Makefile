@@ -1,8 +1,9 @@
 # Tier-1 verification targets. `make ci` is what the CI job runs:
 # build + vet + tests, plus a race-detector pass over the harness worker
 # pool, the dispatch fleet, the service daemon (whose integration tests
-# execute real experiment cells in parallel behind httptest), and the
-# covert channels' shared trojan/spy driver.
+# execute real experiment cells in parallel behind httptest), the
+# covert channels' shared trojan/spy driver, and the cell stores
+# (concurrent stores and lookups on one on-disk entry).
 
 GO ?= go
 
@@ -21,7 +22,7 @@ test:
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./internal/harness/... ./internal/dispatch/... ./internal/service/... ./internal/covert/...
+	$(GO) test -race ./internal/harness/... ./internal/dispatch/... ./internal/service/... ./internal/covert/... ./internal/store/...
 
 # Race-checked dispatch integration pass: the fleet coordinator, real
 # worker clients over HTTP, and the service-level fleet tests (worker
@@ -70,13 +71,15 @@ loadgen-smoke:
 
 # Short fuzzing pass over the untrusted submit decoders (a job body
 # through plan building, a sweep spec through expansion), the replay
-# record loaders and the executor-vs-reference differential, 10 s each. `go test` alone
+# record loaders, on-disk cell-store entries and the executor-vs-reference
+# differential, 10 s each. `go test` alone
 # replays every target's seed corpus; this explores beyond it. Not part
 # of `make ci`: fuzzing time is open-ended by nature.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitJob$$' -fuzztime=10s ./internal/service/
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitSweep$$' -fuzztime=10s ./internal/service/
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayLoad$$' -fuzztime=10s ./internal/replay/
+	$(GO) test -run='^$$' -fuzz='^FuzzDiskLookup$$' -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzDifferential$$' -fuzztime=10s ./internal/kernel/difftest/
 
 bench:

@@ -31,6 +31,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -342,7 +343,9 @@ type sweepEvent struct {
 }
 
 // followEvents streams the sweep's SSE feed until the terminal state
-// event, reconnecting with Last-Event-ID when the connection drops.
+// event, reconnecting with Last-Event-ID when the connection drops. A
+// rejection no reconnect can cure — a 4xx other than 429, such as a
+// wrong key or a sweep the daemon no longer knows — fails at once.
 func (c client) followEvents(id string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	lastID := -1
@@ -350,6 +353,10 @@ func (c client) followEvents(id string, timeout time.Duration) error {
 		terminal, err := c.streamOnce(id, &lastID)
 		if terminal {
 			return nil
+		}
+		var rej rejected
+		if errors.As(err, &rej) {
+			return err
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cohsim-sweep: stream dropped (%v), reconnecting from event %d\n", err, lastID)
@@ -372,8 +379,12 @@ func (c client) streamOnce(id string, lastID *int) (terminal bool, err error) {
 		return false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("events: %s", resp.Status)
+	if code := resp.StatusCode; code != http.StatusOK {
+		err := fmt.Errorf("events: %s", resp.Status)
+		if code >= 400 && code < 500 && code != http.StatusTooManyRequests {
+			return false, rejected{err}
+		}
+		return false, err
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -396,6 +407,9 @@ func (c client) streamOnce(id string, lastID *int) (terminal bool, err error) {
 	}
 	return false, sc.Err()
 }
+
+// rejected wraps a client-error answer that retrying cannot change.
+type rejected struct{ error }
 
 // render prints one event and reports whether it ended the stream.
 func render(ev sweepEvent) bool {

@@ -95,3 +95,43 @@ func TestKeyedDaemon(t *testing.T) {
 		t.Fatalf("frontier:\n%s\nwant a header and 2 ranked points, seed 2 (score 200) first", tsv)
 	}
 }
+
+// TestFollowEventsFailsFastOnClientError: a wrong key (401) or a sweep
+// the daemon does not know (404, as after a restart) is not a dropped
+// stream. followEvents must return an error naming the status at once
+// rather than reconnect until its 2 h timeout.
+func TestFollowEventsFailsFastOnClientError(t *testing.T) {
+	ts := keyedDaemon(t)
+	ax, err := parseAxis("seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := buildSpec("", "fast-fail", "grid", "quick", 0, "", 0, 0, 0, "grid:value:max:max", axisFlags{ax}, filterFlags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := client{server: ts.URL, key: testKey}.submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		c      client
+		id     string
+		status string
+	}{
+		{"wrong key", client{server: ts.URL, key: "wrong-key-1234567"}, id, "401"},
+		{"unknown sweep", client{server: ts.URL, key: testKey}, "sweep-999999", "404"},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- tc.c.followEvents(tc.id, 2*time.Hour) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.status) {
+				t.Fatalf("%s: followEvents = %v, want an error naming %s", tc.name, err, tc.status)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: followEvents still reconnecting after 2s", tc.name)
+		}
+	}
+}

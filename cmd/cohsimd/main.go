@@ -3,8 +3,8 @@
 // registry, submit parameterized jobs (artifact list, seed, sizing,
 // machine-config overrides) onto a bounded queue, follow per-cell
 // progress over Server-Sent Events, and download assembled TSV /
-// replay-JSON results. All jobs share one manifest cell-cache, so a
-// repeated request is served from cache in milliseconds.
+// replay-JSON results. All jobs share one cell store, so a repeated
+// request is served from cache in milliseconds.
 //
 // Jobs execute through the worker-fleet dispatch subsystem: start any
 // number of cohsim-worker processes pointed at this daemon and cells
@@ -16,14 +16,19 @@
 //
 //	cohsimd [-addr :8080] [-out results-daemon] [-queue 16] [-jobs 1]
 //	        [-parallel N] [-job-timeout 15m] [-max-timeout 2h]
-//	        [-cache=true] [-cache-max 50000] [-persist=true] [-dispatch=true]
+//	        [-cache-max 50000] [-persist=true] [-dispatch=true]
 //	        [-store-dir DIR] [-store-max-bytes N] [-keys keys.json]
 //	        [-lease-ttl 90s] [-worker-ttl 270s] [-lease-attempts 3]
 //	        [-max-sweeps 2] [-sweep-inflight 4] [-pprof ""] [-version]
 //
-// -store-dir replaces the manifest snapshot with a crash-safe
-// content-addressed on-disk cell store (one file per entry); several
-// cohsimd replicas pointed at the same directory share cache hits.
+// The cell store is an in-memory LRU bounded by -cache-max unless
+// -store-dir names a directory: then it is the crash-safe
+// content-addressed on-disk store (one file per entry, written as each
+// cell finishes), which survives restarts — a daemon restarted on the
+// same -store-dir serves resubmitted jobs from cache — and which
+// several cohsimd replicas pointed at the same directory share.
+// -persist writes every finished job's TSVs and replay archives under
+// <out>/jobs/.
 // -keys loads a tenant keys file ({"tenants":[{"name","key","weight",
 // "maxInFlight","maxQueuedPoints","sweepBudget"}]}): every job and
 // sweep route then requires "Authorization: Bearer <key>", each tenant
@@ -45,8 +50,7 @@
 //	curl localhost:8080/v1/workers                         # fleet state
 //
 // SIGINT/SIGTERM drains gracefully: no new jobs are admitted, queued
-// jobs are shed, in-flight jobs finish (up to -drain-timeout), and the
-// manifest is persisted atomically.
+// jobs are shed and in-flight jobs finish (up to -drain-timeout).
 package main
 
 import (
@@ -73,24 +77,23 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		out          = flag.String("out", "results-daemon", "state directory (manifest + per-job results)")
+		out          = flag.String("out", "results-daemon", "state directory (per-job results)")
 		queue        = flag.Int("queue", 16, "bounded job queue depth (admission control)")
 		jobs         = flag.Int("jobs", 1, "jobs executed concurrently")
 		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "max cells in flight per job")
 		jobTimeout   = flag.Duration("job-timeout", 15*time.Minute, "default per-job timeout")
 		maxTimeout   = flag.Duration("max-timeout", 2*time.Hour, "cap on client-requested timeouts")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for in-flight jobs")
-		cache        = flag.Bool("cache", true, "share the manifest cell cache across jobs")
-		persist      = flag.Bool("persist", true, "persist manifest and per-job TSVs under -out")
+		persist      = flag.Bool("persist", true, "write per-job TSVs and replay archives under -out")
 		dispatchOn   = flag.Bool("dispatch", true, "lease cells to attached cohsim-worker processes")
 		leaseTTL     = flag.Duration("lease-ttl", 0, "worker cell lease before reclaim (0 = 90s default)")
 		workerTTL    = flag.Duration("worker-ttl", 0, "silent-worker expiry (0 = 3x lease TTL)")
 		leaseTries   = flag.Int("lease-attempts", 0, "worker attempts per cell before local fallback (0 = 3)")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
-		cacheMax     = flag.Int("cache-max", 50000, "max cells kept in the manifest cache, LRU-pruned (0 = unbounded)")
+		cacheMax     = flag.Int("cache-max", 50000, "max cells kept in the in-memory cell store, LRU-pruned (0 = unbounded; unused with -store-dir)")
 		maxSweeps    = flag.Int("max-sweeps", 2, "sweeps executed concurrently (further sweeps queue)")
 		sweepFlight  = flag.Int("sweep-inflight", 0, "concurrent points per sweep (0 = 4)")
-		storeDir     = flag.String("store-dir", "", "shared on-disk cell store directory (replaces the manifest cache; replicas sharing it share hits)")
+		storeDir     = flag.String("store-dir", "", "on-disk cell store directory: survives restarts, replicas sharing it share hits (empty = in-memory store)")
 		storeMax     = flag.Int64("store-max-bytes", 0, "size bound on the -store-dir payload, oldest entries evicted (0 = unbounded)")
 		keysPath     = flag.String("keys", "", "tenant keys file enabling API-key auth, quotas and fair queueing (empty = anonymous mode)")
 		showVersion  = flag.Bool("version", false, "print build identity and exit")
@@ -143,53 +146,40 @@ func main() {
 		opts.Tenants = reg
 		fmt.Fprintf(os.Stderr, "cohsimd: authentication enabled (%d tenant(s) from %s)\n", len(reg.Tenants()), *keysPath)
 	}
-	if err := run(opts, *addr, *out, *drainTimeout, *cache, *persist, *cacheMax, *storeDir, *storeMax); err != nil {
+	cells, err := openStore(*storeDir, *storeMax, *cacheMax)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cohsimd:", err)
+		os.Exit(1)
+	}
+	opts.Store = cells
+	if err := run(opts, *addr, *out, *drainTimeout, *persist); err != nil {
 		fmt.Fprintln(os.Stderr, "cohsimd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(opts service.Options, addr, out string, drainTimeout time.Duration, cache, persist bool, cacheMax int, storeDir string, storeMax int64) error {
-	manifestPath := filepath.Join(out, "manifest.json")
+// openStore picks the daemon's cell store: a store.Disk at storeDir
+// when one is named, otherwise an in-memory LRU bounded by cacheMax.
+func openStore(storeDir string, storeMax int64, cacheMax int) (store.CellStore, error) {
+	if storeDir == "" {
+		m := store.NewMemory()
+		m.SetLimit(cacheMax)
+		return m, nil
+	}
+	disk, err := store.NewDisk(storeDir, storeMax)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "cohsimd: cell store at %s (%d entries)\n", storeDir, disk.Len())
+	return disk, nil
+}
+
+func run(opts service.Options, addr, out string, drainTimeout time.Duration, persist bool) error {
 	if persist {
 		if err := os.MkdirAll(out, 0o755); err != nil {
 			return err
 		}
 		opts.ResultsDir = filepath.Join(out, "jobs")
-	}
-	switch {
-	case storeDir != "":
-		// The shared on-disk store persists per entry and is visible to
-		// every replica pointed at the directory; the manifest snapshot
-		// under -out is not used.
-		disk, err := store.NewDisk(storeDir, storeMax)
-		if err != nil {
-			return err
-		}
-		opts.Store = disk
-		fmt.Fprintf(os.Stderr, "cohsimd: shared cell store at %s (%d entries)\n", storeDir, disk.Len())
-	case cache && persist:
-		m, err := store.LoadMemory(manifestPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cohsimd: starting with empty cell cache: %v\n", err)
-			m = store.NewMemory()
-		}
-		opts.Manifest = m
-		opts.ManifestPath = manifestPath
-	case cache:
-		// In-memory only: Options.Manifest defaults to a fresh manifest
-		// shared across jobs for the daemon's lifetime.
-	default:
-		opts.DisableCache = true
-	}
-	if opts.Store == nil {
-		if opts.Manifest != nil && cacheMax > 0 {
-			opts.Manifest.SetLimit(cacheMax)
-		} else if !opts.DisableCache && cacheMax > 0 {
-			m := store.NewMemory()
-			m.SetLimit(cacheMax)
-			opts.Manifest = m
-		}
 	}
 
 	svc, err := service.New(opts)

@@ -1,22 +1,25 @@
 // Command experiments regenerates the paper's tables and figures on the
 // simulated testbed through the internal/harness engine: every artifact
 // decomposes into independent cells executed on a bounded worker pool,
-// TSV output is byte-identical regardless of -parallel, and a manifest
-// lets repeated invocations skip cells whose inputs are unchanged.
+// TSV output is byte-identical regardless of -parallel, and an on-disk
+// cell store (<out>/cells by default) lets repeated invocations skip
+// cells whose inputs are unchanged.
 //
 // Usage:
 //
 //	experiments [-only table1,fig2,fig6,fig7,fig8,fig9,fig10,fig11,peaks,mitigations,capacity]
 //	            [-out results] [-quick] [-seed N] [-parallel N] [-timeout D]
-//	            [-cache=false] [-cache-max N] [-archive=false] [-list]
+//	            [-cache=false] [-store-dir DIR] [-store-max-bytes N]
+//	            [-archive=false] [-list]
 //	            [-replacement lru|tree-plru|srrip|brrip]
 //	            [-config '{"Latencies":{"QPI":60}}' | -config @overrides.json]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-version]
 //
-// A -timeout (or Ctrl-C / SIGTERM) cancels the run between cells: cells
-// already executing finish, the partial report is printed, and the
-// manifest still saves whatever completed, so a rerun resumes from the
-// cache instead of starting over.
+// The store writes each cell as it finishes, so a run that stops early
+// — a -timeout, Ctrl-C / SIGTERM (cells already executing finish and
+// the partial report is printed), or even SIGKILL — keeps every cell it
+// completed, and a rerun resumes from them instead of starting over.
+// Point -store-dir at a cohsimd -store-dir to share hits with daemons.
 package main
 
 import (
@@ -50,7 +53,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "smaller payloads for a fast pass")
 		seed     = flag.Uint64("seed", experiments.DefaultSeed, "experiment seed")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "max cells in flight")
-		cache    = flag.Bool("cache", true, "skip cells with unchanged inputs via <out>/manifest.json")
+		cache    = flag.Bool("cache", true, "skip cells with unchanged inputs via the on-disk cell store")
 		archive  = flag.Bool("archive", true, "archive replay JSON records under <out>/replay")
 		list     = flag.Bool("list", false, "list registered artifacts and exit")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
@@ -58,9 +61,8 @@ func main() {
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 		config   = flag.String("config", "", "machine-config overrides: JSON literal or @file, merged over the defaults (same schema as the daemon's job config)")
-		cacheMax = flag.Int("cache-max", 0, "max cells kept in the manifest cache, LRU-pruned (0 = unbounded)")
-		storeDir = flag.String("store-dir", "", "shared on-disk cell store directory (one file per cell, crash-safe; replaces the manifest cache so runs and cohsimd replicas share hits)")
-		storeMax = flag.Int64("store-max-bytes", 0, "size bound on the -store-dir payload, oldest entries evicted (0 = unbounded)")
+		storeDir = flag.String("store-dir", "", "on-disk cell store directory, one crash-safe file per cell, shareable with cohsimd replicas (empty = <out>/cells)")
+		storeMax = flag.Int64("store-max-bytes", 0, "size bound on the cell store payload, oldest entries evicted (0 = unbounded)")
 		showVer  = flag.Bool("version", false, "print build identity and exit")
 	)
 	flag.Parse()
@@ -136,29 +138,17 @@ func main() {
 		die(err)
 	}
 
-	// The cell cache is either the shared on-disk store (-store-dir,
-	// persisted per entry, shared with any cohsimd replicas pointed at
-	// the same directory) or the historical manifest snapshot under -out.
-	var cellCache store.CellStore
-	var manifest *store.Memory
-	manifestPath := filepath.Join(*out, "manifest.json")
-	switch {
-	case *storeDir != "":
-		disk, derr := store.NewDisk(*storeDir, *storeMax)
-		if derr != nil {
-			die(derr)
+	var cells store.CellStore
+	if *cache {
+		dir := *storeDir
+		if dir == "" {
+			dir = filepath.Join(*out, "cells")
 		}
-		cellCache = disk
-	case *cache:
-		manifest, err = store.LoadMemory(manifestPath)
+		disk, err := store.NewDisk(dir, *storeMax)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: starting with empty cell cache: %v\n", err)
-			manifest = store.NewMemory()
+			die(err)
 		}
-		if *cacheMax > 0 {
-			manifest.SetLimit(*cacheMax)
-		}
-		cellCache = manifest
+		cells = disk
 	}
 	sinks := []harness.Sink{harness.TSVSink{Dir: *out, Log: os.Stdout}}
 	if *archive {
@@ -173,9 +163,7 @@ func main() {
 		Parallel: *parallel,
 		Progress: os.Stdout,
 		Sinks:    sinks,
-	}
-	if cellCache != nil {
-		runner.Manifest = cellCache
+		Manifest: cells,
 	}
 	cfg := machine.DefaultConfig()
 	if *config != "" {
@@ -194,14 +182,6 @@ func main() {
 		Seed:   *seed,
 		Sizing: sizing,
 	}, arts)
-	// Save the manifest even on a cancelled run: completed cells are
-	// valid cache entries, so the next invocation resumes from them.
-	// (The on-disk store persists per entry and needs no save step.)
-	if manifest != nil && report != nil {
-		if serr := manifest.Save(manifestPath); serr != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", serr)
-		}
-	}
 	if err != nil {
 		stopProfiles()
 		die(err)

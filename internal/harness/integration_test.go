@@ -100,30 +100,27 @@ func TestSinksWriteTSVAndReplayArchive(t *testing.T) {
 	}
 }
 
-// TestManifestCacheAcrossProcessBoundary saves the manifest to disk and
-// reloads it, as two cmd invocations would, asserting the second run is
-// all cache hits with identical bytes.
+// TestManifestCacheAcrossProcessBoundary runs two Runners over two
+// store.Disk handles opened on one directory, as two cmd invocations
+// would, asserting the second run is all cache hits with identical
+// bytes.
 func TestManifestCacheAcrossProcessBoundary(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "manifest.json")
 
-	m1, err := store.LoadMemory(path)
+	d1, err := store.NewDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := runQuick(t, []string{"fig2"}, &harness.Runner{Parallel: 4, Manifest: m1})
+	first := runQuick(t, []string{"fig2"}, &harness.Runner{Parallel: 4, Manifest: d1})
 	if first.CacheHits != 0 || first.Executed != 4 {
 		t.Fatalf("first run: %+v", first)
 	}
-	if err := m1.Save(path); err != nil {
-		t.Fatal(err)
-	}
 
-	m2, err := store.LoadMemory(path)
+	d2, err := store.NewDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := runQuick(t, []string{"fig2"}, &harness.Runner{Parallel: 4, Manifest: m2})
+	second := runQuick(t, []string{"fig2"}, &harness.Runner{Parallel: 4, Manifest: d2})
 	if second.CacheHits != 4 || second.Executed != 0 {
 		t.Fatalf("second run not fully cached: %+v", second)
 	}

@@ -3,141 +3,11 @@ package harness
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"coherentleak/internal/store"
 )
-
-func TestManifestRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "manifest.json")
-
-	m := store.NewMemory()
-	m.Store("fig2/LShared", &store.Entry{
-		Digest:     "abc",
-		Rows:       []string{"LShared\t98\t0.5"},
-		Summary:    []string{"fig2 LShared mean=98"},
-		WallMillis: 12.5,
-	})
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := store.LoadMemory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 1 {
-		t.Fatalf("Len = %d", loaded.Len())
-	}
-	e, ok := loaded.Lookup("fig2/LShared", "abc")
-	if !ok || e.Rows[0] != "LShared\t98\t0.5" || e.WallMillis != 12.5 {
-		t.Fatalf("Lookup = %+v, %v", e, ok)
-	}
-	if _, ok := loaded.Lookup("fig2/LShared", "different-digest"); ok {
-		t.Fatal("stale digest hit")
-	}
-	if _, ok := loaded.Lookup("fig2/absent", "abc"); ok {
-		t.Fatal("absent key hit")
-	}
-}
-
-// TestManifestConcurrentStoreAndSave hammers Store/Lookup/Save from
-// many goroutines — the daemon's shape, where jobs store cells while
-// another job's completion triggers an atomic save. Run under -race via
-// `make test-race`. Every observed on-disk manifest must parse (no torn
-// writes) and the final save must contain every entry.
-func TestManifestConcurrentStoreAndSave(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "manifest.json")
-	m := store.NewMemory()
-
-	const writers, perWriter = 8, 40
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				key := fmt.Sprintf("art%d/cell%d", w, i)
-				m.Store(key, &store.Entry{Digest: "d", Rows: []string{key}})
-				if i%10 == 0 {
-					if err := m.Save(path); err != nil {
-						t.Error(err)
-						return
-					}
-					if _, err := store.LoadMemory(path); err != nil {
-						t.Errorf("torn manifest observed: %v", err)
-						return
-					}
-				}
-				m.Lookup(key, "d")
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	final, err := store.LoadMemory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Len() != writers*perWriter {
-		t.Fatalf("final manifest has %d entries, want %d", final.Len(), writers*perWriter)
-	}
-	// No temp files may be left behind by the atomic rename dance.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() != "manifest.json" {
-			t.Fatalf("leftover temp file %s", e.Name())
-		}
-	}
-}
-
-func TestLoadManifestMissingFileIsEmpty(t *testing.T) {
-	m, err := store.LoadMemory(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 0 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-}
-
-func TestLoadManifestVersionMismatchStartsCold(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "manifest.json")
-	data := `{"version": 999, "entries": {"k": {"digest": "d", "rows": ["r"]}}}`
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := store.LoadMemory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 0 {
-		t.Fatal("future-version manifest should be discarded, not read")
-	}
-}
-
-func TestLoadManifestCorruptIsError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "manifest.json")
-	if err := os.WriteFile(path, []byte("{truncated"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.LoadMemory(path); err == nil {
-		t.Fatal("corrupt manifest accepted")
-	}
-}
 
 func TestManifestLimitEvictsLeastRecentlyUsed(t *testing.T) {
 	m := store.NewMemory()

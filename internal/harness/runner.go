@@ -64,7 +64,8 @@ type Runner struct {
 	// Manifest, when set, caches cell outputs across runs: a cell whose
 	// input digest matches a stored entry is not re-executed. Any
 	// store.CellStore works here — the in-memory store.Memory, the
-	// on-disk replica-shared store.Disk, or a future network backend.
+	// persistent, replica-shared store.Disk, or a future network
+	// backend.
 	Manifest store.CellStore
 	// Sinks receive every assembled artifact in artifact order.
 	Sinks []Sink
@@ -121,7 +122,7 @@ func (a *ArtifactResult) TSV() []byte {
 type RunReport struct {
 	Results []*ArtifactResult
 	// Executed counts cells that actually ran (including failures);
-	// CacheHits counts cells satisfied from the manifest.
+	// CacheHits counts cells satisfied from the cell store.
 	Executed  int
 	CacheHits int
 	Failed    int
@@ -328,9 +329,10 @@ func (r *Runner) runCell(ctx context.Context, plan Plan, digest string, a *Artif
 	in := cellDigest(digest, plan.Seed, plan.Sizing, a.Name, c.Name)
 	// Cache entries are keyed by the full input digest, not just the
 	// cell name, so plan variants (config/seed/sizing sweeps) coexist in
-	// the manifest instead of evicting each other — that is what lets a
-	// repeated sweep be served almost entirely from cache. The LRU limit
-	// (SetLimit) bounds the growth this implies.
+	// the store instead of evicting each other — that is what lets a
+	// repeated sweep be served almost entirely from cache. The stores'
+	// bounds (Memory.SetLimit, NewDisk's maxBytes) cap the growth this
+	// implies.
 	cacheKey := key + "@" + in
 	// The cache is consulted before dispatch, not just before local
 	// execution: a cached cell never ships to a remote worker.

@@ -290,12 +290,12 @@ func (m *Metrics) AvgJobSeconds() float64 {
 
 // Gauges are point-in-time values the service samples at scrape time.
 type Gauges struct {
-	JobsQueued      int
-	JobsRunning     int
-	QueueCapacity   int
-	ManifestEntries int
-	SweepsQueued    int
-	SweepsRunning   int
+	JobsQueued    int
+	JobsRunning   int
+	QueueCapacity int
+	CacheEntries  int
+	SweepsQueued  int
+	SweepsRunning int
 	// Worker-fleet samples (zero when dispatch is disabled).
 	WorkersLive        int
 	LeasesInFlight     int
@@ -340,7 +340,7 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 	if n := m.cellsCached + m.cellsExecuted; n > 0 {
 		ratio = float64(m.cellsCached) / float64(n)
 	}
-	fmt.Fprintf(w, "# HELP cohsimd_cell_cache_hit_ratio Manifest cache hits over completed cells.\n# TYPE cohsimd_cell_cache_hit_ratio gauge\ncohsimd_cell_cache_hit_ratio %g\n", ratio)
+	fmt.Fprintf(w, "# HELP cohsimd_cell_cache_hit_ratio Cell-store hits over completed cells.\n# TYPE cohsimd_cell_cache_hit_ratio gauge\ncohsimd_cell_cache_hit_ratio %g\n", ratio)
 
 	tenantNames := make(map[string]bool)
 	for n := range m.tenantAccepted {
@@ -408,7 +408,7 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 	fmt.Fprintf(w, "# HELP cohsimd_jobs_queued Jobs waiting for an executor.\n# TYPE cohsimd_jobs_queued gauge\ncohsimd_jobs_queued %d\n", g.JobsQueued)
 	fmt.Fprintf(w, "# HELP cohsimd_jobs_running Jobs currently executing.\n# TYPE cohsimd_jobs_running gauge\ncohsimd_jobs_running %d\n", g.JobsRunning)
 	fmt.Fprintf(w, "# HELP cohsimd_queue_capacity Bounded queue capacity.\n# TYPE cohsimd_queue_capacity gauge\ncohsimd_queue_capacity %d\n", g.QueueCapacity)
-	fmt.Fprintf(w, "# HELP cohsimd_manifest_entries Cells in the shared manifest cache.\n# TYPE cohsimd_manifest_entries gauge\ncohsimd_manifest_entries %d\n", g.ManifestEntries)
+	fmt.Fprintf(w, "# HELP cohsimd_manifest_entries Cells in the shared cell store.\n# TYPE cohsimd_manifest_entries gauge\ncohsimd_manifest_entries %d\n", g.CacheEntries)
 	fmt.Fprintf(w, "# HELP cohsimd_sweeps_queued Sweeps waiting for a run slot.\n# TYPE cohsimd_sweeps_queued gauge\ncohsimd_sweeps_queued %d\n", g.SweepsQueued)
 	fmt.Fprintf(w, "# HELP cohsimd_sweeps_running Sweeps currently executing.\n# TYPE cohsimd_sweeps_running gauge\ncohsimd_sweeps_running %d\n", g.SweepsRunning)
 	fmt.Fprintf(w, "# HELP cohsimd_workers_live Workers currently attached to the fleet.\n# TYPE cohsimd_workers_live gauge\ncohsimd_workers_live %d\n", g.WorkersLive)

@@ -3,8 +3,8 @@
 // registry, accepts parameterized runs onto a bounded job queue with
 // admission control and per-job cancellation, streams per-cell progress
 // over Server-Sent Events, serves assembled TSV and replay-JSON
-// results, and shares one manifest cell-cache across every job so a
-// repeated request returns in milliseconds. cmd/cohsimd wraps it in a
+// results, and shares one cell store across every job so a repeated
+// request returns in milliseconds. cmd/cohsimd wraps it in a
 // binary; every future scaling layer (sharding, batching, multi-backend
 // dispatch) is meant to plug in behind this API.
 //
@@ -38,15 +38,10 @@ type Options struct {
 	// Registry supplies the runnable artifacts. Required. Every job
 	// starts from machine.DefaultConfig() before its JSON overrides.
 	Registry *harness.Registry
-	// Manifest is the shared cell cache; nil creates an empty one.
-	Manifest *store.Memory
-	// ManifestPath, when set, persists the manifest after every job and
-	// on shutdown (atomic temp-file + rename).
-	ManifestPath string
-	// Store, when set, replaces Manifest as the shared cell cache —
-	// typically a store.Disk so several cohsimd replicas pointed at one
-	// directory share hits. It persists its own entries, so
-	// ManifestPath is ignored.
+	// Store is the cell cache every job shares; nil creates an empty
+	// store.NewMemory(). A store.Disk persists each entry as it is
+	// written, so it survives restarts and several cohsimd replicas
+	// pointed at one directory share hits.
 	Store store.CellStore
 	// Tenants enables API-key authentication, per-tenant quotas and
 	// weighted fair queueing. Nil means anonymous mode: every caller is
@@ -71,9 +66,6 @@ type Options struct {
 	// DefaultSeed seeds jobs whose requests omit one (the daemon passes
 	// experiments.DefaultSeed so service runs match the CLI).
 	DefaultSeed uint64
-	// DisableCache runs every job cold: the shared manifest is neither
-	// consulted nor updated.
-	DisableCache bool
 	// DisableDispatch pins every job to the in-process cell pool even
 	// when workers are attached. Default off: jobs execute through the
 	// worker fleet whenever one is live, falling back to the local pool
@@ -98,12 +90,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Manifest == nil {
-		o.Manifest = store.NewMemory()
-	}
-	if o.Store != nil {
-		// The store persists per entry; a manifest snapshot would shadow it.
-		o.ManifestPath = ""
+	if o.Store == nil {
+		o.Store = store.NewMemory()
 	}
 	if o.Tenants == nil {
 		o.Tenants = tenant.Open()
@@ -155,10 +143,6 @@ type Service struct {
 	// when Options.DisableDispatch is set.
 	fleet *dispatch.Fleet
 
-	// cache is the shared cell store every job consults: Options.Store
-	// when set, the manifest otherwise.
-	cache store.CellStore
-
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // submission order, for listing
@@ -199,10 +183,6 @@ func New(opts Options) (*Service, error) {
 		usage:     make(map[string]*tenantUsage),
 		sweeps:    make(map[string]*Sweep),
 		sweepGate: make(chan struct{}, opts.MaxSweeps),
-	}
-	s.cache = opts.Store
-	if s.cache == nil {
-		s.cache = opts.Manifest
 	}
 	if !opts.DisableDispatch {
 		s.fleet = dispatch.NewFleet(dispatch.Options{
@@ -525,7 +505,7 @@ func (s *Service) Gauges() Gauges {
 		JobsQueued:       s.queued,
 		JobsRunning:      s.running,
 		QueueCapacity:    s.opts.QueueDepth,
-		ManifestEntries:  s.cache.Len(),
+		CacheEntries:     s.opts.Store.Len(),
 		SweepsRunning:    s.sweepsRunning,
 		TenantQueueDepth: s.queue.Depths(),
 	}
@@ -614,13 +594,9 @@ func (s *Service) runJob(j *Job) {
 	defer tcancel()
 	defer cancel(nil)
 
-	var cache store.CellStore
-	if !s.opts.DisableCache {
-		cache = s.cache
-	}
 	runner := &harness.Runner{
 		Parallel: s.opts.CellParallel,
-		Manifest: cache,
+		Manifest: s.opts.Store,
 		Observe: func(done, total int, rep harness.CellReport) {
 			s.observeCell(j, done, total, rep)
 		},
@@ -643,12 +619,6 @@ func (s *Service) runJob(j *Job) {
 		runErr = selErr // registry changed between submit and run; treat as failure
 	} else {
 		report, runErr = runner.Run(tctx, j.Plan, arts)
-	}
-
-	if s.opts.ManifestPath != "" {
-		if err := s.opts.Manifest.Save(s.opts.ManifestPath); err != nil {
-			s.logf("%s: manifest save: %v", j.ID, err)
-		}
 	}
 
 	s.mu.Lock()
@@ -726,8 +696,9 @@ func (s *Service) jobSinks(j *Job) []harness.Sink {
 
 // Shutdown drains gracefully: no new submissions, queued-but-unstarted
 // jobs are cancelled, in-flight jobs run to completion (until ctx
-// expires, at which point they are cancelled), and the manifest is
-// persisted. Safe to call once.
+// expires, at which point they are cancelled). A store.Disk already
+// holds every finished cell, so nothing is left to persist. Safe to
+// call once.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -778,11 +749,6 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		// After the executors drain there is nothing left to dispatch;
 		// closing the fleet ends worker long-polls and rejects stragglers.
 		s.fleet.Close()
-	}
-	if s.opts.ManifestPath != "" {
-		if err := s.opts.Manifest.Save(s.opts.ManifestPath); err != nil {
-			return errors.Join(forced, err)
-		}
 	}
 	return forced
 }

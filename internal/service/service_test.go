@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -421,17 +420,22 @@ func TestCancelMidRunAndWhileQueued(t *testing.T) {
 }
 
 // TestGracefulShutdownDrains: in-flight jobs finish, queued jobs are
-// shed, late submissions see 503, and the manifest persists atomically.
+// shed, late submissions see 503, and the drained job's cells persist:
+// a new service over the same store directory serves the resubmitted
+// job with every cell cached.
 func TestGracefulShutdownDrains(t *testing.T) {
 	dir := t.TempDir()
-	manifestPath := filepath.Join(dir, "manifest.json")
+	disk, err := store.NewDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	release := make(chan struct{})
 	svc, ts := newTestServer(t, service.Options{
 		Registry:     blockingRegistry(1, release),
+		Store:        disk,
 		QueueDepth:   4,
 		Executors:    1,
 		CellParallel: 1,
-		ManifestPath: manifestPath,
 	})
 
 	status, inflight, _ := postJob(t, ts, `{"artifacts":["block"]}`)
@@ -477,12 +481,27 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatalf("queued job on shutdown = %s, want cancelled", v.State)
 	}
 
-	m, err := store.LoadMemory(manifestPath)
+	// A restarted service over the same directory. Its block cells are
+	// released only at cleanup, so the resubmitted job can finish only
+	// from cache.
+	reopened, err := store.NewDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() == 0 {
-		t.Fatal("manifest not persisted on shutdown")
+	held := make(chan struct{})
+	_, ts2 := newTestServer(t, service.Options{
+		Registry:     blockingRegistry(1, held),
+		Store:        reopened,
+		CellParallel: 1,
+	})
+	t.Cleanup(func() { close(held) }) // runs before the server's cleanup
+	status, again, _ := postJob(t, ts2, `{"artifacts":["block"]}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("resubmit = %d", status)
+	}
+	v := waitState(t, ts2, again.ID, service.StateDone)
+	if v.Cells.Total == 0 || v.Cells.Cached != v.Cells.Total {
+		t.Fatalf("resubmitted job after restart: %d/%d cells cached, want all", v.Cells.Cached, v.Cells.Total)
 	}
 }
 

@@ -21,6 +21,16 @@ const diskVersion = 1
 // files mid-write, stray files) is ignored by lookups and eviction.
 const diskSuffix = ".cell"
 
+// diskTempPrefix marks the temp files Store writes before renaming
+// them into place.
+const diskTempPrefix = ".cell-"
+
+// staleTempAge is how old a temp file must be before NewDisk removes it
+// as a crashed writer's leftover. A live writer holds one only for the
+// milliseconds between CreateTemp and Rename, so an hour never touches
+// another replica's in-flight write.
+const staleTempAge = time.Hour
+
 // diskEntry is the on-disk envelope around an Entry. The key rides
 // along so a lookup verifies it read the entry it asked for (the file
 // name is only a hash of the key) and so the directory stays
@@ -57,7 +67,10 @@ type Disk struct {
 }
 
 // NewDisk opens (creating if needed) a shared cell-store directory.
-// maxBytes bounds the total entry payload, 0 means unbounded.
+// maxBytes bounds the total entry payload, 0 means unbounded. Temp
+// files older than staleTempAge are removed: a crash between a
+// Store's CreateTemp and Rename leaves one behind, and nothing else
+// would ever reclaim it.
 func NewDisk(dir string, maxBytes int64) (*Disk, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: disk: empty directory")
@@ -66,7 +79,7 @@ func NewDisk(dir string, maxBytes int64) (*Disk, error) {
 		return nil, fmt.Errorf("store: disk: %w", err)
 	}
 	d := &Disk{dir: dir, maxBytes: maxBytes}
-	d.usage = d.scanUsage()
+	d.usage = d.scan()
 	return d, nil
 }
 
@@ -126,7 +139,7 @@ func (d *Disk) Store(key string, e *Entry) {
 		return
 	}
 	b = append(b, '\n')
-	tmp, err := os.CreateTemp(d.dir, ".cell-*")
+	tmp, err := os.CreateTemp(d.dir, diskTempPrefix+"*")
 	if err != nil {
 		return
 	}
@@ -183,19 +196,23 @@ func (d *Disk) Len() int {
 	return n
 }
 
-// scanUsage sums the entry payload on disk.
-func (d *Disk) scanUsage() int64 {
+// scan sums the entry payload on disk and removes stale temp files.
+func (d *Disk) scan() int64 {
 	ents, err := os.ReadDir(d.dir)
 	if err != nil {
 		return 0
 	}
 	var total int64
 	for _, ent := range ents {
-		if !strings.HasSuffix(ent.Name(), diskSuffix) {
+		info, err := ent.Info()
+		if err != nil {
 			continue
 		}
-		if info, err := ent.Info(); err == nil {
+		switch name := ent.Name(); {
+		case strings.HasSuffix(name, diskSuffix):
 			total += info.Size()
+		case strings.HasPrefix(name, diskTempPrefix) && time.Since(info.ModTime()) > staleTempAge:
+			os.Remove(filepath.Join(d.dir, name))
 		}
 	}
 	return total

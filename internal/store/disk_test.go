@@ -2,10 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -206,4 +209,151 @@ func TestDiskReopenSeesExistingEntries(t *testing.T) {
 	if filepath.Dir(d2.path("k")) != dir {
 		t.Fatalf("entry path %q escaped store dir %q", d2.path("k"), dir)
 	}
+}
+
+// TestDiskStaleTempRemovedOnOpen pins crash cleanup: a temp file a
+// crashed writer left behind is removed when a store opens the
+// directory, while a fresh one — another replica's in-flight write —
+// is left alone.
+func TestDiskStaleTempRemovedOnOpen(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, diskTempPrefix+"123")
+	fresh := filepath.Join(dir, diskTempPrefix+"456")
+	for _, p := range []string{stale, fresh} {
+		if err := os.WriteFile(p, []byte(`{"version":1,"key":"k"`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * staleTempAge)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp file survived NewDisk: stat err = %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Fatalf("fresh temp file removed: %v", err)
+	}
+	if d.Len() != 0 {
+		t.Fatalf("temp files counted as entries: Len = %d", d.Len())
+	}
+}
+
+// TestDiskWrongVersionIsMissAndRemoved: an entry written under another
+// layout version never hits, even with the right key and digest, and is
+// deleted so the slot is rewritten.
+func TestDiskWrongVersionIsMissAndRemoved(t *testing.T) {
+	d, err := NewDisk(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(diskEntry{Version: diskVersion + 1, Key: "k", Entry: *testEntry("d", "row")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(d.path("k"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Lookup("k", "d"); ok {
+		t.Fatal("wrong-version entry must read as a miss")
+	}
+	if _, err := os.Stat(d.path("k")); !os.IsNotExist(err) {
+		t.Fatalf("wrong-version entry not removed: stat err = %v", err)
+	}
+}
+
+// TestDiskConcurrentStoreAndLookup hammers one key from many goroutines
+// (the shape of several jobs or replicas finishing the same cell) while
+// another key is written alongside. Run under -race via `make
+// test-race`. Once a goroutine has stored the key, every lookup must hit
+// a whole entry written for that key — never a torn file, never the
+// other key's entry — and no temp file may be left behind.
+func TestDiskConcurrentStoreAndLookup(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, rounds = 8, 40
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				d.Store("k", testEntry("d", fmt.Sprintf("k\tw%d", w), "tail"))
+				d.Store("other", testEntry("d", fmt.Sprintf("other\tw%d", w), "tail"))
+				got, ok := d.Lookup("k", "d")
+				if !ok {
+					t.Errorf("writer %d round %d: lookup after store missed", w, i)
+					return
+				}
+				if len(got.Rows) != 2 || !strings.HasPrefix(got.Rows[0], "k\tw") || got.Rows[1] != "tail" || got.Summary[0] != "sum" {
+					t.Errorf("writer %d round %d: torn or foreign entry %+v", w, i, got)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !strings.HasSuffix(e.Name(), diskSuffix) {
+			t.Fatalf("leftover temp file %s", e.Name())
+		}
+	}
+	if d.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", d.Len())
+	}
+}
+
+// FuzzDiskLookup writes arbitrary bytes as a key's entry file and looks
+// the key up. Lookup must never panic; it may hit only when the bytes
+// decode to the current version, the asked-for key and digest (and
+// then return exactly the decoded entry); and a file that does not
+// decode, or decodes to another version, must be removed.
+func FuzzDiskLookup(f *testing.F) {
+	good, err := json.Marshal(diskEntry{Version: diskVersion, Key: "k", Entry: *testEntry("d", "row")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good, "k", "d")
+	f.Add(good, "k", "other")
+	f.Add(good[:len(good)/2], "k", "d")
+	f.Add([]byte(`{"version":2,"key":"k","entry":{"digest":"d"}}`), "k", "d")
+	f.Add([]byte(`{"version":1,"key":"x","entry":{"digest":"d"}}`), "k", "d")
+	f.Add([]byte(`null`), "k", "")
+	f.Add([]byte(`{"version":1,"key":"k","entry":{"digest":"d","rows":null}}`), "k", "d")
+	f.Fuzz(func(t *testing.T, data []byte, key, digest string) {
+		d, err := NewDisk(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := d.path(key)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var want diskEntry
+		decoded := json.Unmarshal(data, &want) == nil
+		wantHit := decoded && want.Version == diskVersion && want.Key == key && want.Entry.Digest == digest
+
+		got, ok := d.Lookup(key, digest)
+		if ok != wantHit {
+			t.Fatalf("Lookup hit = %v, want %v (decoded %v, entry %+v)", ok, wantHit, decoded, want)
+		}
+		if ok && !reflect.DeepEqual(*got, want.Entry) {
+			t.Fatalf("Lookup returned %+v, file holds %+v", *got, want.Entry)
+		}
+		_, statErr := os.Stat(path)
+		if removed := os.IsNotExist(statErr); removed != (!decoded || want.Version != diskVersion) {
+			t.Fatalf("file removed = %v (decoded %v, version %d)", removed, decoded, want.Version)
+		}
+	})
 }

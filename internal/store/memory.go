@@ -1,27 +1,11 @@
 package store
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
-)
-
-// ManifestVersion identifies the on-disk manifest layout. A version
-// bump invalidates old caches wholesale.
-const ManifestVersion = 1
-
-type manifestFile struct {
-	Version int               `json:"version"`
-	Entries map[string]*Entry `json:"entries"`
-}
+import "sync"
 
 // Memory is the in-process cell store: a map with optional LRU
-// bounding, plus whole-snapshot persistence (Save/LoadMemory) for
-// single-process restarts. Safe for concurrent use by the Runner's
-// workers and for sharing across daemon jobs: lookups, stores and
-// saves may all overlap.
+// bounding. It lives only as long as its process; restart persistence
+// is Disk's job. Safe for concurrent use by the Runner's workers and
+// for sharing across daemon jobs.
 type Memory struct {
 	statsCounter
 
@@ -31,14 +15,9 @@ type Memory struct {
 	// would exceed it, the least-recently-used entry is evicted.
 	limit int
 	// clock is a logical recency counter; lastUse[key] holds the tick of
-	// the key's last hit or store. Recency is in-memory only — a loaded
-	// manifest starts with every entry equally old, which is fine: the
-	// first sweep over it refreshes what is live.
+	// the key's last hit or store.
 	clock   uint64
 	lastUse map[string]uint64
-	// saveMu serializes Save so two jobs finishing simultaneously write
-	// whole snapshots in turn instead of racing on the temp file.
-	saveMu sync.Mutex
 }
 
 // NewMemory returns an empty in-memory store.
@@ -81,82 +60,6 @@ func (m *Memory) pruneLocked() {
 		delete(m.entries, victim)
 		delete(m.lastUse, victim)
 	}
-}
-
-// LoadMemory reads a persisted snapshot. A missing file or a version
-// mismatch yields an empty store (the cache simply starts cold);
-// unreadable or malformed files are reported as errors.
-func LoadMemory(path string) (*Memory, error) {
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return NewMemory(), nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: manifest: %w", err)
-	}
-	var f manifestFile
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil, fmt.Errorf("store: manifest %s: %w", path, err)
-	}
-	if f.Version != ManifestVersion || f.Entries == nil {
-		return NewMemory(), nil
-	}
-	return &Memory{entries: f.Entries, lastUse: make(map[string]uint64, len(f.Entries))}, nil
-}
-
-// Save writes the store atomically: a consistent snapshot is
-// marshalled to a temp file in the destination directory, fsynced, and
-// renamed over path, so a crash mid-save (or a reader racing a writer)
-// can never observe a torn manifest. Concurrent Saves are serialized;
-// concurrent Stores continue without blocking on the disk write (they
-// land in the next Save's snapshot).
-func (m *Memory) Save(path string) error {
-	m.saveMu.Lock()
-	defer m.saveMu.Unlock()
-
-	// Snapshot the map under the entry lock, marshal outside it so a
-	// large manifest doesn't stall the Runner's workers. Entries are
-	// immutable once stored, so sharing pointers is safe.
-	m.mu.Lock()
-	snap := make(map[string]*Entry, len(m.entries))
-	for k, e := range m.entries {
-		snap[k] = e
-	}
-	m.mu.Unlock()
-	b, err := json.MarshalIndent(manifestFile{Version: ManifestVersion, Entries: snap}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".manifest-*")
-	if err != nil {
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: manifest: %w", err)
-	}
-	// Sync the directory so the rename itself survives a crash.
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
 }
 
 // Lookup returns the cached entry for key if its input digest matches.

@@ -5,11 +5,13 @@
 // output and a hit can be replayed verbatim without re-validating
 // anything beyond the digest.
 //
-// Two implementations ship today: Memory, the in-process LRU map the
-// harness has always used (with optional whole-snapshot persistence),
-// and Disk, a crash-safe one-file-per-entry store that any number of
-// cohsimd replicas can point at the same directory to share hits.
-// A network backend can slot in behind the same interface later.
+// Two implementations ship: Memory, an in-process LRU map that lives
+// as long as its process, and Disk, the one persistent format — a
+// crash-safe one-file-per-entry store that any number of cohsimd
+// replicas and experiments runs can point at the same directory to
+// share hits. Disk writes each entry as it is stored, so persistence
+// costs one small file per cell rather than a rewrite of the whole
+// cache, and a killed process keeps every cell it finished.
 package store
 
 import "sync"

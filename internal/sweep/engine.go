@@ -149,7 +149,7 @@ type Report struct {
 	// total admission backoffs absorbed.
 	Completed, Failed, Retries int
 	// Cells sums cell outcomes across every point's job: the cached
-	// share is how much the manifest deduped the fan-out.
+	// share is how much the cell store deduped the fan-out.
 	Cells CellCounts
 	Wall  time.Duration
 }

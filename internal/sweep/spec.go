@@ -3,7 +3,7 @@
 // (plus the experiment seed), expands them into a bounded set of
 // operating points by grid enumeration or seeded random sampling, runs
 // every point through a PointRunner (the service adapter submits each
-// point as a daemon job, so the manifest cell-cache dedupes repeated
+// point as a daemon job, so the shared cell store dedupes repeated
 // cells across points), scores completed points with a pluggable
 // objective read out of the artifact TSVs, and maintains a ranked
 // frontier whose TSV rendering is byte-identical for a fixed spec and
