@@ -71,15 +71,18 @@ loadgen-smoke:
 
 # Short fuzzing pass over the untrusted submit decoders (a job body
 # through plan building, a sweep spec through expansion), the replay
-# record loaders, on-disk cell-store entries and the executor-vs-reference
-# differential, 10 s each. `go test` alone
-# replays every target's seed corpus; this explores beyond it. Not part
-# of `make ci`: fuzzing time is open-ended by nature.
+# record loaders, on-disk cell-store entries, the tenant keys-file
+# loader and the executor-vs-reference differential, 10 s each. `go test`
+# alone replays every target's seed corpus; this explores beyond it. Not
+# part of `make ci`: fuzzing time is open-ended by nature. The keys-file
+# target caps input minimization at 3 s: under the default 60 s budget
+# one minimization can take the whole run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitJob$$' -fuzztime=10s ./internal/service/
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitSweep$$' -fuzztime=10s ./internal/service/
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayLoad$$' -fuzztime=10s ./internal/replay/
 	$(GO) test -run='^$$' -fuzz='^FuzzDiskLookup$$' -fuzztime=10s ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzTenantLoad$$' -fuzztime=10s -fuzzminimizetime=3s ./internal/tenant/
 	$(GO) test -run='^$$' -fuzz='^FuzzDifferential$$' -fuzztime=10s ./internal/kernel/difftest/
 
 bench:
@@ -90,11 +93,14 @@ bench:
 # stay at ~0 allocs/op here. MachineNew is the construction cost every
 # covert run pays (TestMachineNewAllocationBound bounds its bytes);
 # MmapPages is one eviction-set search's 3073 single-page mappings
-# (TestMmapAllocatesPerTableGrowth bounds its objects).
+# (TestMmapAllocatesPerTableGrowth bounds its objects). NoiseKCycles is
+# the default eight-thread §VIII-C noise for 2,000 kcycles, the
+# simulated-access path end to end (kcycle_us = host µs per kcycle).
 bench-hotpath:
 	$(GO) test -bench='LoadHit|LoadMiss|StoreRFO|MachineNew' -benchmem -run=^$$ ./internal/machine/
 	$(GO) test -bench='MmapPages' -benchmem -run=^$$ ./internal/kernel/
 	$(GO) test -bench='WorldSwitch|WorldAdvanceInline' -benchmem -run=^$$ ./internal/sim/
+	$(GO) test -bench='NoiseKCycles' -benchmem -run=^$$ ./internal/noise/
 
 # One-iteration smoke pass over the artifact benchmarks — catches bench
 # bit-rot in CI without paying for stable numbers.
@@ -102,6 +108,7 @@ bench-smoke:
 	$(GO) test -bench=BenchmarkArtifact -benchtime=1x -run=^$$ .
 	$(GO) test -bench='LoadHit|LoadMiss|MachineNew' -benchtime=100x -benchmem -run=^$$ ./internal/machine/
 	$(GO) test -bench='MmapPages' -benchtime=10x -benchmem -run=^$$ ./internal/kernel/
+	$(GO) test -bench='NoiseKCycles' -benchtime=1x -benchmem -run=^$$ ./internal/noise/
 
 # Access-stream executor performance gate: run the hot-path benches,
 # then time kernel.Thread.Exec against the hand-written per-op loop it
@@ -143,7 +150,7 @@ ci: build vet staticcheck test test-race protocol-smoke sweep-smoke replacement-
 # Regenerate every artifact at full size into a temporary directory and
 # diff each committed results/*.tsv against its regenerated twin; any
 # difference fails. Simulator refactors must keep these byte-identical.
-# About 11 s on a 2-CPU x86-64 host; not part of `make ci`.
+# About 14 s on a 2-CPU x86-64 host; not part of `make ci`.
 results-verify:
 	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
 	$(GO) run ./cmd/experiments -out "$$out" -cache=false -archive=false >/dev/null || exit 1; \

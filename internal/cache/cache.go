@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"coherentleak/internal/coherence"
 )
@@ -45,15 +46,18 @@ func (g Geometry) Validate() error {
 // Line is one cache line's metadata. Data contents are not stored here;
 // the simulator tracks contents at the physical-frame level (package mem),
 // because the attack depends only on timing, not on data flow through the
-// hierarchy.
+// hierarchy. A Line is 16 bytes, so a 16-way set spans four host cache
+// lines.
 type Line struct {
 	Tag   uint64
 	State coherence.State
 	// rrpv is the 2-bit re-reference prediction value (PolicySRRIP and
 	// PolicyBRRIP only); it fits in State's padding.
 	rrpv uint8
-	// lru is the recency stamp used by the LRU policy.
-	lru uint64
+	// lru is the recency stamp used by the LRU policy: the cache clock
+	// at the line's last touch. Only the order of the stamps within a
+	// set matters, which is what lets them be 32 bits wide (see tick).
+	lru uint32
 }
 
 // Valid reports whether the line holds usable data.
@@ -94,7 +98,7 @@ type Cache struct {
 	used    uint32
 	ways    int
 	policy  Policy
-	clock   uint64 // recency counter for LRU stamps
+	clock   uint32 // recency counter for LRU stamps
 	numSets uint64
 	setMask uint64 // numSets-1 when numSets is a power of two
 	pow2    bool
@@ -313,8 +317,7 @@ func (c *Cache) Lookup(addr uint64) *Line {
 	for i := range ways {
 		l := &ways[i]
 		if l.Valid() && l.Tag == tag {
-			c.clock++
-			l.lru = c.clock
+			l.lru = c.tick()
 			if c.policy != PolicyLRU {
 				c.touchSlow(set, ways, i)
 			}
@@ -324,6 +327,47 @@ func (c *Cache) Lookup(addr uint64) *Line {
 	}
 	c.Stats.Misses++
 	return nil
+}
+
+// tick advances the cache clock and returns the new stamp. Before the
+// clock would pass MaxUint32 it renumbers every set's stamps to their
+// rank within the set, which keeps each set's recency order — and with
+// it every LRU victim — exactly as it was.
+func (c *Cache) tick() uint32 {
+	if c.clock == math.MaxUint32 {
+		c.renumber()
+	}
+	c.clock++
+	return c.clock
+}
+
+// renumber rewrites the stamps of each set's valid lines to their rank
+// in the set's recency order (1 for the least recent) and restarts the
+// clock above every rank. Stamps within a set are distinct, as every
+// touch takes a fresh tick, so ranks reproduce the order exactly.
+// Invalid ways keep stamp 0: victim selection never reads it.
+func (c *Cache) renumber() {
+	rank := make([]uint32, c.ways)
+	c.clock = 0
+	for _, b := range c.blocks {
+		for off := 0; off < len(b); off += c.ways {
+			ways := b[off : off+c.ways]
+			for i := range ways {
+				rank[i] = 0
+				if ways[i].Valid() {
+					for j := range ways {
+						if ways[j].Valid() && ways[j].lru <= ways[i].lru {
+							rank[i]++
+						}
+					}
+				}
+			}
+			for i := range ways {
+				ways[i].lru = rank[i]
+				c.clock = max(c.clock, rank[i])
+			}
+		}
+	}
 }
 
 // Evicted describes a line displaced by Insert.
@@ -350,8 +394,7 @@ func (c *Cache) Insert(addr uint64, state coherence.State) (ev Evicted, ok bool)
 		l := &ways[i]
 		if l.Valid() && l.Tag == tag {
 			l.State = state
-			c.clock++
-			l.lru = c.clock
+			l.lru = c.tick()
 			if c.policy != PolicyLRU {
 				c.touchSlow(set, ways, i)
 			}
@@ -371,8 +414,7 @@ func (c *Cache) Insert(addr uint64, state coherence.State) (ev Evicted, ok bool)
 		ok = true
 		c.Stats.Evictions++
 	}
-	c.clock++
-	*victim = Line{Tag: tag, State: state, lru: c.clock}
+	*victim = Line{Tag: tag, State: state, lru: c.tick()}
 	if c.policy != PolicyLRU {
 		c.fillMeta(set, ways, w)
 	}
@@ -405,8 +447,7 @@ func (c *Cache) InsertAbsent(addr uint64, state coherence.State) (ev Evicted, ok
 		ok = true
 		c.Stats.Evictions++
 	}
-	c.clock++
-	*victim = Line{Tag: tag, State: state, lru: c.clock}
+	*victim = Line{Tag: tag, State: state, lru: c.tick()}
 	if c.policy != PolicyLRU {
 		c.fillMeta(set, ways, w)
 	}

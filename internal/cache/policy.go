@@ -130,7 +130,7 @@ func MustPolicy(name string) Policy {
 // policy; Insert calls it directly when the policy is PolicyLRU.
 func lruVictim(set []Line) int {
 	victim := 0
-	var best uint64
+	var best uint32
 	first := true
 	for i := range set {
 		if !set[i].Valid() {

@@ -2,9 +2,11 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"coherentleak/internal/coherence"
 )
@@ -118,6 +120,69 @@ func TestClearMatchesFresh(t *testing.T) {
 			}
 			if got, want := validLines(used), validLines(fresh); !slices.Equal(got, want) {
 				t.Fatalf("ForEachValid after Clear differs:\n got %v\nwant %v", got, want)
+			}
+		})
+	}
+}
+
+// TestLineIs16Bytes pins the set footprint: a 16-way set of 16-byte
+// Lines spans four 64-byte host cache lines.
+func TestLineIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 16 {
+		t.Fatalf("unsafe.Sizeof(Line{}) = %d, want 16", n)
+	}
+}
+
+// TestStampWrapKeepsVictims: a cache whose 32-bit clock wraps — from a
+// few ticks below MaxUint32 at the start and, with full sets, at three
+// later points — makes exactly the choices of a fresh cache fed the same
+// random Lookup, Insert, InsertAbsent and Invalidate stream: the same
+// hits, the same Evicted sequence and the same ForEachValid contents,
+// under every policy.
+func TestStampWrapKeepsVictims(t *testing.T) {
+	geo := Geometry{SizeBytes: 16 * 8 * LineSize, Ways: 8}
+	states := []coherence.State{coherence.Shared, coherence.Exclusive, coherence.Modified}
+	for _, info := range Policies() {
+		t.Run(info.Name, func(t *testing.T) {
+			fresh, wrapped := MustNew(geo, info.Policy), MustNew(geo, info.Policy)
+			wrapped.clock = math.MaxUint32 - 3
+			rng := rand.New(rand.NewPCG(uint64(info.Policy), 9))
+			var evs []Evicted
+			for i := 0; i < 20000; i++ {
+				if i%5000 == 4000 {
+					wrapped.clock = math.MaxUint32 - uint32(rng.IntN(8))
+				}
+				a := uint64(rng.IntN(16*8*3)) * LineSize
+				switch rng.IntN(4) {
+				case 0:
+					if (fresh.Lookup(a) == nil) != (wrapped.Lookup(a) == nil) {
+						t.Fatalf("op %d: Lookup(%#x) hit in one cache only", i, a)
+					}
+				case 1:
+					if got, want := wrapped.Invalidate(a), fresh.Invalidate(a); got != want {
+						t.Fatalf("op %d: Invalidate(%#x) = %v, fresh %v", i, a, got, want)
+					}
+				default:
+					st := states[rng.IntN(len(states))]
+					insert := (*Cache).Insert
+					if !fresh.Contains(a) && rng.IntN(2) == 0 {
+						insert = (*Cache).InsertAbsent
+					}
+					ev, ok := insert(fresh, a, st)
+					wev, wok := insert(wrapped, a, st)
+					if ev != wev || ok != wok {
+						t.Fatalf("op %d: insert %#x evicted %v,%v; fresh %v,%v", i, a, wev, wok, ev, ok)
+					}
+					if ok {
+						evs = append(evs, ev)
+					}
+				}
+			}
+			if len(evs) < 1000 || wrapped.clock >= fresh.clock {
+				t.Fatalf("%d evictions, clocks wrapped %d fresh %d: the stream did not exercise the wrap", len(evs), wrapped.clock, fresh.clock)
+			}
+			if got, want := validLines(wrapped), validLines(fresh); !slices.Equal(got, want) {
+				t.Fatalf("ForEachValid after the wrap differs:\n got %v\nwant %v", got, want)
 			}
 		})
 	}

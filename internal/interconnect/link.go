@@ -26,9 +26,11 @@ type Link struct {
 	rng *sim.Rand
 
 	// load tracks recent message departures for the sliding-window
-	// utilization estimate.
+	// utilization estimate: departures[head:] are the ones still inside
+	// the window, oldest first.
 	window     sim.Cycles // window width in cycles
 	departures []sim.Cycles
+	head       int
 
 	// Stats
 	Messages     uint64
@@ -54,7 +56,7 @@ func NewLink(name string, base, service sim.Cycles, rng *sim.Rand) *Link {
 // busy, in [0, 1).
 func (l *Link) Utilization(now sim.Cycles) float64 {
 	l.expire(now)
-	busy := sim.Cycles(len(l.departures)) * l.ServiceCycles
+	busy := sim.Cycles(len(l.departures)-l.head) * l.ServiceCycles
 	u := float64(busy) / float64(l.window)
 	if u > 0.95 {
 		u = 0.95
@@ -67,13 +69,14 @@ func (l *Link) expire(now sim.Cycles) {
 	if now > l.window {
 		cutoff = now - l.window
 	}
-	i := 0
+	i := l.head
 	for i < len(l.departures) && l.departures[i] < cutoff {
 		i++
 	}
-	if i > 0 {
-		l.departures = append(l.departures[:0], l.departures[i:]...)
+	if i == len(l.departures) {
+		l.departures, i = l.departures[:0], 0
 	}
+	l.head = i
 }
 
 // Traverse accounts one message crossing the link at virtual time now and
@@ -81,6 +84,12 @@ func (l *Link) expire(now sim.Cycles) {
 // deterministically from the link's stream.
 func (l *Link) Traverse(now sim.Cycles) sim.Cycles {
 	u := l.Utilization(now)
+	if len(l.departures) == cap(l.departures) && 2*l.head >= len(l.departures) {
+		// Reuse the expired prefix rather than grow: each departure is
+		// copied at most once per time the slice fills.
+		l.departures = l.departures[:copy(l.departures, l.departures[l.head:])]
+		l.head = 0
+	}
 	l.departures = append(l.departures, now)
 	l.Messages++
 

@@ -118,3 +118,38 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
+
+// TestWindowMatchesNaiveCount: over bursts and lulls, the utilization
+// the head-indexed window reports equals a recount of the departures
+// inside the window, and the window's storage stays bounded by the
+// busiest window rather than growing with the message count.
+func TestWindowMatchesNaiveCount(t *testing.T) {
+	l := newTestLink()
+	rng := sim.NewRand(3)
+	var all []sim.Cycles
+	now := sim.Cycles(0)
+	for i := 0; i < 50000; i++ {
+		if rng.Bool(0.001) {
+			now += 10000 // a lull that empties the window
+		}
+		now += sim.Cycles(rng.Intn(40))
+		live := 0
+		for _, d := range all {
+			if now <= l.window || d >= now-l.window {
+				live++
+			}
+		}
+		want := min(float64(sim.Cycles(live)*l.ServiceCycles)/float64(l.window), 0.95)
+		if got := l.Utilization(now); got != want {
+			t.Fatalf("message %d at %d: utilization %v, recount %v", i, now, got, want)
+		}
+		l.Traverse(now)
+		all = append(all, now)
+		if len(all) > 1024 {
+			all = all[len(all)-1024:] // far more than one window holds
+		}
+	}
+	if c := cap(l.departures); c > 4096 {
+		t.Fatalf("departure window grew to capacity %d over %d messages", c, 50000)
+	}
+}

@@ -170,11 +170,17 @@ type StreamStats struct {
 // stopped). opsCounter, when non-nil, is incremented after each
 // operation's access completes and before its think advance — the
 // accounting point hand-written workloads use — so externally observed
-// counts match the loop even if the thread is killed mid-think.
+// counts match the loop even if the thread is killed mid-think. An op
+// fused with its think time is counted at its start, though: an
+// observer running during its latency, or a kill landing there, sees it
+// counted where the loop would not have counted it yet.
 //
 // Per operation Exec performs the machine work untimed, then advances
 // once by latency+think when the fusion proof holds, or splits the
-// advance (counted) when it does not.
+// advance (counted) when it does not. The operations run as the steps
+// of one sim.Thread.RunSteps loop, so while the thread is parked the
+// scheduler runs them inline and the thread's coroutine resumes only
+// for per-op fallbacks, a stop request and the end of the program.
 func (t *Thread) Exec(p *Program, opsCounter *uint64) int {
 	st := &t.kern.Stream
 	world := t.kern.world
@@ -195,42 +201,55 @@ func (t *Thread) Exec(p *Program, opsCounter *uint64) int {
 		p.resolve(t.kern.mapEpoch)
 	}
 	limit := world.CycleLimit()
-	sim := t.Sim
+	th := t.Sim
 	core := t.CoreID
-	for i := range p.ops {
-		if sim.StopRequested() {
-			return i
+	i := 0
+	// split is set between the two steps of an unfused operation: the
+	// first advances its latency, the second completes the op (counter
+	// and think advance) before moving on.
+	split := false
+	step := func() (sim.Cycles, bool) {
+		if split {
+			split = false
+			if opsCounter != nil {
+				*opsCounter++
+			}
+			if think := p.ops[i-1].Think; think > 0 {
+				return think, true
+			}
 		}
-		// Mappings move only while this thread is parked inside an
-		// Advance; re-check the epoch after every operation that could
-		// have yielded. A cheap equality test keeps the loop tight.
+		if i == len(p.ops) || th.StopRequested() {
+			return 0, false
+		}
+		// Mappings move only while this thread is parked between steps;
+		// re-check the epoch before every operation. A cheap equality
+		// test keeps the step tight.
 		if p.resolvedAt != t.kern.mapEpoch {
 			p.resolve(t.kern.mapEpoch)
 		}
-		op := &p.ops[i]
 		if !p.ok[i] {
 			// Unmapped (will segfault identically) or a store that must
-			// take the COW faulting path: run this op per op.
-			st.FallbackOps++
-			t.interpOp(op, opsCounter)
-			continue
+			// take the COW faulting path: the coroutine runs it per op.
+			return 0, false
 		}
+		op := &p.ops[i]
 		var a machine.Access
 		switch op.Kind {
 		case OpLoad:
-			a = mach.LoadTimed(sim, core, p.pa[i])
+			a = mach.LoadTimed(th, core, p.pa[i])
 		case OpStore:
-			a = mach.StoreTimed(sim, core, p.pa[i])
+			a = mach.StoreTimed(th, core, p.pa[i])
 		case OpFlush:
-			a = mach.FlushTimed(sim, core, p.pa[i])
+			a = mach.FlushTimed(th, core, p.pa[i])
 		}
-		now := sim.Now()
+		i++
+		now := th.Now()
 		total := a.Latency + op.Think
 		// Fuse when the loop's intermediate scheduling point at
 		// now+latency is unobservable: below the drive's stop horizon
 		// and, with a cycle limit, not past it (the limit is checked at
 		// every advance, so a split mirrors the abort time exactly).
-		// The horizon is re-read per op: an advance can park the thread
+		// The horizon is re-read per op: the thread can stay parked
 		// across the end of one drive and into another with a different
 		// stop structure.
 		deadline, fuseOK := world.FuseHorizon()
@@ -240,19 +259,21 @@ func (t *Thread) Exec(p *Program, opsCounter *uint64) int {
 			if opsCounter != nil {
 				*opsCounter++
 			}
-			sim.Advance(total)
-			continue
+			return total, true
 		}
 		st.UnfusedOps++
-		sim.Advance(a.Latency)
-		if opsCounter != nil {
-			*opsCounter++
-		}
-		if op.Think > 0 {
-			sim.Advance(op.Think)
-		}
+		split = true
+		return a.Latency, true
 	}
-	return len(p.ops)
+	for {
+		th.RunSteps(step)
+		if i == len(p.ops) || th.StopRequested() {
+			return i
+		}
+		st.FallbackOps++
+		t.interpOp(&p.ops[i], opsCounter)
+		i++
+	}
 }
 
 // interpOp is one iteration of the hand-written loop: the timed access,

@@ -119,9 +119,12 @@ func TestWorkloadDeterministic(t *testing.T) {
 // TestNoiseFusesUnderChannelDrive guards the production fast path: noise
 // attached to a covert channel's session (the fig9/fig10 shape) runs
 // under the channel's RunUntilDeadline drive, so Exec must fuse its
-// operations and never fall back to running a whole program per op. Such
-// a fallback changes no output byte, only speed, so the executor
-// statistics are its only witness.
+// operations and never fall back to running a whole program per op, and
+// the scheduler must run its steps inline, so each noise thread resumes
+// its coroutine about once per Program rather than at every op. A
+// fallback or a return to per-op switching changes no output byte, only
+// speed, so the executor statistics and the resume counts are their only
+// witnesses.
 func TestNoiseFusesUnderChannelDrive(t *testing.T) {
 	var kern *kernel.Kernel
 	var nw *Workload
@@ -142,5 +145,20 @@ func TestNoiseFusesUnderChannelDrive(t *testing.T) {
 	}
 	if st.FallbackPrograms != 0 {
 		t.Fatalf("FallbackPrograms = %d under a RunUntilDeadline drive, want 0 (stats %+v)", st.FallbackPrograms, st)
+	}
+	// A thread resumes to start, at the end of each Program (to build
+	// the next), per fallback op, and once to unwind; the partial
+	// Program each thread is killed in counts as one.
+	ops := uint64(nw.cfg.OpsPerPhase)
+	programs := (nw.Ops + ops - 1) / ops
+	var resumes uint64
+	for _, th := range nw.threads {
+		resumes += th.Sim.Resumes()
+	}
+	threads := uint64(len(nw.threads))
+	t.Logf("noise: %d threads, %d ops, <= %d programs, %d fallback ops, %d coroutine resumes", threads, nw.Ops, programs+threads, st.FallbackOps, resumes)
+	if limit := programs + threads + 3*st.FallbackOps + threads; resumes > limit {
+		t.Fatalf("noise threads resumed %d times for %d ops in <= %d programs (limit %d): steps are not running inline",
+			resumes, nw.Ops, programs+threads, limit)
 	}
 }

@@ -32,11 +32,30 @@ func (l *schedLog) phase(w *World, name string, err error) {
 
 // seededBody returns a thread body that performs n seeded steps (n < 0
 // loops until stopped). A step of size zero is a Yield. at, when set,
-// runs after the given step.
-func seededBody(l *schedLog, r *Rand, n int, at map[int]func(*Thread)) func(*Thread) {
+// runs after the given step. With steps set, the body hands the same
+// loop to RunSteps as a step function instead of calling Advance.
+func seededBody(l *schedLog, r *Rand, n int, at map[int]func(*Thread), steps bool) func(*Thread) {
 	return func(th *Thread) {
 		l.step(th, "start")
 		defer l.step(th, "exit")
+		if steps {
+			i, started := 0, false
+			th.RunSteps(func() (Cycles, bool) {
+				if started {
+					l.step(th, "step")
+					if f := at[i]; f != nil {
+						f(th)
+					}
+					i++
+				}
+				started = true
+				if n >= 0 && i >= n {
+					return 0, false
+				}
+				return Cycles(r.Intn(6)), true
+			})
+			return
+		}
 		for i := 0; n < 0 || i < n; i++ {
 			if d := Cycles(r.Intn(6)); d == 0 {
 				th.Yield()
@@ -52,8 +71,9 @@ func seededBody(l *schedLog, r *Rand, n int, at map[int]func(*Thread)) func(*Thr
 }
 
 // runScheduleScenarios drives the scheduler through every entry point
-// and lifecycle event and returns the recorded schedule.
-func runScheduleScenarios() string {
+// and lifecycle event and returns the recorded schedule. steps selects
+// RunSteps bodies (see seededBody).
+func runScheduleScenarios(steps bool) string {
 	var l schedLog
 
 	// Five threads to completion, a spawn from inside a thread and a
@@ -70,12 +90,12 @@ func runScheduleScenarios() string {
 			n = -1
 		case 2:
 			at[12] = func(th *Thread) {
-				th.World().Spawn("child", seededBody(&l, r.Split(), 25, nil))
+				th.World().Spawn("child", seededBody(&l, r.Split(), 25, nil, steps))
 			}
 		case 4:
 			at[20] = func(th *Thread) { th.World().StopThread(victim) }
 		}
-		t := w.Spawn(fmt.Sprintf("t%d", i), seededBody(&l, r.Split(), n, at))
+		t := w.Spawn(fmt.Sprintf("t%d", i), seededBody(&l, r.Split(), n, at, steps))
 		if i == 1 {
 			victim = t
 		}
@@ -88,7 +108,7 @@ func runScheduleScenarios() string {
 	w = NewWorld(Config{Seed: 7})
 	r = w.Rand()
 	for i := 0; i < 5; i++ {
-		body := seededBody(&l, r.Split(), -1, nil)
+		body := seededBody(&l, r.Split(), -1, nil, steps)
 		if i == 3 {
 			inner := body
 			body = func(th *Thread) {
@@ -102,7 +122,7 @@ func runScheduleScenarios() string {
 	l.phase(w, "RunUntilDeadline", w.RunUntilDeadline(90, func() bool { return l.steps > 100000 }))
 	mark := l.steps
 	l.phase(w, "RunUntilDeadline", w.RunUntilDeadline(NoDeadline, func() bool { return l.steps >= mark+7 }))
-	w.Spawn("late", seededBody(&l, r.Split(), 10, nil))
+	w.Spawn("late", seededBody(&l, r.Split(), 10, nil, steps))
 	w.Drain()
 	l.phase(w, "Drain", nil)
 
@@ -111,7 +131,7 @@ func runScheduleScenarios() string {
 	w = NewWorld(Config{Seed: 11, MaxCycles: 300})
 	r = w.Rand()
 	for i := 0; i < 5; i++ {
-		w.Spawn(fmt.Sprintf("d%d", i), seededBody(&l, r.Split(), -1, nil))
+		w.Spawn(fmt.Sprintf("d%d", i), seededBody(&l, r.Split(), -1, nil, steps))
 	}
 	l.phase(w, "Run", w.Run())
 	w.Drain()
@@ -124,7 +144,7 @@ func runScheduleScenarios() string {
 // change must reproduce it byte for byte. Run with -update-golden only
 // after an intentional change to the scheduling order.
 func TestScheduleGolden(t *testing.T) {
-	got := runScheduleScenarios()
+	got := runScheduleScenarios(false)
 	path := filepath.Join("testdata", "schedule.golden")
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -144,6 +164,30 @@ func TestScheduleGolden(t *testing.T) {
 		}
 		t.Fatalf("schedule has %d lines, golden %d", len(g), len(wl))
 	}
+}
+
+// TestRunStepsScheduleGolden: the same scenarios with every body's
+// loop handed to RunSteps — a spawn and a StopThread from inside steps,
+// opaque, deadline and clock-free stop predicates, a cycle-limit abort
+// and Drain of threads parked between steps — produce the golden
+// schedule byte for byte.
+func TestRunStepsScheduleGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "schedule.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	got := runScheduleScenarios(true)
+	if got != string(want) {
+		g, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(g) && i < len(wl); i++ {
+			if g[i] != wl[i] {
+				t.Fatalf("RunSteps schedule diverges at line %d: got %q, want %q", i+1, g[i], wl[i])
+			}
+		}
+		t.Fatalf("RunSteps schedule has %d lines, golden %d", len(g), len(wl))
+	}
+	checkGoroutines(t, base)
 }
 
 // checkGoroutines fails if goroutines outlive the threads that ran on

@@ -3,7 +3,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 )
@@ -13,6 +12,9 @@ type threadState int
 const (
 	threadReady threadState = iota
 	threadRunning
+	// threadStepping marks a thread whose RunSteps step function is
+	// executing; Advance and Yield panic in this state.
+	threadStepping
 	threadDone
 )
 
@@ -22,6 +24,8 @@ func (s threadState) String() string {
 		return "ready"
 	case threadRunning:
 		return "running"
+	case threadStepping:
+		return "stepping"
 	case threadDone:
 		return "done"
 	default:
@@ -46,6 +50,14 @@ type Thread struct {
 	// yield, called on the coroutine, parks it and returns from next.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
+	// resumes counts next calls: coroutine starts and resumptions.
+	resumes uint64
+
+	// step is the step function of the RunSteps loop the thread is
+	// parked in, which the scheduler calls inline instead of resuming
+	// the coroutine; nil otherwise. The scheduler clears it when the
+	// step ends the loop.
+	step func() (Cycles, bool)
 
 	stopRequested bool
 
@@ -66,7 +78,7 @@ func (w *World) Spawn(name string, fn func(*Thread)) *Thread {
 	})
 	w.nextID++
 	w.threads = append(w.threads, t)
-	heap.Push(&w.queue, t)
+	w.queue.push(t)
 	return t
 }
 
@@ -85,6 +97,11 @@ func (t *Thread) World() *World { return t.world }
 
 // Finished reports whether the thread body has returned or been stopped.
 func (t *Thread) Finished() bool { return t.state == threadDone }
+
+// Resumes returns how many times the scheduler has started or resumed
+// the thread's coroutine. Steps the scheduler runs inline (RunSteps) do
+// not count, so it witnesses how often a stepping thread still switches.
+func (t *Thread) Resumes() uint64 { return t.resumes }
 
 // StopRequested reports whether World.StopThread has been called for t.
 // Long-running bodies may poll it to exit cleanly; otherwise the next
@@ -115,24 +132,93 @@ func (t *Thread) Advance(d Cycles) {
 		panic(killed{reason: "stop requested"})
 	}
 	t.time += d
-	w := t.world
-	// Inline fast path. The checks mirror one iteration of the central
-	// scheduler loop, in its order: stop predicate, then (time, id)
-	// thread selection, then the cycle limit on the selected thread.
-	if w.running && (w.stopFn == nil || !w.stopFn()) &&
-		(w.cfg.MaxCycles == 0 || t.time <= w.cfg.MaxCycles) {
-		if h := w.peek(); h == nil || t.time < h.time || (t.time == h.time && t.id < h.id) {
-			w.now = t.time
-			return
-		}
+	if t.world.continues(t) {
+		return
 	}
-	// Slow path: another thread is due (or the scheduler must observe a
-	// condition). Park and yield to the scheduler loop.
-	t.state = threadReady
-	heap.Push(&w.queue, t)
-	t.yield(struct{}{})
+	// Another thread is due (or the scheduler must observe a condition):
+	// park and yield to the scheduler loop.
+	t.park()
 	if t.stopRequested {
 		panic(killed{reason: "stop requested"})
+	}
+}
+
+// park queues the thread as ready and yields its coroutine to the
+// scheduler loop; it returns when the scheduler resumes the coroutine.
+func (t *Thread) park() {
+	t.state = threadReady
+	t.world.queue.push(t)
+	t.yield(struct{}{})
+}
+
+// RunSteps runs the loop
+//
+//	for {
+//		d, ok := step()
+//		if !ok {
+//			return
+//		}
+//		t.Advance(d)
+//	}
+//
+// with exactly its meaning: the same clock, the same stop-request
+// checks and the same schedule. What differs is where the loop runs.
+// When an advance parks the thread, its coroutine stays parked: the
+// scheduler, on next selecting the thread, calls step inline itself,
+// and keeps calling it while the thread stays the earliest runnable
+// one. The coroutine resumes only when step returns false (RunSteps
+// then returns), when a stop request unwinds the thread, or when a
+// drive ends with the thread still parked and it is next run outside
+// one (Drain), where RunSteps continues the loop on the coroutine.
+//
+// step must not call Advance or Yield (they panic while a step runs);
+// it reads the clock with Now and does untimed work only. A panic in
+// step surfaces exactly as a panic in the thread body.
+func (t *Thread) RunSteps(step func() (Cycles, bool)) {
+	if t.state != threadRunning {
+		panic(fmt.Sprintf("sim: RunSteps called on %s thread %q", t.state, t.name))
+	}
+	t.step = step
+	for t.steps() {
+		t.park()
+		// The scheduler resumed the coroutine: it ran the loop to its
+		// end (and cleared step), or a kill is pending, or a step it ran
+		// panicked, or it resumed the thread outside a drive and left
+		// the loop to us.
+		if t.step == nil {
+			return
+		}
+		if t.stopRequested || t.err != nil {
+			break
+		}
+	}
+	if t.step != nil {
+		t.step = nil
+		panic(killed{reason: "stop requested"})
+	}
+}
+
+// steps runs the thread's RunSteps loop from its next step while the
+// thread stays the scheduler's next pick. It returns true when the
+// advanced thread must park, and false when the loop ended (step is
+// cleared) or a stop request is pending before an advance. It runs on
+// the coroutine or, inline, on the scheduler loop.
+func (t *Thread) steps() (park bool) {
+	for {
+		t.state = threadStepping
+		d, ok := t.step()
+		t.state = threadRunning
+		if !ok {
+			t.step = nil
+			return false
+		}
+		if t.stopRequested {
+			return false
+		}
+		t.time += d
+		if !t.world.continues(t) {
+			return true
+		}
 	}
 }
 

@@ -20,10 +20,16 @@
 // same (time, id) order and check the stop predicate and cycle limit in
 // the same order, so schedules — and therefore every derived artifact —
 // do not depend on which path ran.
+//
+// A thread whose work between advances is untimed can hand that work to
+// the scheduler as a step function (Thread.RunSteps). While it is
+// parked inside RunSteps, the loop calls the step inline when it
+// selects the thread, so a thread interleaved with others at a fine
+// grain costs a function call per advance instead of a coroutine round
+// trip.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -70,6 +76,10 @@ type World struct {
 	// stopFn is RunUntil's predicate, stored so the inline fast path can
 	// honour it at every step, exactly as the scheduler loop would.
 	stopFn func() bool
+
+	// stepping is the thread whose step function the loop is running
+	// inline, so a panic out of it is charged to that thread.
+	stepping *Thread
 
 	// fuseSafe and fuseDeadline describe the active drive's stop
 	// structure for FuseHorizon: set by RunUntilDeadline (and Run, with
@@ -165,8 +175,24 @@ func (w *World) runLoop(stop func() bool) error {
 	w.running = true
 	w.stopFn = stop
 	defer func() {
+		// A step run inline panicked: record it on its thread and unwind
+		// the parked coroutine, as a panic in the thread body would have
+		// (the body's deferred calls run and the thread finishes), then
+		// re-panic it on the caller like a body panic.
+		var err error
+		if t := w.stepping; t != nil {
+			w.stepping = nil
+			t.err = fmt.Errorf("sim: thread %q panicked: %v", t.name, recover())
+			err = t.err
+			t.state = threadRunning
+			t.resumes++
+			t.next()
+		}
 		w.running = false
 		w.stopFn = nil
+		if err != nil {
+			panic(err)
+		}
 	}()
 
 	for {
@@ -180,7 +206,7 @@ func (w *World) runLoop(stop func() bool) error {
 		if w.cfg.MaxCycles != 0 && t.time > w.cfg.MaxCycles {
 			// Requeue the over-limit thread so a subsequent Drain can
 			// unwind it instead of leaking its coroutine.
-			heap.Push(&w.queue, t)
+			w.queue.push(t)
 			return ErrDeadlock{At: w.cfg.MaxCycles}
 		}
 		w.resume(t)
@@ -190,32 +216,47 @@ func (w *World) runLoop(stop func() bool) error {
 	}
 }
 
-// resume makes t the running thread and runs its coroutine until t
-// parks in Advance or finishes.
+// continues reports whether the running thread t, whose clock just
+// advanced, is what the scheduler loop would select next, and if so
+// moves the global clock to it. The checks mirror one iteration of
+// the loop, in its order: stop predicate, then (time, id) thread
+// selection, then the cycle limit on the selected thread.
+func (w *World) continues(t *Thread) bool {
+	if w.running && (w.stopFn == nil || !w.stopFn()) &&
+		(w.cfg.MaxCycles == 0 || t.time <= w.cfg.MaxCycles) && w.queue.leads(t) {
+		w.now = t.time
+		return true
+	}
+	return false
+}
+
+// resume makes t the running thread and runs it until it parks or
+// finishes. A thread parked inside RunSteps is stepped inline while a
+// drive is active and no kill is pending; its coroutine resumes only
+// when the steps end.
 func (w *World) resume(t *Thread) {
 	w.now = t.time
 	t.state = threadRunning
+	if t.step != nil && !t.stopRequested && w.running {
+		w.stepping = t
+		park := t.steps()
+		w.stepping = nil
+		if park {
+			t.state = threadReady
+			w.queue.push(t)
+			return
+		}
+	}
+	t.resumes++
 	t.next()
 }
 
 // nextRunnable pops the ready thread with the smallest (time, id).
 func (w *World) nextRunnable() *Thread {
-	for w.queue.Len() > 0 {
-		t := heap.Pop(&w.queue).(*Thread)
-		if t.state == threadReady {
-			return t
-		}
-	}
-	return nil
-}
-
-// peek returns the earliest ready thread without removing it, or nil.
-func (w *World) peek() *Thread {
 	for len(w.queue) > 0 {
-		if t := w.queue[0]; t.state == threadReady {
+		if t := w.queue.pop(); t.state == threadReady {
 			return t
 		}
-		heap.Pop(&w.queue) // stale entry; queue normally holds only ready threads
 	}
 	return nil
 }
@@ -270,24 +311,71 @@ func (w *World) Snapshot() string {
 	return s
 }
 
-// threadQueue is a min-heap ordered by (time, id). Ordering by id second
-// makes scheduling fully deterministic when threads share a timestamp.
-type threadQueue []*Thread
+// threadQueue is a binary min-heap of threads ordered by (time, id).
+// Ordering by id second makes scheduling fully deterministic when
+// threads share a timestamp; as the order is strict and total, any
+// correct heap pops the same thread. Entries carry their keys, which
+// do not change while a thread is queued, so comparisons read only the
+// heap array.
+type threadQueue []queueEntry
 
-func (q threadQueue) Len() int { return len(q) }
-func (q threadQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].id < q[j].id
+type queueEntry struct {
+	time Cycles
+	id   int
+	t    *Thread
 }
-func (q threadQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *threadQueue) Push(x any)   { *q = append(*q, x.(*Thread)) }
-func (q *threadQueue) Pop() any {
-	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
+
+func (e *queueEntry) less(o *queueEntry) bool {
+	return e.time < o.time || (e.time == o.time && e.id < o.id)
+}
+
+// leads reports whether t comes before every queued ready thread,
+// dropping stale entries (the queue normally holds only ready threads).
+func (q *threadQueue) leads(t *Thread) bool {
+	for len(*q) > 0 {
+		h := &(*q)[0]
+		if h.t.state == threadReady {
+			return t.time < h.time || (t.time == h.time && t.id < h.id)
+		}
+		q.pop()
+	}
+	return true
+}
+
+func (q *threadQueue) push(t *Thread) {
+	*q = append(*q, queueEntry{time: t.time, id: t.id, t: t})
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].less(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (q *threadQueue) pop() *Thread {
+	h := *q
+	n := len(h) - 1
+	t := h[0].t
+	h[0] = h[n]
+	h[n] = queueEntry{}
+	h = h[:n]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < n && h[l].less(&h[m]) {
+			m = l
+		}
+		if r < n && h[r].less(&h[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
 	return t
 }

@@ -91,8 +91,9 @@ func Load(path string) (*Registry, error) {
 }
 
 // New builds a registry from explicit tenants (the keys-file loader and
-// tests both land here). Names and keys must be unique; weights default
-// to 1; quotas must be non-negative.
+// tests both land here). Names and keys must be unique, and keys at
+// least 8 characters with no surrounding whitespace; weights default to
+// 1; quotas must be non-negative.
 func New(tenants []*Tenant) (*Registry, error) {
 	if len(tenants) == 0 {
 		return nil, errors.New("tenant: keys file defines no tenants")
@@ -109,6 +110,9 @@ func New(tenants []*Tenant) (*Registry, error) {
 			return nil, fmt.Errorf("tenant: %q is reserved for anonymous mode", AnonymousName)
 		case t.Key == "":
 			return nil, fmt.Errorf("tenant %s: empty key", t.Name)
+		case strings.TrimSpace(t.Key) != t.Key:
+			// Authenticate trims the header, so such a key never matches.
+			return nil, fmt.Errorf("tenant %s: key has leading or trailing whitespace", t.Name)
 		case len(t.Key) < 8:
 			return nil, fmt.Errorf("tenant %s: key shorter than 8 characters", t.Name)
 		case t.Weight < 0:

@@ -64,6 +64,7 @@ func TestLoadKeysFileRejectsBadEntries(t *testing.T) {
 		"no name":        `{"tenants":[{"key":"long-enough-key"}]}`,
 		"no key":         `{"tenants":[{"name":"a"}]}`,
 		"short key":      `{"tenants":[{"name":"a","key":"short"}]}`,
+		"padded key":     `{"tenants":[{"name":"a","key":" long-enough-key\t"}]}`,
 		"reserved name":  `{"tenants":[{"name":"anonymous","key":"long-enough-key"}]}`,
 		"duplicate name": `{"tenants":[{"name":"a","key":"long-enough-k1"},{"name":"a","key":"long-enough-k2"}]}`,
 		"duplicate key":  `{"tenants":[{"name":"a","key":"long-enough-key"},{"name":"b","key":"long-enough-key"}]}`,
@@ -119,4 +120,41 @@ func TestRegistryCopiesTenants(t *testing.T) {
 	if !strings.Contains(ErrUnauthorized.Error(), "API key") {
 		t.Fatal("ErrUnauthorized should mention API key for client clarity")
 	}
+}
+
+// FuzzTenantLoad feeds arbitrary keys files to Load: it must never
+// panic, and a registry it accepts must authenticate every one of its
+// keys, as a "Bearer <key>" header, to that key's tenant.
+func FuzzTenantLoad(f *testing.F) {
+	f.Add([]byte(`{"tenants":[{"name":"alice","key":"alice-key-1234","weight":2,"maxInFlight":8},{"name":"bob","key":"bob-key-123456"}]}`))
+	f.Add([]byte(`{"tenants":[{"name":"a","key":"long-enough-key","sweepBudget":400,"maxQueuedPoints":9}]}`))
+	f.Add([]byte(`{"tenants":[{"name":"a","key":"key with spaces"}]}`))
+	f.Add([]byte(`{"tenants":[{"name":"a","key":" padded-key-1 "}]}`))
+	f.Add([]byte(`{"tenants":[]}`))
+	f.Add([]byte(`{"tenants":[null]}`))
+	f.Add([]byte(`{"tenants":[{"name":"a","key":"long-enough-key","wieght":2}]}`))
+	f.Add([]byte(`null`))
+	path := filepath.Join(f.TempDir(), "keys.json") // rewritten per input
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if err := os.WriteFile(path, body, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Load(path)
+		if err != nil {
+			return
+		}
+		tenants := r.Tenants()
+		if !r.Enabled() || len(tenants) == 0 {
+			t.Fatalf("accepted registry: enabled=%v with %d tenants", r.Enabled(), len(tenants))
+		}
+		for _, tn := range tenants {
+			got, err := r.Authenticate("Bearer " + tn.Key)
+			if err != nil || got != tn {
+				t.Fatalf("tenant %q: Authenticate with its key %q = %+v, %v", tn.Name, tn.Key, got, err)
+			}
+			if tn.Weight < 1 {
+				t.Fatalf("tenant %q: weight %d after load", tn.Name, tn.Weight)
+			}
+		}
+	})
 }
