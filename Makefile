@@ -45,11 +45,13 @@ sweep-smoke:
 # spec validators run at package init), the golden cross-check against
 # the legacy hand-coded state machine, the registry-wide coverage
 # validators, and one protocol × channel matrix cell per protocol at
-# quick sizing.
+# quick sizing, written to a fresh temporary directory that is removed
+# afterwards.
 protocol-smoke:
 	$(GO) test -count=1 -run 'TestSpecsMatchLegacyApply|TestRegisteredSpecsExhaustiveCoverage|TestSpecValidationRejectsBadTables|TestRegistryLookup' ./internal/coherence/
 	$(GO) run ./cmd/cohsim -protocols
-	$(GO) run ./cmd/experiments -quick -cache=false -only protomatrix -out /tmp/cohsim-protocol-smoke
+	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	$(GO) run ./cmd/experiments -quick -cache=false -only protomatrix -out "$$out"
 
 # Replacement-layer smoke: the lrustate and dirtystate quick artifacts
 # (one cell per registered replacement policy) through the daemon with
@@ -119,8 +121,9 @@ bench-smoke:
 # overhead; an aggregate >1.1x means the fusion machinery regressed.
 bench-gate:
 	$(GO) test -bench='LoadHit|LoadMiss|StoreRFO' -benchtime=1000x -benchmem -run=^$$ ./internal/machine/
-	$(GO) test -bench=BenchmarkStream -benchtime=300x -count=3 -run=^$$ ./internal/kernel/difftest/ | tee /tmp/benchgate.txt
-	$(GO) run ./cmd/benchgate -max-regress 0.10 < /tmp/benchgate.txt
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) test -bench=BenchmarkStream -benchtime=300x -count=3 -run=^$$ ./internal/kernel/difftest/ | tee "$$tmp/benchgate.txt" && \
+	$(GO) run ./cmd/benchgate -max-regress 0.10 < "$$tmp/benchgate.txt"
 
 # Compare two `go test -bench` outputs, e.g.:
 #   make bench > old.txt ... make bench > new.txt

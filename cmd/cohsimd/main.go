@@ -4,7 +4,9 @@
 // machine-config overrides) onto a bounded queue, follow per-cell
 // progress over Server-Sent Events, and download assembled TSV /
 // replay-JSON results. All jobs share one cell store, so a repeated
-// request is served from cache in milliseconds.
+// request is served from cache in milliseconds: a job whose cells are
+// all stored finishes at submit instead of queueing for one of the
+// -jobs executors, which only jobs with cells to execute need.
 //
 // Jobs execute through the worker-fleet dispatch subsystem: start any
 // number of cohsim-worker processes pointed at this daemon and cells
@@ -79,7 +81,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		out          = flag.String("out", "results-daemon", "state directory (per-job results)")
 		queue        = flag.Int("queue", 16, "bounded job queue depth (admission control)")
-		jobs         = flag.Int("jobs", 1, "jobs executed concurrently")
+		jobs         = flag.Int("jobs", 1, "jobs executing cells concurrently")
 		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "max cells in flight per job")
 		jobTimeout   = flag.Duration("job-timeout", 15*time.Minute, "default per-job timeout")
 		maxTimeout   = flag.Duration("max-timeout", 2*time.Hour, "cap on client-requested timeouts")

@@ -163,31 +163,33 @@ func (r *Runner) workers(jobs int) int {
 	return n
 }
 
-// Run executes every cell of the given artifacts, assembles each
-// artifact's rows in deterministic cell order, streams summaries, and
-// feeds the sinks. Per-cell failures do not abort the run: remaining
-// cells still execute and the failures are aggregated in the report.
-// The returned error covers engine-level problems only (cell planning,
-// sink writes, cancellation).
-//
-// Cancelling ctx stops the run between cells: cells already executing
-// finish (cell bodies are pure compute and are never interrupted
-// mid-flight), undispatched cells are marked failed with the context
-// error, sinks are skipped, and Run returns the partial report together
-// with a non-nil error wrapping ctx.Err(). Both the CLI's -timeout and
-// the daemon's per-job cancellation ride on this.
-func (r *Runner) Run(ctx context.Context, plan Plan, arts []*Artifact) (*RunReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	digest := plan.ConfigDigest()
+// Batch is a run resolved against the cell store: every cell of the
+// plan's artifacts, with the entries of the cells the store held at
+// Prepare. Runner.Execute runs it.
+type Batch struct {
+	plan   Plan
+	digest string
+	arts   []*Artifact
+	cells  [][]Cell
+	// hits holds each cell's stored entry; nil marks a cell to execute.
+	hits    [][]*store.Entry
+	pending int
+}
 
-	type job struct{ art, cell int }
-	cells := make([][]Cell, len(arts))
-	outputs := make([][]CellOutput, len(arts))
-	reports := make([][]CellReport, len(arts))
-	var jobs []job
+// Pending counts the cells the store did not hold at Prepare.
+func (b *Batch) Pending() int { return b.pending }
+
+// Prepare plans every cell of the given artifacts and looks each one up
+// in the Manifest once, holding the entries it finds. The error covers
+// invalid artifacts and cell plans only.
+func (r *Runner) Prepare(plan Plan, arts []*Artifact) (*Batch, error) {
+	b := &Batch{
+		plan:   plan,
+		digest: plan.ConfigDigest(),
+		arts:   arts,
+		cells:  make([][]Cell, len(arts)),
+		hits:   make([][]*store.Entry, len(arts)),
+	}
 	for ai, a := range arts {
 		if err := a.validate(); err != nil {
 			return nil, err
@@ -209,27 +211,95 @@ func (r *Runner) Run(ctx context.Context, plan Plan, arts []*Artifact) (*RunRepo
 			}
 			names[c.Name] = true
 		}
-		cells[ai] = cs
+		b.cells[ai] = cs
+		b.hits[ai] = make([]*store.Entry, len(cs))
+		for ci, c := range cs {
+			if b.hits[ai][ci] = r.lookup(cacheKey(b, a, c)); b.hits[ai][ci] == nil {
+				b.pending++
+			}
+		}
+	}
+	return b, nil
+}
+
+// Run is Prepare followed by Execute: it executes every cell of the
+// given artifacts the store does not hold. The returned error covers
+// engine-level problems only (cell planning, sink writes, cancellation).
+func (r *Runner) Run(ctx context.Context, plan Plan, arts []*Artifact) (*RunReport, error) {
+	start := time.Now()
+	b, err := r.Prepare(plan, arts)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := r.Execute(ctx, b)
+	rep.Wall = time.Since(start)
+	return rep, err
+}
+
+// Execute reports the cells Prepare found stored, runs the rest,
+// assembles each artifact's rows in deterministic cell order, streams
+// summaries, and feeds the sinks. A cell that missed at Prepare is
+// looked up once more before it runs, since another run may have stored
+// it since. Per-cell failures do not abort the run: remaining cells
+// still execute and the failures are aggregated in the report. The
+// returned error covers sink writes and cancellation only.
+//
+// Cancelling ctx stops the run between cells: cells already executing
+// finish (cell bodies are pure compute and are never interrupted
+// mid-flight), undispatched cells are marked failed with the context
+// error, sinks are skipped, and Execute returns the partial report
+// together with a non-nil error wrapping ctx.Err(). Both the CLI's
+// -timeout and the daemon's per-job cancellation ride on this.
+func (r *Runner) Execute(ctx context.Context, b *Batch) (*RunReport, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	start := time.Now()
+	type job struct{ art, cell int }
+	outputs := make([][]CellOutput, len(b.arts))
+	reports := make([][]CellReport, len(b.arts))
+	var jobs []job
+	total := 0
+	for ai, cs := range b.cells {
 		outputs[ai] = make([]CellOutput, len(cs))
 		reports[ai] = make([]CellReport, len(cs))
-		for ci := range cs {
-			jobs = append(jobs, job{ai, ci})
-		}
+		total += len(cs)
 	}
 
 	var (
 		mu   sync.Mutex // guards done counter and Progress/Observe interleaving
 		done int
 	)
-	total := len(jobs)
+	finish := func(rep *CellReport) {
+		mu.Lock()
+		done++
+		r.progressLine(done, total, rep)
+		if r.Observe != nil {
+			r.Observe(done, total, *rep)
+		}
+		mu.Unlock()
+	}
+	for ai, a := range b.arts {
+		for ci, c := range b.cells[ai] {
+			if e := b.hits[ai][ci]; e != nil {
+				rep := &reports[ai][ci]
+				rep.Artifact, rep.Cell, rep.Index = a.Name, c.Name, ci
+				outputs[ai][ci] = cached(e, rep)
+				finish(rep)
+			} else {
+				jobs = append(jobs, job{ai, ci})
+			}
+		}
+	}
+
 	jobCh := make(chan job)
 	var wg sync.WaitGroup
-	for w := r.workers(total); w > 0; w-- {
+	for w := r.workers(len(jobs)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range jobCh {
-				a, c := arts[j.art], cells[j.art][j.cell]
+				a, c := b.arts[j.art], b.cells[j.art][j.cell]
 				rep := &reports[j.art][j.cell]
 				if err := ctx.Err(); err != nil {
 					// Dispatched before cancellation won the race: mark
@@ -237,15 +307,9 @@ func (r *Runner) Run(ctx context.Context, plan Plan, arts []*Artifact) (*RunRepo
 					rep.Artifact, rep.Cell, rep.Index = a.Name, c.Name, j.cell
 					rep.Err = fmt.Errorf("%s/%s: %w", a.Name, c.Name, err)
 				} else {
-					r.runCell(ctx, plan, digest, a, c, j.cell, &outputs[j.art][j.cell], rep)
+					r.runCell(ctx, b, a, c, j.cell, &outputs[j.art][j.cell], rep)
 				}
-				mu.Lock()
-				done++
-				r.progressLine(done, total, rep)
-				if r.Observe != nil {
-					r.Observe(done, total, *rep)
-				}
-				mu.Unlock()
+				finish(rep)
 			}
 		}()
 	}
@@ -269,16 +333,16 @@ dispatch:
 			if rep.Artifact != "" {
 				continue
 			}
-			a, c := arts[j.art], cells[j.art][j.cell]
+			a, c := b.arts[j.art], b.cells[j.art][j.cell]
 			rep.Artifact, rep.Cell, rep.Index = a.Name, c.Name, j.cell
 			rep.Err = fmt.Errorf("%s/%s: %w", a.Name, c.Name, err)
 		}
-		rep, _ := r.assemble(plan, digest, arts, cells, outputs, reports, nil)
+		rep, _ := r.assemble(b, outputs, reports, nil)
 		rep.Wall = time.Since(start)
 		return rep, fmt.Errorf("harness: run cancelled after %d/%d cell(s): %w", ran, total, err)
 	}
 
-	rep, sinkErr := r.assemble(plan, digest, arts, cells, outputs, reports, r.Sinks)
+	rep, sinkErr := r.assemble(b, outputs, reports, r.Sinks)
 	rep.Wall = time.Since(start)
 	return rep, sinkErr
 }
@@ -286,11 +350,11 @@ dispatch:
 // assemble folds per-cell outputs into artifact results in deterministic
 // cell order, streams summaries, and feeds every sink in artifact order.
 // A sink failure stops further sink writes and is returned.
-func (r *Runner) assemble(plan Plan, digest string, arts []*Artifact, cells [][]Cell, outputs [][]CellOutput, reports [][]CellReport, sinks []Sink) (*RunReport, error) {
+func (r *Runner) assemble(b *Batch, outputs [][]CellOutput, reports [][]CellReport, sinks []Sink) (*RunReport, error) {
 	rep := &RunReport{}
-	for ai, a := range arts {
-		res := &ArtifactResult{Artifact: a, Plan: plan, ConfigDigest: digest}
-		for ci := range cells[ai] {
+	for ai, a := range b.arts {
+		res := &ArtifactResult{Artifact: a, Plan: b.plan, ConfigDigest: b.digest}
+		for ci := range b.cells[ai] {
 			cr := reports[ai][ci]
 			res.Cells = append(res.Cells, cr)
 			switch {
@@ -323,26 +387,44 @@ func (r *Runner) assemble(plan Plan, digest string, arts []*Artifact, cells [][]
 	return rep, nil
 }
 
-func (r *Runner) runCell(ctx context.Context, plan Plan, digest string, a *Artifact, c Cell, idx int, out *CellOutput, rep *CellReport) {
+// cacheKey names a cell's store entry and returns its input digest.
+// Entries are keyed by the full input digest, not just the cell name,
+// so plan variants (config/seed/sizing sweeps) coexist in the store
+// instead of evicting each other — that is what lets a repeated sweep
+// be served almost entirely from cache. The stores' bounds
+// (Memory.SetLimit, NewDisk's maxBytes) cap the growth this implies.
+func cacheKey(b *Batch, a *Artifact, c Cell) (key, in string) {
+	in = cellDigest(b.digest, b.plan.Seed, b.plan.Sizing, a.Name, c.Name)
+	return a.Name + "/" + c.Name + "@" + in, in
+}
+
+// lookup returns a cell's stored entry, nil on a miss or without a
+// Manifest.
+func (r *Runner) lookup(key, in string) *store.Entry {
+	if r.Manifest == nil {
+		return nil
+	}
+	if e, ok := r.Manifest.Lookup(key, in); ok {
+		return e
+	}
+	return nil
+}
+
+// cached fills a cache-hit report and returns the stored output.
+func cached(e *store.Entry, rep *CellReport) CellOutput {
+	rep.Cached = true
+	rep.Rows = len(e.Rows)
+	return CellOutput{Rows: e.Rows, Summary: e.Summary}
+}
+
+func (r *Runner) runCell(ctx context.Context, b *Batch, a *Artifact, c Cell, idx int, out *CellOutput, rep *CellReport) {
 	rep.Artifact, rep.Cell, rep.Index = a.Name, c.Name, idx
-	key := a.Name + "/" + c.Name
-	in := cellDigest(digest, plan.Seed, plan.Sizing, a.Name, c.Name)
-	// Cache entries are keyed by the full input digest, not just the
-	// cell name, so plan variants (config/seed/sizing sweeps) coexist in
-	// the store instead of evicting each other — that is what lets a
-	// repeated sweep be served almost entirely from cache. The stores'
-	// bounds (Memory.SetLimit, NewDisk's maxBytes) cap the growth this
-	// implies.
-	cacheKey := key + "@" + in
 	// The cache is consulted before dispatch, not just before local
 	// execution: a cached cell never ships to a remote worker.
-	if r.Manifest != nil {
-		if e, ok := r.Manifest.Lookup(cacheKey, in); ok {
-			*out = CellOutput{Rows: e.Rows, Summary: e.Summary}
-			rep.Cached = true
-			rep.Rows = len(e.Rows)
-			return
-		}
+	key, in := cacheKey(b, a, c)
+	if e := r.lookup(key, in); e != nil {
+		*out = cached(e, rep)
+		return
 	}
 	begin := time.Now()
 	var (
@@ -351,8 +433,8 @@ func (r *Runner) runCell(ctx context.Context, plan Plan, digest string, a *Artif
 	)
 	if r.Dispatcher != nil {
 		o, rep.Worker, err = r.Dispatcher.Dispatch(ctx, CellTask{
-			Plan:         plan,
-			ConfigDigest: digest,
+			Plan:         b.plan,
+			ConfigDigest: b.digest,
 			Artifact:     a.Name,
 			Cell:         c.Name,
 			Index:        idx,
@@ -363,13 +445,13 @@ func (r *Runner) runCell(ctx context.Context, plan Plan, digest string, a *Artif
 	}
 	rep.Wall = time.Since(begin)
 	if err != nil {
-		rep.Err = fmt.Errorf("%s: %w", key, err)
+		rep.Err = fmt.Errorf("%s/%s: %w", a.Name, c.Name, err)
 		return
 	}
 	*out = o
 	rep.Rows = len(o.Rows)
 	if r.Manifest != nil {
-		r.Manifest.Store(cacheKey, &store.Entry{
+		r.Manifest.Store(key, &store.Entry{
 			Digest:     in,
 			Rows:       o.Rows,
 			Summary:    o.Summary,

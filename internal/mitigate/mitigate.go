@@ -55,9 +55,12 @@ type Monitor struct {
 	proc *kernel.Process
 	th   *kernel.Thread
 
-	// watched maps line physical addresses to their last seen flush
-	// epoch.
-	watched map[uint64]uint64
+	// lines are the watched physical lines in the order given and
+	// epochs their last seen flush epochs. Polling in this fixed order
+	// keeps the injected loads deterministic when several lines cross
+	// the threshold in one period.
+	lines  []uint64
+	epochs []uint64
 
 	// Injections counts loads issued against suspicious lines.
 	Injections int
@@ -69,13 +72,13 @@ type Monitor struct {
 // could enumerate from reverse mappings).
 func AttachMonitor(kern *kernel.Kernel, cfg MonitorConfig, lines []uint64) *Monitor {
 	m := &Monitor{
-		cfg:     cfg,
-		kern:    kern,
-		proc:    kern.NewProcess("cc-monitor"),
-		watched: make(map[uint64]uint64),
+		cfg:   cfg,
+		kern:  kern,
+		proc:  kern.NewProcess("cc-monitor"),
+		lines: lines,
 	}
 	for _, l := range lines {
-		m.watched[l] = kern.Machine().FlushEpoch(l)
+		m.epochs = append(m.epochs, kern.Machine().FlushEpoch(l))
 	}
 	m.th = kern.Spawn(m.proc, cfg.Core, "monitor", func(kt *kernel.Thread) {
 		m.run(kt)
@@ -90,15 +93,15 @@ func (m *Monitor) run(kt *kernel.Thread) {
 	mach := m.kern.Machine()
 	for !kt.StopRequested() {
 		kt.Advance(m.cfg.Period)
-		for line, last := range m.watched {
+		for li, line := range m.lines {
 			now := mach.FlushEpoch(line)
-			if now-last >= m.cfg.FlushRateThreshold {
+			if now-m.epochs[li] >= m.cfg.FlushRateThreshold {
 				for i := 0; i < m.cfg.InjectLoads; i++ {
 					mach.Load(kt.Sim, m.cfg.Core+i%2, line)
 					m.Injections++
 				}
 			}
-			m.watched[line] = now
+			m.epochs[li] = now
 		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"coherentleak/internal/covert"
+	"coherentleak/internal/kernel"
 	"coherentleak/internal/machine"
+	"coherentleak/internal/sim"
 )
 
 const testBits = 60
@@ -55,6 +57,58 @@ func TestMonitorBreaksChannel(t *testing.T) {
 	// floors around 0.7, so <= 0.8 already means the decode is garbage.
 	if res.Accuracy > 0.8 {
 		t.Fatalf("monitored channel accuracy = %v, want heavily degraded", res.Accuracy)
+	}
+}
+
+// TestMonitorInjectsInLineOrder: when two watched lines cross the
+// threshold in the same period, the monitor's loads hit them in the
+// order the lines were given, whatever order they were flushed in.
+func TestMonitorInjectsInLineOrder(t *testing.T) {
+	mach := machine.New(sim.NewWorld(sim.Config{Seed: 1}), machine.DefaultConfig())
+	k := kernel.New(mach, 0)
+	proc := k.NewProcess("prober")
+	va := proc.MustMmap(1)
+	pa, err := proc.Translate(va)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []uint64
+	for off := uint64(0); off < kernel.PageSize; off += 64 {
+		lines = append(lines, pa+off)
+	}
+	cfg := DefaultMonitorConfig()
+	mon := AttachMonitor(k, cfg, lines)
+	const periods = 40
+	k.Spawn(proc, 0, "prober", func(kt *kernel.Thread) {
+		for i := 0; i < periods; i++ {
+			kt.Flush(va + 40*64)
+			kt.Flush(va + 3*64)
+			kt.Advance(cfg.Period)
+		}
+	})
+	var got []uint64
+	mach.SetAccessObserver(func(e machine.AccessEvent) {
+		if e.Thread == mon.th.Sim.ID() && e.Op == "load" {
+			got = append(got, e.Line)
+		}
+	})
+	w := k.World()
+	if err := w.RunUntil(func() bool { return w.Now() > periods*cfg.Period }); err != nil {
+		t.Fatal(err)
+	}
+	mon.Stop()
+	per := 2 * cfg.InjectLoads
+	if len(got) < periods/2*per {
+		t.Fatalf("%d monitor loads over %d periods", len(got), periods)
+	}
+	for i, line := range got {
+		want := lines[3]
+		if i%per >= cfg.InjectLoads {
+			want = lines[40]
+		}
+		if line != want {
+			t.Fatalf("monitor load %d hit line %#x, want %#x (lines in AttackLines order)", i, line, want)
+		}
 	}
 }
 

@@ -91,9 +91,12 @@ type Job struct {
 	executed int
 	cached   int
 	failed   int
-	report   *harness.RunReport
-	results  map[string]*harness.ArtifactResult
-	stream   *eventLog[Event]
+	// batch is the job's cells resolved against the store at Submit;
+	// released once the job is terminal.
+	batch   *harness.Batch
+	report  *harness.RunReport
+	results map[string]*harness.ArtifactResult
+	stream  *eventLog[Event]
 }
 
 // CellsView summarizes per-cell progress counters.

@@ -35,8 +35,9 @@ type Metrics struct {
 	tenantRejected map[string]map[string]uint64 // tenant -> reason
 	tenantCells    map[string]*tenantCellCounts
 
-	jobSeconds  *histogram
-	cellSeconds map[string]*histogram // per artifact
+	jobSeconds       *histogram
+	queueWaitSeconds *histogram            // submit -> running
+	cellSeconds      map[string]*histogram // per artifact
 
 	// Worker-fleet dispatch series.
 	workersJoined    uint64
@@ -64,15 +65,16 @@ type tenantCellCounts struct {
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		jobsByState:     make(map[State]uint64),
-		sweepsByState:   make(map[State]uint64),
-		jobSeconds:      newHistogram(jobBuckets),
-		cellSeconds:     make(map[string]*histogram),
-		workerCells:     make(map[string]*workerCellCounts),
-		dispatchSeconds: newHistogram(cellBuckets),
-		tenantAccepted:  make(map[string]uint64),
-		tenantRejected:  make(map[string]map[string]uint64),
-		tenantCells:     make(map[string]*tenantCellCounts),
+		jobsByState:      make(map[State]uint64),
+		sweepsByState:    make(map[State]uint64),
+		jobSeconds:       newHistogram(jobBuckets),
+		queueWaitSeconds: newHistogram(cellBuckets),
+		cellSeconds:      make(map[string]*histogram),
+		workerCells:      make(map[string]*workerCellCounts),
+		dispatchSeconds:  newHistogram(cellBuckets),
+		tenantAccepted:   make(map[string]uint64),
+		tenantRejected:   make(map[string]map[string]uint64),
+		tenantCells:      make(map[string]*tenantCellCounts),
 	}
 }
 
@@ -122,6 +124,13 @@ func (m *Metrics) JobFinished(state State, seconds float64) {
 	defer m.mu.Unlock()
 	m.jobsByState[state]++
 	m.jobSeconds.observe(seconds)
+}
+
+// JobStarted records how long a job waited between submit and running.
+func (m *Metrics) JobStarted(queueWaitSeconds float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.queueWaitSeconds.observe(queueWaitSeconds)
 }
 
 // TenantJobAccepted counts an admitted job against its tenant.
@@ -416,6 +425,7 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 	fmt.Fprintf(w, "# HELP cohsimd_dispatch_queue_depth Cells awaiting a worker lease.\n# TYPE cohsimd_dispatch_queue_depth gauge\ncohsimd_dispatch_queue_depth %d\n", g.DispatchQueueDepth)
 
 	writeHistogram(w, "cohsimd_job_seconds", "Job wall time by terminal state.", "", m.jobSeconds)
+	writeHistogram(w, "cohsimd_job_queue_wait_seconds", "Time from submit until a job starts running; a job the cell store holds entirely starts at submit.", "", m.queueWaitSeconds)
 	writeHistogram(w, "cohsimd_dispatch_seconds", "Dispatch latency: cell enqueue to accepted worker result.", "", m.dispatchSeconds)
 	names := make([]string, 0, len(m.cellSeconds))
 	for n := range m.cellSeconds {

@@ -51,3 +51,26 @@ func TestTenantMetricsSeries(t *testing.T) {
 		t.Error("gauge-only tenant missing from counter series")
 	}
 }
+
+// TestQueueWaitHistogram pins the queue-wait series: one observation
+// per job that starts running, bucketed like cell times.
+func TestQueueWaitHistogram(t *testing.T) {
+	m := NewMetrics()
+	m.JobStarted(0.0002) // started at submit from the store
+	m.JobStarted(2)      // waited behind a running job
+	var sb strings.Builder
+	m.WriteTo(&sb, Gauges{})
+	out := sb.String()
+	for _, want := range []string{
+		"# HELP cohsimd_job_queue_wait_seconds Time from submit until a job starts running",
+		"# TYPE cohsimd_job_queue_wait_seconds histogram",
+		`cohsimd_job_queue_wait_seconds_bucket{le="0.001"} 1`,
+		`cohsimd_job_queue_wait_seconds_bucket{le="2.5"} 2`,
+		"cohsimd_job_queue_wait_seconds_sum 2.0002",
+		"cohsimd_job_queue_wait_seconds_count 2",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}

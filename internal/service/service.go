@@ -4,9 +4,12 @@
 // admission control and per-job cancellation, streams per-cell progress
 // over Server-Sent Events, serves assembled TSV and replay-JSON
 // results, and shares one cell store across every job so a repeated
-// request returns in milliseconds. cmd/cohsimd wraps it in a
-// binary; every future scaling layer (sharding, batching, multi-backend
-// dispatch) is meant to plug in behind this API.
+// request returns in milliseconds. Submit looks a job's cells up in the
+// store first: a job the store holds entirely finishes without waiting
+// for an executor, and only jobs with cells to execute queue.
+// cmd/cohsimd wraps it in a binary; every future scaling layer
+// (sharding, batching, multi-backend dispatch) is meant to plug in
+// behind this API.
 //
 // Every job and sweep belongs to the tenant that submitted it, and
 // every method that reads, cancels or follows one takes that tenant:
@@ -49,8 +52,9 @@ type Options struct {
 	Tenants *tenant.Registry
 	// QueueDepth bounds the admission queue; <=0 means 16.
 	QueueDepth int
-	// Executors is the number of jobs run concurrently; <=0 means 1
-	// (cells within a job already parallelize).
+	// Executors bounds the jobs that execute cells concurrently; <=0
+	// means 1 (cells within a job already parallelize). A job whose
+	// cells the store holds entirely needs no executor.
 	Executors int
 	// CellParallel is the Runner worker count per job; <=0 means
 	// GOMAXPROCS.
@@ -294,13 +298,20 @@ func (s *Service) buildPlan(req *SubmitRequest) (harness.Plan, []*harness.Artifa
 	return harness.Plan{Cfg: cfg, Seed: seed, Sizing: sizing}, arts, timeout, nil
 }
 
-// Submit validates and enqueues a job owned by tn: the tenant's
-// MaxInFlight quota is checked, then the job lands on the tenant's
-// fair-queue lane so one tenant's backlog cannot head-of-line-block
-// another's. ErrQueueFull, ErrQuota and ErrDraining are admission
-// failures; other errors are invalid requests.
+// Submit validates and admits a job owned by tn. Its cells are looked
+// up in the store first. A job the store holds entirely starts at once
+// on its own goroutine: it needs no executor, only the entries already
+// in hand. Any other job lands on the tenant's fair-queue lane, so one
+// tenant's backlog cannot head-of-line-block another's. Both count
+// against the tenant's MaxInFlight quota. ErrQueueFull, ErrQuota and
+// ErrDraining are admission failures; other errors are invalid
+// requests.
 func (s *Service) Submit(tn *tenant.Tenant, req *SubmitRequest) (*Job, error) {
 	plan, arts, timeout, err := s.buildPlan(req)
+	if err != nil {
+		return nil, err
+	}
+	batch, err := (&harness.Runner{Manifest: s.opts.Store}).Prepare(plan, arts)
 	if err != nil {
 		return nil, err
 	}
@@ -330,13 +341,16 @@ func (s *Service) Submit(tn *tenant.Tenant, req *SubmitRequest) (*Job, error) {
 		Timeout:   timeout,
 		Created:   time.Now(),
 		state:     StateQueued,
+		batch:     batch,
 		results:   make(map[string]*harness.ArtifactResult),
 		stream:    newEventLog[Event](subEventBuffer, s.metrics.SSEEvicted),
 	}
-	if err := s.queue.Push(tn.Name, tn.Weight, job); err != nil {
-		s.metrics.JobRejected()
-		s.metrics.TenantJobRejected(tn.Name, "queue-full")
-		return nil, ErrQueueFull
+	if batch.Pending() > 0 {
+		if err := s.queue.Push(tn.Name, tn.Weight, job); err != nil {
+			s.metrics.JobRejected()
+			s.metrics.TenantJobRejected(tn.Name, "queue-full")
+			return nil, ErrQueueFull
+		}
 	}
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
@@ -346,6 +360,16 @@ func (s *Service) Submit(tn *tenant.Tenant, req *SubmitRequest) (*Job, error) {
 	s.metrics.TenantJobAccepted(tn.Name)
 	job.publish(Event{Type: "state", State: StateQueued})
 	s.logf("%s queued (tenant %s): %v seed=%d sizing=%s timeout=%s", job.ID, tn.Name, names, plan.Seed, plan.Sizing, timeout)
+	if batch.Pending() == 0 {
+		// Shutdown sets draining under s.mu before it waits on s.wg, so
+		// this Add cannot race its Wait.
+		ctx, _ := s.startLocked(job)
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.runJob(ctx, job)
+		}()
+	}
 	return job, nil
 }
 
@@ -541,6 +565,7 @@ func (s *Service) finishLocked(j *Job, state State, errMsg string) {
 	}
 	j.state = state
 	j.errMsg = errMsg
+	j.batch = nil // its cells and held entries are no longer needed
 	j.finished = time.Now()
 	j.publish(Event{Type: "state", State: state, Error: errMsg})
 	s.metrics.JobFinished(state, j.finished.Sub(j.started).Seconds())
@@ -562,37 +587,48 @@ func (s *Service) executor() {
 		if !ok {
 			return
 		}
-		s.runJob(job)
+		s.mu.Lock()
+		ctx, ok := s.startLocked(job)
+		s.mu.Unlock()
+		if ok {
+			s.runJob(ctx, job)
+		}
 	}
 }
 
-// runJob drives one job through the harness Runner.
-func (s *Service) runJob(j *Job) {
-	s.mu.Lock()
+// startLocked takes a job off the queued count and moves it to running,
+// returning the context its cancellation rides on. It reports false for
+// a job cancelled while queued and for one shed by shutdown. Caller
+// holds s.mu.
+func (s *Service) startLocked(j *Job) (context.Context, bool) {
 	s.queued--
 	s.usageLocked(j.Tenant).queued--
 	if j.state.Terminal() {
 		// Cancelled while queued.
-		s.mu.Unlock()
-		return
+		return nil, false
 	}
 	if s.draining {
 		// Queued jobs are shed on shutdown; only in-flight ones drain.
 		s.finishLocked(j, StateCancelled, errShutdown.Error())
-		s.mu.Unlock()
-		return
+		return nil, false
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
-	tctx, tcancel := context.WithTimeout(ctx, j.Timeout)
 	j.cancel = cancel
 	j.state = StateRunning
 	j.started = time.Now()
 	s.running++
 	s.usageLocked(j.Tenant).running++
+	s.metrics.JobStarted(j.started.Sub(j.Created).Seconds())
 	j.publish(Event{Type: "state", State: StateRunning})
-	s.mu.Unlock()
+	return ctx, true
+}
+
+// runJob executes a started job's prepared batch through the harness
+// Runner and records its terminal state.
+func (s *Service) runJob(ctx context.Context, j *Job) {
+	tctx, tcancel := context.WithTimeout(ctx, j.Timeout)
 	defer tcancel()
-	defer cancel(nil)
+	defer j.cancel(nil)
 
 	runner := &harness.Runner{
 		Parallel: s.opts.CellParallel,
@@ -610,29 +646,18 @@ func (s *Service) runJob(j *Job) {
 		runner.Dispatcher = s.fleet
 		runner.Parallel = 0
 	}
-	arts, selErr := s.opts.Registry.Select(j.Artifacts)
-	var (
-		report *harness.RunReport
-		runErr error
-	)
-	if selErr != nil {
-		runErr = selErr // registry changed between submit and run; treat as failure
-	} else {
-		report, runErr = runner.Run(tctx, j.Plan, arts)
-	}
+	report, runErr := runner.Execute(tctx, j.batch)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.running--
 	s.usageLocked(j.Tenant).running--
 	j.report = report
-	if report != nil {
-		for _, res := range report.Results {
-			j.results[res.Artifact.Name] = res
-		}
+	for _, res := range report.Results {
+		j.results[res.Artifact.Name] = res
 	}
 	switch {
-	case runErr == nil && (report == nil || report.Failed == 0):
+	case runErr == nil && report.Failed == 0:
 		s.finishLocked(j, StateDone, "")
 	case context.Cause(tctx) == errCancelled:
 		s.finishLocked(j, StateCancelled, "cancelled by client")

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -689,4 +690,134 @@ func TestReplacementListingAndOverride(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), "MRU") || !strings.Contains(buf.String(), "SRRIP") {
 		t.Fatalf("unknown policy: status %d, body %s (want 400 naming the registered policies)", resp.StatusCode, buf.String())
 	}
+}
+
+// releaseOnce returns a close func for release that is safe to call
+// again and also runs at cleanup, before the server's own cleanup, so a
+// failing test never leaves a cell blocked through Shutdown.
+func releaseOnce(t *testing.T, release chan struct{}) func() {
+	var once sync.Once
+	f := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(f)
+	return f
+}
+
+// TestCachedJobSkipsBusyExecutor: a job whose cells are all stored
+// finishes while the only executor is held by a blocked job.
+func TestCachedJobSkipsBusyExecutor(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	_, ts := newTestServer(t, service.Options{
+		Registry:     signallingRegistry(1, release, started),
+		Executors:    1,
+		CellParallel: 1,
+	})
+	unblock := releaseOnce(t, release)
+
+	_, warm, _ := postJob(t, ts, `{"artifacts":["echo"]}`)
+	waitState(t, ts, warm.ID, service.StateDone)
+	_, blocker, _ := postJob(t, ts, `{"artifacts":["block"]}`)
+	<-started
+
+	status, hot, _ := postJob(t, ts, `{"artifacts":["echo"]}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("cached submit = %d", status)
+	}
+	v := waitState(t, ts, hot.ID, service.StateDone)
+	if v.Cells.Total == 0 || v.Cells.Cached != v.Cells.Total {
+		t.Fatalf("cached job: %d of %d cells cached", v.Cells.Cached, v.Cells.Total)
+	}
+	if b := getJob(t, ts, blocker.ID); b.State != service.StateRunning {
+		t.Fatalf("blocking job is %s, want still running", b.State)
+	}
+	unblock()
+	waitState(t, ts, blocker.ID, service.StateDone)
+}
+
+// TestQueuedJobServedFromStoreWhenRun: a job queued behind a running
+// job with the same cells misses at submit, but when it runs the
+// running job has stored them, so it executes nothing.
+func TestQueuedJobServedFromStoreWhenRun(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{}, 2)
+	_, ts := newTestServer(t, service.Options{
+		Registry:     signallingRegistry(1, release, started),
+		Executors:    1,
+		CellParallel: 1,
+	})
+	unblock := releaseOnce(t, release)
+
+	_, first, _ := postJob(t, ts, `{"artifacts":["block"]}`)
+	<-started
+	_, second, _ := postJob(t, ts, `{"artifacts":["block"]}`)
+	if v := getJob(t, ts, second.ID); v.State != service.StateQueued {
+		t.Fatalf("second job is %s, want queued", v.State)
+	}
+	unblock()
+	waitState(t, ts, first.ID, service.StateDone)
+	v := waitState(t, ts, second.ID, service.StateDone)
+	if v.Cells.Executed != 0 || v.Cells.Total == 0 || v.Cells.Cached != v.Cells.Total {
+		t.Fatalf("second job cells = %+v, want every cell cached", v.Cells)
+	}
+}
+
+// TestShutdownWaitsForCachedJob: Shutdown drains a job that started at
+// submit because the store held all its cells. The job's thousands of
+// cached cells keep it running past the submit response.
+func TestShutdownWaitsForCachedJob(t *testing.T) {
+	reg := harness.NewRegistry()
+	reg.MustRegister(&harness.Artifact{
+		Name: "wide", Description: "many instant cells", File: "wide.tsv", Header: "cell",
+		Cells: func(p harness.Plan) ([]harness.Cell, error) {
+			out := make([]harness.Cell, 4000)
+			for i := range out {
+				out[i] = harness.Cell{Name: fmt.Sprintf("w%d", i), Run: func() (harness.CellOutput, error) {
+					return harness.CellOutput{Rows: []string{fmt.Sprint(i)}}, nil
+				}}
+			}
+			return out, nil
+		},
+	})
+	svc, ts := newTestServer(t, service.Options{Registry: reg, Executors: 1})
+	_, warm, _ := postJob(t, ts, `{"artifacts":["wide"]}`)
+	waitState(t, ts, warm.ID, service.StateDone)
+
+	_, hot, _ := postJob(t, ts, `{"artifacts":["wide"]}`)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	v := getJob(t, ts, hot.ID)
+	if v.State != service.StateDone || v.Cells.Cached != 4000 {
+		t.Fatalf("cached job after shutdown: %s with %d of 4000 cells cached", v.State, v.Cells.Cached)
+	}
+}
+
+// TestExecutorsBoundCellExecution: of two uncached jobs, only as many
+// run cells at once as there are executors.
+func TestExecutorsBoundCellExecution(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{}, 2)
+	_, ts := newTestServer(t, service.Options{
+		Registry:     signallingRegistry(1, release, started),
+		Executors:    1,
+		CellParallel: 2,
+	})
+	unblock := releaseOnce(t, release)
+
+	_, a, _ := postJob(t, ts, `{"artifacts":["block"],"seed":1}`)
+	_, b, _ := postJob(t, ts, `{"artifacts":["block"],"seed":2}`)
+	<-started
+	select {
+	case <-started:
+		t.Fatal("a second job ran cells while the only executor was busy")
+	case <-time.After(100 * time.Millisecond):
+	}
+	if va, vb := getJob(t, ts, a.ID), getJob(t, ts, b.ID); va.State != service.StateRunning || vb.State != service.StateQueued {
+		t.Fatalf("states %s and %s, want running and queued", va.State, vb.State)
+	}
+	unblock()
+	waitState(t, ts, a.ID, service.StateDone)
+	waitState(t, ts, b.ID, service.StateDone)
 }
