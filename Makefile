@@ -67,7 +67,7 @@ replacement-smoke:
 # replay the hot mix against an in-process daemon with two dispatch
 # workers attached; the run must show a fair throughput split (no
 # starvation) and a >90% cache-hit ratio. cmd/loadgen is the same
-# harness as a standalone binary for real deployments (BENCH_9.json).
+# harness as a standalone binary for real deployments.
 loadgen-smoke:
 	$(GO) test -count=1 -run TestLoadgenSmoke ./internal/loadgen/
 

@@ -1,13 +1,3 @@
-// Command covertchan runs one covert-channel transmission end to end and
-// reports the spy's reception quality.
-//
-// Usage:
-//
-//	covertchan [-scenario RExclc-LSharedb] [-text "message" | -bits N]
-//	           [-rate KBPS] [-mode ksm|explicit] [-noise N] [-multibit]
-//	           [-lanes N] [-probe clflush|eviction]
-//	           [-defense none|monitor|ksm-guard|etom|equalize|full]
-//	           [-seed N] [-v]
 package main
 
 import (
@@ -25,24 +15,27 @@ import (
 	"coherentleak/internal/trace"
 )
 
-func main() {
+// covertMain is `cohsim covert`: it runs one covert-channel transmission
+// (§VI–VII) end to end and reports the spy's reception quality.
+func covertMain(args []string) {
+	fs := flag.NewFlagSet("cohsim covert", flag.ExitOnError)
 	var (
-		scenario  = flag.String("scenario", "LExclc-LSharedb", "Table I scenario name")
-		text      = flag.String("text", "coherence states leak", "message to transmit")
-		bitCount  = flag.Int("bits", 0, "transmit N pseudo-random bits instead of -text")
-		rate      = flag.Float64("rate", 0, "target raw bit rate in Kbps (0 = reliable default)")
-		mode      = flag.String("mode", "ksm", "shared page mode: ksm or explicit")
-		noiseN    = flag.Int("noise", 0, "co-located kernel-build threads")
-		multibit  = flag.Bool("multibit", false, "use the 2-bit-symbol channel (§VIII-D)")
-		lanes     = flag.Int("lanes", 1, "parallel cache-line lanes (extension; 1 = the paper's channel)")
-		probe     = flag.String("probe", "clflush", "spy probe: clflush or eviction (§VI-B)")
-		defense   = flag.String("defense", "none", "defense: none, monitor, ksm-guard, etom, equalize, full")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		verbose   = flag.Bool("v", false, "print the spy's reception trace")
-		traceFile = flag.String("tracefile", "", "write the machine's memory-operation trace (TSV)")
-		saveFile  = flag.String("save", "", "archive the transmission result as JSON (replay schema)")
+		scenario  = fs.String("scenario", "LExclc-LSharedb", "Table I scenario name")
+		text      = fs.String("text", "coherence states leak", "message to transmit")
+		bitCount  = fs.Int("bits", 0, "transmit N pseudo-random bits instead of -text")
+		rate      = fs.Float64("rate", 0, "target raw bit rate in Kbps (0 = reliable default)")
+		mode      = fs.String("mode", "ksm", "shared page mode: ksm or explicit")
+		noiseN    = fs.Int("noise", 0, "co-located kernel-build threads")
+		multibit  = fs.Bool("multibit", false, "use the 2-bit-symbol channel (§VIII-D)")
+		lanes     = fs.Int("lanes", 1, "parallel cache-line lanes (extension; 1 = the paper's channel)")
+		probe     = fs.String("probe", "clflush", "spy probe: clflush or eviction (§VI-B)")
+		defense   = fs.String("defense", "none", "defense: none, monitor, ksm-guard, etom, equalize, full")
+		seed      = fs.Uint64("seed", 1, "simulation seed")
+		verbose   = fs.Bool("v", false, "print the spy's reception trace")
+		traceFile = fs.String("tracefile", "", "write the machine's memory-operation trace (TSV)")
+		saveFile  = fs.String("save", "", "archive the transmission result as JSON (replay schema)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	cfg := machine.DefaultConfig()
 	switch *defense {
@@ -93,7 +86,7 @@ func main() {
 		save: *saveFile != "",
 	}.build(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "covertchan:", err)
+		fmt.Fprintln(os.Stderr, "cohsim covert:", err)
 		os.Exit(2)
 	}
 	if mb != nil {
@@ -249,6 +242,6 @@ func patternBits(seed uint64, n int) []byte {
 }
 
 func fail(err error) {
-	fmt.Fprintln(os.Stderr, "covertchan:", err)
+	fmt.Fprintln(os.Stderr, "cohsim covert:", err)
 	os.Exit(1)
 }

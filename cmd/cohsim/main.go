@@ -1,23 +1,29 @@
-// Command cohsim inspects the simulated testbed: it prints the machine
-// configuration and the calibrated latency band for every (location,
-// coherence state) combination pair — the §V micro-benchmark.
+// Command cohsim is the simulator's command line. With no subcommand it
+// inspects the simulated testbed: it prints the machine configuration
+// and the calibrated latency band for every (location, coherence state)
+// combination pair — the §V micro-benchmark.
 //
 // Usage:
 //
 //	cohsim [-sockets N] [-cores N] [-protocol NAME] [-protocols]
 //	       [-replacement NAME] [-replacements]
 //	       [-samples N] [-seed N] [-mitigate-etom] [-mitigate-equalize]
+//	cohsim covert [flags]   one covert-channel transmission (§VI–VII)
+//	cohsim replay FILE      inspect an archive written by `covert -save`
+//	cohsim sweep [flags]    a parameter sweep on a cohsimd daemon
 //
 // -protocol accepts any name in the coherence registry (MESI, MESIF,
 // MOESI, DRAGON, WT-NA out of the box); -protocols lists them.
 // -replacement accepts any name in the cache replacement-policy
 // registry (LRU, tree-PLRU, SRRIP, BRRIP); -replacements lists them.
+// Run a subcommand with -h for its flags.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"coherentleak/internal/cache"
 	"coherentleak/internal/coherence"
@@ -28,6 +34,38 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
+		switch cmd, args := os.Args[1], os.Args[2:]; cmd {
+		case "covert":
+			covertMain(args)
+		case "replay":
+			replayMain(args)
+		case "sweep":
+			sweepMain(args)
+		default:
+			fmt.Fprintf(os.Stderr, "cohsim: unknown subcommand %q\n", cmd)
+			usage()
+			os.Exit(2)
+		}
+		return
+	}
+	bandMain()
+}
+
+// usage prints the subcommand list, then the band report's flags once
+// bandMain has defined them.
+func usage() {
+	out := flag.CommandLine.Output()
+	fmt.Fprintln(out, "usage: cohsim [flags]          print the latency bands")
+	fmt.Fprintln(out, "       cohsim covert [flags]   run one covert-channel transmission")
+	fmt.Fprintln(out, "       cohsim replay FILE      inspect an archived transmission")
+	fmt.Fprintln(out, "       cohsim sweep [flags]    run a parameter sweep on cohsimd")
+	flag.PrintDefaults()
+}
+
+// bandMain prints the machine configuration and the latency bands.
+func bandMain() {
+	flag.Usage = usage
 	var (
 		sockets   = flag.Int("sockets", 2, "processor sockets")
 		cores     = flag.Int("cores", 6, "cores per socket")
@@ -42,6 +80,10 @@ func main() {
 		showVer   = flag.Bool("version", false, "print build identity and exit")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "cohsim: unexpected argument %q (a subcommand goes before any flag)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if *showVer {
 		fmt.Println("cohsim", version.Get())
 		return

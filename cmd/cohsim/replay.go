@@ -1,15 +1,7 @@
-// Command replayview inspects an archived transmission (the JSON written
-// by `covertchan -save`): it prints the summary, re-derives the accuracy
-// from the archived bits as a consistency check, re-runs the capacity
-// analysis, and renders the reception trace as a latency histogram per
-// band.
-//
-// Usage:
-//
-//	replayview run.json
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -18,20 +10,27 @@ import (
 	"coherentleak/internal/replay"
 )
 
-func main() {
-	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: replayview <archive.json>")
+// replayMain is `cohsim replay FILE`: it inspects an archived
+// transmission (the JSON written by `cohsim covert -save`). It prints the
+// summary, re-derives the accuracy from the archived bits as a
+// consistency check, re-runs the capacity analysis, and renders the
+// reception trace as a latency histogram per band.
+func replayMain(args []string) {
+	fs := flag.NewFlagSet("cohsim replay", flag.ExitOnError)
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: cohsim replay <archive.json>")
 		os.Exit(2)
 	}
-	f, err := os.Open(os.Args[1])
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "replayview:", err)
+		fmt.Fprintln(os.Stderr, "cohsim replay:", err)
 		os.Exit(1)
 	}
 	defer f.Close()
 	rec, err := replay.Load(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "replayview:", err)
+		fmt.Fprintln(os.Stderr, "cohsim replay:", err)
 		os.Exit(1)
 	}
 
@@ -63,35 +62,21 @@ func main() {
 		// Latency histogram, 25-cycle buckets over the observed range.
 		lo, hi := rec.Samples[0].Latency, rec.Samples[0].Latency
 		for _, s := range rec.Samples {
-			if s.Latency < lo {
-				lo = s.Latency
-			}
-			if s.Latency > hi {
-				hi = s.Latency
-			}
+			lo, hi = min(lo, s.Latency), max(hi, s.Latency)
 		}
 		const bucket = 25
 		lo = lo / bucket * bucket
 		counts := map[uint64]int{}
-		max := 0
+		peak := 1
 		for _, s := range rec.Samples {
 			b := (s.Latency - lo) / bucket
 			counts[b]++
-			if counts[b] > max {
-				max = counts[b]
-			}
+			peak = max(peak, counts[b])
 		}
 		for b := uint64(0); b*bucket+lo <= hi; b++ {
 			n := counts[b]
-			bar := strings.Repeat("#", n*50/maxInt(max, 1))
+			bar := strings.Repeat("#", n*50/peak)
 			fmt.Printf("  %4d-%4d cy %5d %s\n", lo+b*bucket, lo+(b+1)*bucket-1, n, bar)
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

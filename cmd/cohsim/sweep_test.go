@@ -3,11 +3,13 @@ package main
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"coherentleak/internal/client"
 	"coherentleak/internal/harness"
 	"coherentleak/internal/service"
 	"coherentleak/internal/tenant"
@@ -58,36 +60,37 @@ func TestKeyedDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 
-	anon := client{server: ts.URL}
-	if _, err := anon.submit(spec); err == nil || !strings.Contains(err.Error(), "401") {
+	anon := client.Client{Server: ts.URL}
+	if _, err := submit(ctx, anon, spec); err == nil || !strings.Contains(err.Error(), "401") {
 		t.Fatalf("submit without a key = %v, want 401", err)
 	}
 
-	c := client{server: ts.URL, key: testKey}
-	id, err := c.submit(spec)
+	c := client.Client{Server: ts.URL, Key: testKey}
+	id, err := submit(ctx, c, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastID := -1
-	if _, err := anon.streamOnce(id, &lastID); err == nil || !strings.Contains(err.Error(), "401") {
+	if err := followEvents(ctx, anon, id); err == nil || !strings.Contains(err.Error(), "401") {
 		t.Fatalf("events without a key = %v, want 401", err)
 	}
-	if _, _, err := anon.waitTerminal(id, time.Second); err == nil || !strings.Contains(err.Error(), "401") {
+	if _, err := waitTerminal(ctx, anon, id); err == nil || !strings.Contains(err.Error(), "401") {
 		t.Fatalf("status without a key = %v, want 401", err)
 	}
-	if _, err := anon.fetchFrontier(id); err == nil || !strings.Contains(err.Error(), "401") {
+	if _, err := fetchFrontier(ctx, anon, id); err == nil || !strings.Contains(err.Error(), "401") {
 		t.Fatalf("frontier without a key = %v, want 401", err)
 	}
 
-	if err := c.followEvents(id, 30*time.Second); err != nil {
+	if err := followEvents(ctx, c, id); err != nil {
 		t.Fatal(err)
 	}
-	state, msg, err := c.waitTerminal(id, 30*time.Second)
-	if err != nil || state != "done" {
-		t.Fatalf("sweep ended %q (%q), %v; want done", state, msg, err)
+	v, err := waitTerminal(ctx, c, id)
+	if err != nil || v.State != "done" {
+		t.Fatalf("sweep ended %q (%q), %v; want done", v.State, v.Error, err)
 	}
-	tsv, err := c.fetchFrontier(id)
+	tsv, err := fetchFrontier(ctx, c, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,21 +113,23 @@ func TestFollowEventsFailsFastOnClientError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := client{server: ts.URL, key: testKey}.submit(spec)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Hour)
+	defer cancel()
+	id, err := submit(ctx, client.Client{Server: ts.URL, Key: testKey}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name   string
-		c      client
+		c      client.Client
 		id     string
 		status string
 	}{
-		{"wrong key", client{server: ts.URL, key: "wrong-key-1234567"}, id, "401"},
-		{"unknown sweep", client{server: ts.URL, key: testKey}, "sweep-999999", "404"},
+		{"wrong key", client.Client{Server: ts.URL, Key: "wrong-key-1234567"}, id, "401"},
+		{"unknown sweep", client.Client{Server: ts.URL, Key: testKey}, "sweep-999999", "404"},
 	} {
 		done := make(chan error, 1)
-		go func() { done <- tc.c.followEvents(tc.id, 2*time.Hour) }()
+		go func() { done <- followEvents(ctx, tc.c, tc.id) }()
 		select {
 		case err := <-done:
 			if err == nil || !strings.Contains(err.Error(), tc.status) {
@@ -133,5 +138,39 @@ func TestFollowEventsFailsFastOnClientError(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatalf("%s: followEvents still reconnecting after 2s", tc.name)
 		}
+	}
+}
+
+// TestSweepTimeoutBoundsStalledStream: -timeout bounds every request, not
+// only the reconnect loop. The daemon accepts the sweep, then opens its
+// event stream and never writes a frame; a 300ms -timeout must end the
+// run with a timeout error well before 2s.
+func TestSweepTimeoutBoundsStalledStream(t *testing.T) {
+	stop := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			w.WriteHeader(http.StatusAccepted)
+			w.Write([]byte(`{"id":"sweep-000001","state":"queued"}`))
+			return
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+		case <-stop:
+		}
+	}))
+	defer ts.Close()
+	defer close(stop)
+
+	begin := time.Now()
+	_, stderr, code := runCohsim(t, "sweep", "-server", ts.URL, "-timeout", "300ms",
+		"-axis", "seed=1", "-objective", "grid:value", "-out", t.TempDir())
+	if took := time.Since(begin); took > 2*time.Second {
+		t.Fatalf("sweep returned after %s; want the 300ms timeout to end it", took)
+	}
+	if code != 1 || !strings.Contains(stderr, "timed out") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 with a timeout error", code, stderr)
 	}
 }

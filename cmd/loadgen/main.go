@@ -9,7 +9,7 @@
 //	loadgen -server http://localhost:8080 \
 //	        -tenants 'alice=alice-key-123456=hot,bob=bob-key-1234567=cold' \
 //	        -concurrency 1,2,4,8 -duration 10s \
-//	        [-artifact table1] [-sizing quick] [-out BENCH_9.json]
+//	        [-artifact table1] [-sizing quick] [-out curve.json]
 //
 // Each -tenants element is name=key=mix[=seed]; key may be empty for a
 // daemon running in anonymous mode (no -keys file). Mixes: hot (one
@@ -19,9 +19,9 @@
 // seeds so their working sets do not collide; seed defaults to the
 // tenant's index.
 //
-// The JSON written to -out has one entry per concurrency level with the
-// aggregate jobs/sec and the full per-tenant breakdown; -out "" prints
-// to stdout only.
+// The JSON has one entry per concurrency level with the aggregate
+// jobs/sec and the full per-tenant breakdown. It goes to stdout unless
+// -out names a file.
 package main
 
 import (
@@ -38,7 +38,7 @@ import (
 	"coherentleak/internal/version"
 )
 
-// benchDoc is the BENCH_9.json shape: the capacity curve of one server.
+// benchDoc is the output shape: the capacity curve of one server.
 type benchDoc struct {
 	Bench    string       `json:"bench"`
 	Version  string       `json:"version"`
@@ -70,7 +70,7 @@ func main() {
 		duration    = flag.Duration("duration", 10*time.Second, "measured duration per concurrency level")
 		artifact    = flag.String("artifact", "table1", "artifact submitted by every job")
 		sizing      = flag.String("sizing", "quick", "sizing submitted by every job")
-		outPath     = flag.String("out", "BENCH_9.json", "write the capacity curve here (empty = stdout only)")
+		outPath     = flag.String("out", "", "write the capacity curve here (empty = stdout)")
 		showVersion = flag.Bool("version", false, "print build identity and exit")
 	)
 	flag.Parse()

@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"coherentleak/internal/client"
 	"coherentleak/internal/harness"
 	"coherentleak/internal/machine"
 )
@@ -42,7 +42,7 @@ type WorkerOptions struct {
 // structured failures. One Worker drives Slots concurrent executors.
 type Worker struct {
 	opts   WorkerOptions
-	client *http.Client
+	client client.Client
 
 	mu       sync.Mutex
 	id       string
@@ -67,11 +67,11 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	if opts.Slots <= 0 {
 		opts.Slots = 1
 	}
-	client := opts.HTTPClient
-	if client == nil {
-		client = &http.Client{}
-	}
-	return &Worker{opts: opts, client: client, planCache: make(map[string][]harness.Cell)}, nil
+	return &Worker{
+		opts:      opts,
+		client:    client.Client{Server: opts.Server, HTTP: opts.HTTPClient},
+		planCache: make(map[string][]harness.Cell),
+	}, nil
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -116,7 +116,7 @@ func (w *Worker) register(ctx context.Context) error {
 	backoff := 100 * time.Millisecond
 	for {
 		var resp registerResponse
-		err := w.post(ctx, "/v1/workers", registerRequest{Name: w.opts.Name}, &resp)
+		_, err := w.client.Call(ctx, http.MethodPost, "/v1/workers", registerRequest{Name: w.opts.Name}, &resp)
 		if err == nil {
 			w.mu.Lock()
 			w.id = resp.WorkerID
@@ -158,7 +158,7 @@ func (w *Worker) serveLeases(ctx context.Context) {
 			wait = defaultPollWait
 		}
 		var grant Grant
-		status, err := w.postStatus(ctx, "/v1/workers/"+w.workerID()+"/lease",
+		status, err := w.client.Call(ctx, http.MethodPost, "/v1/workers/"+w.workerID()+"/lease",
 			leaseRequest{WaitMillis: wait.Milliseconds()}, &grant)
 		switch {
 		case ctx.Err() != nil:
@@ -271,7 +271,7 @@ func (w *Worker) report(ctx context.Context, res Result) {
 	backoff := 100 * time.Millisecond
 	for attempt := 0; attempt < 5; attempt++ {
 		var ack resultResponse
-		status, err := w.postStatus(ctx, "/v1/workers/"+w.workerID()+"/result", res, &ack)
+		status, err := w.client.Call(ctx, http.MethodPost, "/v1/workers/"+w.workerID()+"/result", res, &ack)
 		switch {
 		case ctx.Err() != nil:
 			return
@@ -311,7 +311,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 			return
 		case <-time.After(interval):
 		}
-		status, err := w.postStatus(ctx, "/v1/workers/"+w.workerID()+"/heartbeat", nil, nil)
+		status, err := w.client.Call(ctx, http.MethodPost, "/v1/workers/"+w.workerID()+"/heartbeat", nil, nil)
 		if status == http.StatusNotFound {
 			// Re-registration is the poll loop's job; just note it.
 			w.logf("heartbeat: fleet forgot this worker")
@@ -325,54 +325,5 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 func (w *Worker) deregister() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, w.opts.Server+"/v1/workers/"+w.workerID(), nil)
-	if err != nil {
-		return
-	}
-	if resp, err := w.client.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-}
-
-// post sends JSON and decodes a 2xx JSON response into out.
-func (w *Worker) post(ctx context.Context, path string, body, out any) error {
-	status, err := w.postStatus(ctx, path, body, out)
-	if err == nil && status >= 300 {
-		return fmt.Errorf("dispatch: POST %s: status %d", path, status)
-	}
-	return err
-}
-
-// postStatus sends JSON and returns the HTTP status; 2xx responses with
-// a non-nil out are decoded. Non-2xx responses are drained and returned
-// as (status, nil) so callers can branch on protocol-level outcomes.
-func (w *Worker) postStatus(ctx context.Context, path string, body, out any) (int, error) {
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return 0, err
-		}
-		rd = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opts.Server+path, rd)
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 && out != nil && resp.StatusCode != http.StatusNoContent {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("dispatch: POST %s: decode response: %w", path, err)
-		}
-	}
-	return resp.StatusCode, nil
+	w.client.Call(ctx, http.MethodDelete, "/v1/workers/"+w.workerID(), nil, nil)
 }

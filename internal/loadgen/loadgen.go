@@ -2,24 +2,24 @@
 // replays realistic job mixes from N concurrent tenants over the HTTP
 // API and reports per-tenant throughput, latency percentiles, 429
 // rates and cache-hit ratios. cmd/loadgen wraps it in a binary that
-// sweeps concurrency levels into a jobs/sec-vs-concurrency curve
-// (BENCH_9.json); the loadgen-smoke CI target runs it short against an
-// in-process daemon to pin fair-share and cache behavior.
+// sweeps concurrency levels into a jobs/sec-vs-concurrency curve; the
+// loadgen-smoke CI target runs it short against an in-process daemon to
+// pin fair-share and cache behavior.
 package loadgen
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
+
+	"coherentleak/internal/client"
+	"coherentleak/internal/service"
 )
 
 // Mix names a per-tenant workload shape.
@@ -152,18 +152,6 @@ type tenantStats struct {
 	tailSeq     int       // next config index for MixLongtail
 }
 
-// jobView is the slice of the daemon's job view loadgen reads.
-type jobView struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	Error string `json:"error"`
-	Cells struct {
-		Executed int `json:"executed"`
-		Cached   int `json:"cached"`
-		Failed   int `json:"failed"`
-	} `json:"cells"`
-}
-
 // Run drives the configured mixes until Duration elapses (or ctx
 // cancels) and aggregates the per-tenant report. Jobs in flight at the
 // deadline are abandoned, not counted.
@@ -242,24 +230,32 @@ func percentile(sorted []float64, p float64) float64 {
 // worker runs one closed loop: build a request for the tenant's mix,
 // submit, follow the job to a terminal state, record, repeat.
 func worker(ctx context.Context, opts Options, tn Tenant, st *tenantStats) {
+	c := client.Client{Server: opts.BaseURL, Key: tn.Key, HTTP: opts.Client}
 	for ctx.Err() == nil {
-		body := st.nextRequest(opts, tn)
 		submitAt := time.Now()
-		id, status, retryAfter, err := submit(ctx, opts, tn, body)
+		var v service.View
+		_, err := c.Call(ctx, http.MethodPost, "/v1/jobs", st.nextRequest(opts, tn), &v)
+		if err == nil {
+			st.mu.Lock()
+			st.submitted++
+			st.mu.Unlock()
+			v, err = follow(ctx, c, opts.PollInterval, v.ID)
+		}
+		var se *client.StatusError
 		switch {
-		case err != nil:
-			return // context expired mid-request
-		case status == http.StatusTooManyRequests:
+		case ctx.Err() != nil:
+			return // deadline hit mid-request or while the job ran; abandon it
+		case errors.As(err, &se) && se.Code == http.StatusTooManyRequests:
 			st.mu.Lock()
 			st.rejected429++
 			st.mu.Unlock()
-			backoff := retryAfter
+			backoff := se.RetryAfter
 			if backoff <= 0 || backoff > opts.MaxBackoff {
 				backoff = opts.MaxBackoff
 			}
 			sleep(ctx, backoff)
 			continue
-		case status != http.StatusAccepted:
+		case err != nil:
 			st.mu.Lock()
 			st.failed++
 			st.mu.Unlock()
@@ -267,15 +263,7 @@ func worker(ctx context.Context, opts Options, tn Tenant, st *tenantStats) {
 			continue
 		}
 		st.mu.Lock()
-		st.submitted++
-		st.mu.Unlock()
-
-		v, ok := follow(ctx, opts, tn, id)
-		if !ok {
-			return // deadline hit while the job ran; abandon it
-		}
-		st.mu.Lock()
-		if v.State == "done" {
+		if v.State == service.StateDone {
 			st.completed++
 			st.latencies = append(st.latencies, float64(time.Since(submitAt))/float64(time.Millisecond))
 			st.executed += v.Cells.Executed
@@ -288,85 +276,40 @@ func worker(ctx context.Context, opts Options, tn Tenant, st *tenantStats) {
 }
 
 // nextRequest renders the tenant's next submit body for its mix.
-func (st *tenantStats) nextRequest(opts Options, tn Tenant) string {
+func (st *tenantStats) nextRequest(opts Options, tn Tenant) json.RawMessage {
 	switch tn.Mix {
 	case MixCold:
 		st.mu.Lock()
 		seed := st.coldSeq
 		st.coldSeq++
 		st.mu.Unlock()
-		return fmt.Sprintf(`{"artifacts":[%q],"sizing":%q,"seed":%d}`, opts.Artifact, opts.Sizing, seed)
+		return json.RawMessage(fmt.Sprintf(`{"artifacts":[%q],"sizing":%q,"seed":%d}`, opts.Artifact, opts.Sizing, seed))
 	case MixLongtail:
 		st.mu.Lock()
 		cfg := longtailConfigs[st.tailSeq%len(longtailConfigs)]
 		st.tailSeq++
 		st.mu.Unlock()
-		return fmt.Sprintf(`{"artifacts":[%q],"sizing":%q,"seed":%d,"config":%s}`, opts.Artifact, opts.Sizing, tn.Seed, cfg)
+		return json.RawMessage(fmt.Sprintf(`{"artifacts":[%q],"sizing":%q,"seed":%d,"config":%s}`, opts.Artifact, opts.Sizing, tn.Seed, cfg))
 	default: // MixHot
-		return fmt.Sprintf(`{"artifacts":[%q],"sizing":%q,"seed":%d}`, opts.Artifact, opts.Sizing, tn.Seed)
+		return json.RawMessage(fmt.Sprintf(`{"artifacts":[%q],"sizing":%q,"seed":%d}`, opts.Artifact, opts.Sizing, tn.Seed))
 	}
 }
 
-// submit POSTs one job. It returns the job ID on 202, and the parsed
-// Retry-After on 429.
-func submit(ctx context.Context, opts Options, tn Tenant, body string) (id string, status int, retryAfter time.Duration, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, opts.BaseURL+"/v1/jobs", bytes.NewReader([]byte(body)))
-	if err != nil {
-		return "", 0, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tn.Key != "" {
-		req.Header.Set("Authorization", "Bearer "+tn.Key)
-	}
-	resp, err := opts.Client.Do(req)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-		io.Copy(io.Discard, resp.Body)
-		return "", resp.StatusCode, retryAfter, nil
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		io.Copy(io.Discard, resp.Body)
-		return "", resp.StatusCode, 0, nil
-	}
-	var v jobView
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return "", resp.StatusCode, 0, err
-	}
-	return v.ID, resp.StatusCode, 0, nil
-}
-
-// follow polls one job until it reaches a terminal state. ok=false
-// means the run deadline expired first.
-func follow(ctx context.Context, opts Options, tn Tenant, id string) (jobView, bool) {
+// follow polls one job until it reaches a terminal state. A retryable
+// failure polls again; any other 4xx (the daemon no longer knows the
+// job) ends the follow.
+func follow(ctx context.Context, c client.Client, every time.Duration, id string) (service.View, error) {
 	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, opts.BaseURL+"/v1/jobs/"+id, nil)
-		if err != nil {
-			return jobView{}, false
+		var v service.View
+		_, err := c.Call(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &v)
+		switch {
+		case err == nil && v.State.Terminal():
+			return v, nil
+		case err != nil && !client.Retryable(err):
+			return v, err
 		}
-		if tn.Key != "" {
-			req.Header.Set("Authorization", "Bearer "+tn.Key)
-		}
-		resp, err := opts.Client.Do(req)
-		if err != nil {
-			return jobView{}, false
-		}
-		var v jobView
-		decErr := json.NewDecoder(resp.Body).Decode(&v)
-		resp.Body.Close()
-		if decErr == nil && resp.StatusCode == http.StatusOK {
-			switch v.State {
-			case "done", "failed", "cancelled":
-				return v, true
-			}
-		}
-		if !sleep(ctx, opts.PollInterval) {
-			return jobView{}, false
+		if !sleep(ctx, every) {
+			return v, ctx.Err()
 		}
 	}
 }

@@ -2,7 +2,9 @@ package loadgen_test
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +21,7 @@ import (
 // daemon with two dispatch workers attached. The run must show fair
 // sharing (neither tenant starved) and a >90% cache-hit ratio — the
 // hot mix resubmits one identical job, so after the first execution
-// every cell is a manifest hit.
+// every cell is a store hit.
 func TestLoadgenSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loadgen smoke needs a multi-second measured run")
@@ -96,6 +98,40 @@ func TestLoadgenSmoke(t *testing.T) {
 	}
 	if rep.JobsPerSec <= 0 {
 		t.Errorf("aggregate jobs/sec = %.2f; want > 0", rep.JobsPerSec)
+	}
+}
+
+// TestFollowFailsOnClientError: a daemon that accepts a job and then
+// answers 404 for it (as after a restart) fails the job. The follow must
+// end at the first 404 and count the job failed, not poll until the run
+// ends with the job counted nowhere.
+func TestFollowFailsOnClientError(t *testing.T) {
+	var polls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			w.WriteHeader(http.StatusAccepted)
+			w.Write([]byte(`{"id":"job-000001","state":"queued"}`))
+			return
+		}
+		polls.Add(1)
+		http.Error(w, `{"error":"unknown job"}`, http.StatusNotFound)
+	}))
+	defer ts.Close()
+	rep, err := loadgen.Run(context.Background(), loadgen.Options{
+		BaseURL:  ts.URL,
+		Tenants:  []loadgen.Tenant{{Name: "a", Mix: loadgen.MixHot, Seed: 1}},
+		Duration: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := rep.Tenants[0]
+	if tr.Failed < 1 || tr.Completed != 0 {
+		t.Errorf("submitted=%d failed=%d completed=%d; want the 404 job counted failed",
+			tr.Submitted, tr.Failed, tr.Completed)
+	}
+	if n := polls.Load(); n > 5 {
+		t.Errorf("%d status polls in a 1s run; want the follow to end at the first 404", n)
 	}
 }
 

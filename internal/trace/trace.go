@@ -1,7 +1,7 @@
 // Package trace records the simulated machine's memory operations for
 // offline analysis: a bounded ring of events with line/op/path filters, a
-// TSV dump, and per-line probe statistics. The covertchan CLI uses it for
-// its verbose mode, and it is the forensic view a defender's profiler
+// TSV dump, and per-line probe statistics. `cohsim covert -tracefile`
+// writes it, and it is the forensic view a defender's profiler
 // would see — which, per the paper's introduction, is exactly what timing
 // channels leave no trace in: the recorded operations are all ordinary
 // loads and flushes.
