@@ -18,11 +18,15 @@ var (
 
 // TestDocsNameRealCommands: every command the Markdown docs and the
 // Makefile name as cmd/<name> is a directory under cmd/, so folding or
-// renaming a binary cannot leave stale instructions behind. The change
-// records are skipped: CHANGES.md is history and ISSUE.md describes the
-// change under way, and both name commands a change removes.
+// renaming a binary cannot leave stale instructions behind. At the root
+// only the documents that describe the tree as it is are scanned; the
+// change log is history and names commands that were removed. Markdown
+// files below the root are always scanned.
 func TestDocsNameRealCommands(t *testing.T) {
-	skip := map[string]bool{"CHANGES.md": true, "ISSUE.md": true}
+	rootDocs := map[string]bool{
+		"Makefile": true, "README.md": true, "DESIGN.md": true, "EXPERIMENTS.md": true,
+		"ROADMAP.md": true, "PAPER.md": true, "PAPERS.md": true, "SNIPPETS.md": true,
+	}
 	var files []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
@@ -30,7 +34,9 @@ func TestDocsNameRealCommands(t *testing.T) {
 			return err
 		case d.IsDir() && (d.Name() == ".git" || d.Name() == ".bench_build"):
 			return filepath.SkipDir
-		case !d.IsDir() && !skip[path] && (strings.HasSuffix(path, ".md") || path == "Makefile"):
+		case d.IsDir():
+		case filepath.Dir(path) == "." && rootDocs[path],
+			filepath.Dir(path) != "." && strings.HasSuffix(path, ".md"):
 			files = append(files, path)
 		}
 		return nil
