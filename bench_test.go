@@ -312,7 +312,7 @@ func BenchmarkMachineLoadL1(b *testing.B) {
 		}
 		done = true
 	})
-	if err := w.RunUntil(func() bool { return done }); err != nil {
+	if err := w.RunUntilDeadline(sim.NoDeadline, func() bool { return done }); err != nil {
 		b.Fatal(err)
 	}
 	w.Drain()
@@ -332,7 +332,7 @@ func BenchmarkMachineFlushReload(b *testing.B) {
 		}
 		done = true
 	})
-	if err := w.RunUntil(func() bool { return done }); err != nil {
+	if err := w.RunUntilDeadline(sim.NoDeadline, func() bool { return done }); err != nil {
 		b.Fatal(err)
 	}
 	w.Drain()

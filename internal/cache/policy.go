@@ -115,16 +115,6 @@ func PolicyFor(name string) (Policy, error) {
 		name, strings.Join(PolicyNames(), ", "))
 }
 
-// MustPolicy is PolicyFor but panics on unknown names; for static
-// configs that were already validated.
-func MustPolicy(name string) Policy {
-	p, err := PolicyFor(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // lruVictim picks the way with the oldest recency stamp, preferring
 // invalid ways. It is the devirtualized fast path for the default
 // policy; Insert calls it directly when the policy is PolicyLRU.

@@ -48,12 +48,6 @@ type Worker struct {
 	id       string
 	pollWait time.Duration
 	ttl      time.Duration
-
-	// planCells memoizes planned cells per (digest, seed, sizing,
-	// artifact): re-planning is cheap but leases for sibling cells of
-	// the same artifact arrive in bursts.
-	planMu    sync.Mutex
-	planCache map[string][]harness.Cell
 }
 
 // NewWorker builds a worker client; Run drives it.
@@ -68,9 +62,8 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		opts.Slots = 1
 	}
 	return &Worker{
-		opts:      opts,
-		client:    client.Client{Server: opts.Server, HTTP: opts.HTTPClient},
-		planCache: make(map[string][]harness.Cell),
+		opts:   opts,
+		client: client.Client{Server: opts.Server, HTTP: opts.HTTPClient},
 	}, nil
 }
 
@@ -230,19 +223,9 @@ func (w *Worker) resolve(g *Grant) (harness.Cell, error) {
 	if d := plan.ConfigDigest(); d != g.ConfigDigest {
 		return zero, fmt.Errorf("config digest mismatch: coordinator %s, worker %s", g.ConfigDigest, d)
 	}
-	key := g.ConfigDigest + "\x00" + fmt.Sprint(g.Seed) + "\x00" + g.Sizing + "\x00" + g.Artifact
-	w.planMu.Lock()
-	cells, ok := w.planCache[key]
-	w.planMu.Unlock()
-	if !ok {
-		var err error
-		cells, err = art.Cells(plan)
-		if err != nil {
-			return zero, fmt.Errorf("planning cells for %s: %v", g.Artifact, err)
-		}
-		w.planMu.Lock()
-		w.planCache[key] = cells
-		w.planMu.Unlock()
+	cells, err := art.Cells(plan)
+	if err != nil {
+		return zero, fmt.Errorf("planning cells for %s: %v", g.Artifact, err)
 	}
 	for _, c := range cells {
 		if c.Name == g.Cell {

@@ -72,10 +72,10 @@ type Trace struct {
 	Prefetch bool
 	Notify   bool
 	// Replacement selects the cache replacement policy by registry name
-	// (empty = LRU). Both runs use the same policy; the service-path memo
-	// is policy-independent (victim selection happens inside
-	// cache.Insert, shared by both paths), and the corpus over every
-	// protocol × policy combination is what proves that claim holds.
+	// (empty = LRU). Both runs use the same policy; victim selection
+	// happens inside cache.Insert, shared by both paths, and the corpus
+	// over every protocol × policy combination is what proves the two
+	// agree under every policy.
 	Replacement string
 	Procs       int
 	Private     int // private pages per process

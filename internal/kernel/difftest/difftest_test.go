@@ -147,9 +147,9 @@ func FuzzDifferential(f *testing.F) {
 	f.Add(uint64(271828), uint8(4), uint8(1))
 	// RRIP insertion-age seeds: dense conflict traces under SRRIP age
 	// whole sets to "distant" before victimizing, and under BRRIP cross
-	// the 32-fill bimodal boundary repeatedly, so the aging loop, the
-	// insertion trickle and the service-path memo are all exercised
-	// against the hand-written loop.
+	// the 32-fill bimodal boundary repeatedly, so the aging loop and the
+	// insertion trickle are both exercised against the hand-written
+	// loop.
 	f.Add(uint64(0xA11C0DE), uint8(0), uint8(2))
 	f.Add(uint64(0x5EED5EED5EED), uint8(1), uint8(2))
 	f.Add(uint64(0xB1B0DA1), uint8(0), uint8(3))

@@ -25,8 +25,6 @@ type edgeWorld struct {
 	ops      uint64 // a's opsCounter
 	returned bool   // a's body ran past its stream
 	log      strings.Builder
-	// stats[i] is the executor statistics at the i-th snap.
-	stats []kernel.StreamStats
 }
 
 const edgeOps = 400
@@ -134,7 +132,7 @@ func fusedLoop(kt *kernel.Thread, m *machine.Machine, ops []Access, counter *uin
 			a = m.FlushTimed(kt.Sim, kt.CoreID, pa)
 		}
 		now, total := kt.Now(), a.Latency+op.Think
-		if deadline, ok := w.FuseHorizon(); ok && op.Think > 0 && now+a.Latency <= deadline &&
+		if deadline, running := w.FuseHorizon(); running && op.Think > 0 && now+a.Latency <= deadline &&
 			(limit == 0 || now+total <= limit) {
 			*counter++
 			kt.Advance(total)
@@ -152,7 +150,6 @@ func fusedLoop(kt *kernel.Thread, m *machine.Machine, ops []Access, counter *uin
 func (e *edgeWorld) snap(label string, err error) {
 	fmt.Fprintf(&e.log, "%s: err=%v now=%d a@%d ops=%d finished=%v returned=%v live=%d digest=%s\n",
 		label, err, e.w.Now(), e.a.Now(), e.ops, e.a.Sim.Finished(), e.returned, e.w.LiveThreads(), e.m.StateDigest())
-	e.stats = append(e.stats, e.k.Stream)
 }
 
 // compareEdge runs scenario through Exec and through fusedLoop, and
@@ -236,22 +233,18 @@ func TestExecCycleLimitAbort(t *testing.T) {
 	}
 }
 
-// TestExecParkedAcrossOpaqueDrive: a deadline drive ends with Exec's
-// thread parked between steps; the next drive has an opaque predicate,
-// under which the remaining ops run unfused exactly like the loop; a
-// final Run completes the program.
-func TestExecParkedAcrossOpaqueDrive(t *testing.T) {
-	got := compareEdge(t, "opaque drive", true, 0, 0, func(e *edgeWorld) {
+// TestExecParkedAcrossDeadlineDrives: a deadline drive ends with Exec's
+// thread parked between steps; a second drive with a later deadline
+// resumes it and ends with it parked again; a final Run completes the
+// program.
+func TestExecParkedAcrossDeadlineDrives(t *testing.T) {
+	got := compareEdge(t, "deadline drives", true, 0, 0, func(e *edgeWorld) {
 		e.snap("deadline", e.w.RunUntilDeadline(20000, nil))
-		e.snap("opaque", e.w.RunUntil(func() bool { return e.w.Now() > 45000 }))
+		e.snap("later deadline", e.w.RunUntilDeadline(45000, nil))
 		e.snap("Run", e.w.Run())
 	})
-	afterDeadline, afterOpaque := got.stats[0], got.stats[1]
 	if !got.returned {
 		t.Fatal("program did not complete")
-	}
-	if afterOpaque.UnfusedOps <= afterDeadline.UnfusedOps || afterOpaque.CompiledOps != afterDeadline.CompiledOps {
-		t.Fatalf("opaque drive: want only unfused ops, stats before %+v after %+v", afterDeadline, afterOpaque)
 	}
 	if got.k.Stream.FallbackPrograms != 0 || got.k.Stream.InterpOps != 0 {
 		t.Fatalf("stats %+v: the program was entered under the deadline drive and must not fall back", got.k.Stream)

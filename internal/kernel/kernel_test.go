@@ -395,7 +395,7 @@ func TestKSMDaemon(t *testing.T) {
 	b.Madvise(vb, 1)
 	daemon := k.KSM.StartDaemon(1000)
 	w := k.World()
-	err := w.RunUntil(func() bool { return a.SharesFrameWith(va, b, vb) || w.Now() > 100000 })
+	err := w.RunUntilDeadline(100000, func() bool { return a.SharesFrameWith(va, b, vb) })
 	if err != nil {
 		t.Fatal(err)
 	}

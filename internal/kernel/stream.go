@@ -18,22 +18,27 @@ import (
 // The contract is the hand-written loop: for each operation, stop if a
 // kill is pending, issue kernel.Thread Load/Store/Flush, then Advance by
 // the think time when it is positive. Exec is bit-identical to that
-// loop. The argument, op by op: the machine work runs at the same
+// loop in machine state and in the thread's clock at every drive
+// boundary. The argument, op by op: the machine work runs at the same
 // thread-local time T (before any advance), so the global
 // machine-operation order — and with it every RNG draw — is unchanged;
 // the fused advance parks the thread at the same final time
 // T+latency+think; and the only observation the fusion skips is the
 // scheduler's stop-predicate evaluation at the intermediate time
-// T+latency. That evaluation is provably redundant when the active
-// drive declares its stop structure (sim.World.RunUntilDeadline): a
-// clock-free predicate cannot change value between T and T+latency
-// because no other thread — and no machine work — runs in between, and
-// the deadline comparison is checked explicitly against the fuse
-// horizon. Whenever the proof obligation fails — an opaque RunUntil
-// predicate, an attached trace observer (whose events must arrive in
-// cycle order), a stale translation, a store that must take a COW
-// fault — Exec runs the hand-written loop itself for the operation or
-// the whole program, and counts the fallback.
+// T+latency. Every drive (sim.World.Run, RunUntilDeadline) declares a
+// clock-free predicate plus a deadline, and the deadline comparison is
+// checked explicitly against the fuse horizon. The predicate's value
+// can change in the latency window only through what the fused op
+// already did, and that differs from the loop in one respect: Exec
+// counts a fused op in opsCounter at T, the loop at T+latency. Another
+// thread or a predicate reading the counter in that window, or a kill
+// landing there, therefore sees the op as already done, and a killed
+// thread stops at T+latency+think rather than T+latency. No production
+// output reads the counter mid-drive. Whenever the proof obligation
+// fails — no drive running, an attached trace observer (whose events
+// must arrive in cycle order), a stale translation, a store that must
+// take a COW fault — Exec runs the hand-written loop itself for the
+// operation or the whole program, and counts the fallback.
 
 // OpKind is the operation selector of one Program slot.
 type OpKind uint8
@@ -156,7 +161,7 @@ type StreamStats struct {
 	// crossings, zero-think tails).
 	UnfusedOps uint64
 	// FallbackPrograms counts Exec calls that ran the whole program per
-	// op: an opaque stop predicate or an attached tracer.
+	// op: an attached tracer, or a call outside a drive.
 	FallbackPrograms uint64
 	// FallbackOps counts fast-path operations run per op individually:
 	// stale translations that resolve to faulting stores or unmapped
@@ -185,9 +190,9 @@ func (t *Thread) Exec(p *Program, opsCounter *uint64) int {
 	st := &t.kern.Stream
 	world := t.kern.world
 	mach := t.kern.mach
-	if _, fuseOK := world.FuseHorizon(); !fuseOK || mach.Traced() {
-		// Opaque stop predicate (could read the clock) or a tracer that
-		// needs cycle-ordered events: the whole program runs per op.
+	if _, running := world.FuseHorizon(); !running || mach.Traced() {
+		// No drive to fuse under, or a tracer that needs cycle-ordered
+		// events: the whole program runs per op.
 		st.FallbackPrograms++
 		for i := range p.ops {
 			if t.Sim.StopRequested() {
@@ -251,9 +256,9 @@ func (t *Thread) Exec(p *Program, opsCounter *uint64) int {
 		// every advance, so a split mirrors the abort time exactly).
 		// The horizon is re-read per op: the thread can stay parked
 		// across the end of one drive and into another with a different
-		// stop structure.
-		deadline, fuseOK := world.FuseHorizon()
-		if fuseOK && op.Think > 0 && now+a.Latency <= deadline &&
+		// deadline.
+		deadline, running := world.FuseHorizon()
+		if running && op.Think > 0 && now+a.Latency <= deadline &&
 			(limit == 0 || now+total <= limit) {
 			st.CompiledOps++
 			if opsCounter != nil {

@@ -93,14 +93,14 @@ func (m *Machine) prefetchNext(now sim.Cycles, core *Core, line uint64) {
 // missPath services a load miss for core on line, running the coherence
 // transaction (state changes, directory updates, fills) and returning the
 // path taken plus its base latency including interconnect queuing. The
-// static (queue-free) portion of each path comes from the memo table;
-// the ring/QPI/DRAM hops stay dynamic because their queuing delay — and
-// the RNG draws realizing it — depends on the traversal time.
+// ring/QPI/DRAM hops are traversed at run time because their queuing
+// delay — and the RNG draws realizing it — depends on the traversal
+// time.
 func (m *Machine) missPath(now sim.Cycles, core *Core, line uint64) (Path, sim.Cycles) {
 	lat := m.cfg.Latencies
 	sock := m.sockets[core.Socket]
 	m.lastUtil = sock.Ring.Utilization(now)
-	base := m.memo.missCommon + sock.Ring.Traverse(now) + sock.Ring.Traverse(now)
+	base := m.missCommon + sock.Ring.Traverse(now) + sock.Ring.Traverse(now)
 
 	switch coherence.CensusOf(m.lines.sharerMask(line, sock.ID)) {
 	case coherence.CensusShared:
@@ -269,7 +269,7 @@ func (m *Machine) downgradeIn(sock *Socket, pc *cache.Cache, line uint64) {
 	if !st.Valid() {
 		return
 	}
-	tr := m.memo.remoteRead[st]
+	tr := m.spec.Apply(st, coherence.RemoteRead)
 	pc.SetState(line, tr.Next)
 	if tr.Action == coherence.SupplyAndWriteBack && !m.cfg.ExclusiveLLC {
 		// Exclusive LLCs never take the downgrade copy; dirty data goes
@@ -375,7 +375,7 @@ func (m *Machine) handleL2Evict(core *Core, ev cache.Evicted) {
 		st = l1
 	}
 	sock := m.sockets[core.Socket]
-	if m.memo.evict[st].Action == coherence.WriteBack || m.cfg.ExclusiveLLC {
+	if m.spec.Apply(st, coherence.Evict).Action == coherence.WriteBack || m.cfg.ExclusiveLLC {
 		// Victims whose eviction transition writes back (dirty states)
 		// land in the LLC; an exclusive (victim) LLC additionally
 		// captures clean victims.
@@ -450,7 +450,7 @@ func (m *Machine) store(t *sim.Thread, g int, addr uint64) Access {
 	sock := m.sockets[core.Socket]
 
 	st := m.ProbeState(g, line)
-	tr := m.memo.localWrite[st]
+	tr := m.spec.Apply(st, coherence.LocalWrite)
 	if tr.Latency == coherence.LatStoreHit {
 		if tr.Next != st {
 			// Silent upgrade (E->M): no bus traffic, which is why the LLC
@@ -538,7 +538,7 @@ func (m *Machine) remoteWriteOthers(requestor *Core, line uint64) bool {
 				if !st.Valid() {
 					continue
 				}
-				if next := m.memo.remoteWrite[st].Next; next.Valid() {
+				if next := m.spec.Apply(st, coherence.RemoteWrite).Next; next.Valid() {
 					pc.SetState(line, next)
 					survived = true
 				} else {
@@ -590,7 +590,7 @@ func (m *Machine) flushLine(t *sim.Thread, g int, addr uint64) Access {
 			core := s.Cores[bits.TrailingZeros64(mask)]
 			for _, pc := range []*cache.Cache{core.L1, core.L2} {
 				st := pc.Invalidate(line)
-				if st.Valid() && m.memo.flush[st].Action == coherence.WriteBack {
+				if st.Valid() && m.spec.Apply(st, coherence.FlushOp).Action == coherence.WriteBack {
 					dirty = true
 				}
 			}
@@ -632,7 +632,7 @@ func (m *Machine) recordFlushPressure(lm *lineMeta, now sim.Cycles) {
 // queues, so pressure widens them more — the asymmetry §VIII-C observes
 // (remote E-state latencies vary most under load).
 func (m *Machine) pressureJitterWidth(line uint64, p Path) int64 {
-	jc := m.memo.jc
+	jc := m.cfg.Latencies.ProbePressureJitter
 	if jc <= 0 || p <= PathL2 {
 		return 0
 	}
@@ -646,7 +646,21 @@ func (m *Machine) pressureJitterWidth(line uint64, p Path) int64 {
 	// workloads degrade fast channels while leaving slow (rate-adapted)
 	// ones nearly untouched (§VIII-C vs. Figure 10).
 	contention := 1 + 6*m.lastUtil
-	return int64(jc * lm.pressure * m.memo.factor[p] * contention)
+	return int64(jc * lm.pressure * pathJitterFactor(p) * contention)
+}
+
+// pathJitterFactor returns the §VIII-C widening factor for path p.
+func pathJitterFactor(p Path) float64 {
+	switch p {
+	case PathRemoteLLC:
+		return 1.3
+	case PathRemoteForward:
+		return 1.6
+	case PathDRAM:
+		return 1.8
+	default:
+		return 1.0
+	}
 }
 
 // finish applies jitter (base plus probe pressure) and records the

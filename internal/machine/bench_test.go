@@ -22,7 +22,7 @@ func benchLoop(b *testing.B, warm, body func(t *sim.Thread, m *Machine, i int)) 
 		}
 		done = true
 	})
-	if err := w.RunUntil(func() bool { return done }); err != nil {
+	if err := w.RunUntilDeadline(sim.NoDeadline, func() bool { return done }); err != nil {
 		b.Fatal(err)
 	}
 	w.Drain()

@@ -71,10 +71,10 @@ type Machine struct {
 	// entry (core-valid bits, LLC-valid mark) and the line's lineMeta.
 	lines lineTable
 
-	// memo is the service-path memo table: protocol transitions, static
-	// path latencies and jitter factors precomputed from (cfg, spec).
-	// See memo.go; InvalidateMemo rebuilds it.
-	memo *serviceMemo
+	// missCommon is the static latency every off-core miss pays:
+	// MissBase + LLCService (+ BusArbitration in snoop mode). The ring
+	// hops are traversed at run time and excluded.
+	missCommon sim.Cycles
 
 	// lastUtil is the highest link utilization seen along the most
 	// recent miss's service path; it feeds the contention multiplier of
@@ -189,8 +189,11 @@ func New(world *sim.World, cfg Config) *Machine {
 		llcTrust: cfg.Mitigations.LLCNotifiedOfEToM || !spec.SilentUpgrades(),
 		lines:    lineTable{sockets: cfg.Sockets},
 	}
-	m.InvalidateMemo()
 	lat := cfg.Latencies
+	m.missCommon = lat.MissBase + lat.LLCService
+	if cfg.SnoopBus {
+		m.missCommon += lat.BusArbitration
+	}
 	pol := cfg.ReplacementPolicy()
 	for s := 0; s < cfg.Sockets; s++ {
 		// In snoop-bus mode one broadcast bus replaces the ring: same

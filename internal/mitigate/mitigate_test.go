@@ -93,7 +93,7 @@ func TestMonitorInjectsInLineOrder(t *testing.T) {
 		}
 	})
 	w := k.World()
-	if err := w.RunUntil(func() bool { return w.Now() > periods*cfg.Period }); err != nil {
+	if err := w.RunUntilDeadline(periods*cfg.Period, nil); err != nil {
 		t.Fatal(err)
 	}
 	mon.Stop()

@@ -48,7 +48,7 @@ func TestWorkloadGeneratesTraffic(t *testing.T) {
 		t.Fatalf("threads = %d", w.Threads())
 	}
 	world := k.World()
-	if err := world.RunUntil(func() bool { return world.Now() > 200_000 }); err != nil {
+	if err := world.RunUntilDeadline(200_000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if w.Ops < 1000 {
@@ -103,7 +103,7 @@ func TestWorkloadDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.RunUntil(func() bool { return w.Now() > 100_000 }); err != nil {
+		if err := w.RunUntilDeadline(100_000, nil); err != nil {
 			t.Fatal(err)
 		}
 		ops := wl.Ops

@@ -102,8 +102,9 @@ func runScheduleScenarios(steps bool) string {
 	}
 	l.phase(w, "Run", w.Run())
 
-	// Opaque predicate, then a deadline drive with a clock-free stop,
-	// then Drain of threads both running and not yet started.
+	// A bare deadline drive (its "RunUntil" label is fixed by the
+	// golden), then deadline drives with clock-free stops, then Drain of
+	// threads both running and not yet started.
 	l.WriteString("## phases\n")
 	w = NewWorld(Config{Seed: 7})
 	r = w.Rand()
@@ -118,7 +119,7 @@ func runScheduleScenarios(steps bool) string {
 		}
 		w.Spawn(fmt.Sprintf("p%d", i), body)
 	}
-	l.phase(w, "RunUntil", w.RunUntil(func() bool { return w.Now() >= 40 }))
+	l.phase(w, "RunUntil", w.RunUntilDeadline(39, nil))
 	l.phase(w, "RunUntilDeadline", w.RunUntilDeadline(90, func() bool { return l.steps > 100000 }))
 	mark := l.steps
 	l.phase(w, "RunUntilDeadline", w.RunUntilDeadline(NoDeadline, func() bool { return l.steps >= mark+7 }))
@@ -168,7 +169,7 @@ func TestScheduleGolden(t *testing.T) {
 
 // TestRunStepsScheduleGolden: the same scenarios with every body's
 // loop handed to RunSteps — a spawn and a StopThread from inside steps,
-// opaque, deadline and clock-free stop predicates, a cycle-limit abort
+// deadline and clock-free stop predicates, a cycle-limit abort
 // and Drain of threads parked between steps — produce the golden
 // schedule byte for byte.
 func TestRunStepsScheduleGolden(t *testing.T) {
@@ -213,13 +214,13 @@ func TestDrainReleasesThreads(t *testing.T) {
 		w.Spawn("spin", spin)
 	}
 	w.Spawn("sleeper", func(th *Thread) { th.Advance(1000); spin(th) })
-	if err := w.RunUntil(func() bool { return w.Now() >= 100 }); err != nil {
+	if err := w.RunUntilDeadline(99, nil); err != nil {
 		t.Fatal(err)
 	}
 	w.Spawn("unstarted", spin)
 	w.Drain()
 	if n := w.LiveThreads(); n != 0 {
-		t.Fatalf("RunUntil+Drain left %d live threads", n)
+		t.Fatalf("RunUntilDeadline+Drain left %d live threads", n)
 	}
 	checkGoroutines(t, base)
 
@@ -254,7 +255,7 @@ func TestDrainSwallowsThreadPanics(t *testing.T) {
 		th.Advance(1000)
 		panic("never reached before Drain")
 	})
-	if err := w.RunUntil(func() bool { return w.Now() >= 10 }); err != nil {
+	if err := w.RunUntilDeadline(9, nil); err != nil {
 		t.Fatal(err)
 	}
 	early := w.Spawn("panics-at-start", func(*Thread) { panic("boom") })

@@ -263,7 +263,7 @@ func TestWorldRunUntilAndDrain(t *testing.T) {
 			th.Advance(1)
 		}
 	})
-	err := w.RunUntil(func() bool { return w.Now() >= 100 })
+	err := w.RunUntilDeadline(99, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

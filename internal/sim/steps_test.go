@@ -148,7 +148,7 @@ func TestRunStepsKillWhileParked(t *testing.T) {
 		})
 		var err error
 		if viaDrain {
-			err = w.RunUntil(killer.Finished)
+			err = w.RunUntilDeadline(NoDeadline, killer.Finished)
 			w.Drain()
 		} else {
 			err = w.Run()
@@ -192,7 +192,7 @@ func TestRunStepsResumesOncePerLoop(t *testing.T) {
 			}
 			th.Advance(7)
 		})
-		if err := w.RunUntil(func() bool { return x.Finished() }); err != nil {
+		if err := w.RunUntilDeadline(NoDeadline, func() bool { return x.Finished() }); err != nil {
 			t.Fatal(err)
 		}
 		resumes := x.Resumes()
@@ -245,7 +245,7 @@ func TestRunStepsSelfStop(t *testing.T) {
 			}
 			o.returned = true
 		})
-		if err := w.RunUntil(x.Finished); err != nil {
+		if err := w.RunUntilDeadline(NoDeadline, x.Finished); err != nil {
 			t.Fatal(err)
 		}
 		o.now = x.Now()

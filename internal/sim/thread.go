@@ -230,7 +230,7 @@ func (t *Thread) Yield() { t.Advance(0) }
 
 // run executes the thread body on its coroutine. It recovers the kill
 // sentinel and records any other panic in t.err, which the scheduler
-// loop re-panics on the RunUntil caller (Drain does not).
+// loop re-panics on the drive's caller (Drain does not).
 func (t *Thread) run(fn func(*Thread)) {
 	defer func() {
 		if r := recover(); r != nil {

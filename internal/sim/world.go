@@ -8,7 +8,7 @@
 // therefore runs exactly one simulated thread at a time and orders threads
 // by (virtual time, thread id), so a run is a pure function of its
 // configuration and seed. Each simulated thread is a runtime coroutine
-// (iter.Pull): the scheduler loop in RunUntil resumes the selected thread,
+// (iter.Pull): the scheduler loop resumes the selected thread,
 // which runs until its next timed operation parks it and control returns
 // to the loop. Only one of them executes at any time, so shared state
 // mutated by thread bodies needs no locking.
@@ -63,7 +63,7 @@ type Config struct {
 
 // World is the simulation kernel: it owns the virtual clock and schedules
 // simulated threads deterministically. Create one with NewWorld, add
-// threads with Spawn, then drive them with Run or RunUntil.
+// threads with Spawn, then drive them with Run or RunUntilDeadline.
 type World struct {
 	cfg     Config
 	rand    *Rand
@@ -73,19 +73,18 @@ type World struct {
 	now     Cycles
 	running bool
 
-	// stopFn is RunUntil's predicate, stored so the inline fast path can
-	// honour it at every step, exactly as the scheduler loop would.
+	// stopFn is the drive's stop predicate, stored so the inline fast
+	// path can honour it at every step, exactly as the scheduler loop
+	// would.
 	stopFn func() bool
 
 	// stepping is the thread whose step function the loop is running
 	// inline, so a panic out of it is charged to that thread.
 	stepping *Thread
 
-	// fuseSafe and fuseDeadline describe the active drive's stop
-	// structure for FuseHorizon: set by RunUntilDeadline (and Run, with
-	// NoDeadline), cleared for opaque RunUntil predicates.
-	fuseSafe     bool
-	fuseDeadline Cycles
+	// deadline is the active drive's deadline (NoDeadline for Run),
+	// reported by FuseHorizon.
+	deadline Cycles
 }
 
 // NewWorld returns an empty world.
@@ -119,61 +118,25 @@ func (w *World) Run() error {
 	return w.RunUntilDeadline(NoDeadline, nil)
 }
 
-// RunUntil drives the world until stop() returns true (checked between
-// thread steps), every thread finishes, or the cycle limit is exceeded.
-//
-// The predicate is opaque: it may read the virtual clock, so batching
-// executors (kernel.Thread.Exec) must fall back to per-operation
-// scheduling while such a drive is active. Drives whose only time
-// dependence is a deadline should use RunUntilDeadline instead, which
-// exposes the structure and keeps the fused fast path engaged.
-func (w *World) RunUntil(stop func() bool) error {
-	return w.runLoop(stop)
-}
-
-// RunUntilDeadline drives the world until stop() returns true, the
-// global clock exceeds deadline (use NoDeadline for none), every thread
-// finishes, or the cycle limit is exceeded. It is semantically identical
-// to RunUntil with the predicate `stop() || w.Now() > deadline`, but
-// declares that stop itself never reads the virtual clock — its value
-// can only change through a thread's own actions. That structure is
-// what lets the access-stream executor (kernel.Thread.Exec) fuse an
-// operation's latency and think time into one Advance: the skipped
-// intermediate predicate evaluation provably has the same value (see
-// FuseHorizon).
+// RunUntilDeadline drives the world until stop() returns true (checked
+// between thread steps), the global clock exceeds deadline (use
+// NoDeadline for none), every thread finishes, or the cycle limit is
+// exceeded. stop must not read the virtual clock — its value can only
+// change through a thread's own actions. That structure is what lets
+// the access-stream executor (kernel.Thread.Exec) fuse an operation's
+// latency and think time into one Advance: the skipped intermediate
+// predicate evaluation provably has the same value (see FuseHorizon).
 func (w *World) RunUntilDeadline(deadline Cycles, stop func() bool) error {
-	w.fuseSafe, w.fuseDeadline = true, deadline
-	defer func() { w.fuseSafe = false }()
-	if stop == nil && deadline == NoDeadline {
-		return w.runLoop(nil)
-	}
-	return w.runLoop(func() bool {
-		return (stop != nil && stop()) || w.now > deadline
-	})
-}
-
-// FuseHorizon returns the active drive's deadline when the stop
-// condition is clock-free up to that deadline (a Run or RunUntilDeadline
-// drive): an Advance that keeps the thread below every other thread's
-// wake time may then skip intermediate predicate evaluations at times
-// at or below the horizon. ok is false under an opaque RunUntil
-// predicate — callers must not fuse.
-func (w *World) FuseHorizon() (deadline Cycles, ok bool) {
-	if !w.running || !w.fuseSafe {
-		return 0, false
-	}
-	return w.fuseDeadline, true
-}
-
-// CycleLimit returns the configured MaxCycles (0 = none).
-func (w *World) CycleLimit() Cycles { return w.cfg.MaxCycles }
-
-func (w *World) runLoop(stop func() bool) error {
 	if w.running {
 		panic("sim: World.Run called re-entrantly")
 	}
+	halt := stop
+	if stop != nil || deadline != NoDeadline {
+		halt = func() bool { return (stop != nil && stop()) || w.now > deadline }
+	}
 	w.running = true
-	w.stopFn = stop
+	w.deadline = deadline
+	w.stopFn = halt
 	defer func() {
 		// A step run inline panicked: record it on its thread and unwind
 		// the parked coroutine, as a panic in the thread body would have
@@ -196,7 +159,7 @@ func (w *World) runLoop(stop func() bool) error {
 	}()
 
 	for {
-		if stop != nil && stop() {
+		if halt != nil && halt() {
 			return nil
 		}
 		t := w.nextRunnable()
@@ -215,6 +178,19 @@ func (w *World) runLoop(stop func() bool) error {
 		}
 	}
 }
+
+// FuseHorizon returns the active drive's deadline and whether a drive
+// is running. Every drive's stop condition is clock-free up to its
+// deadline, so an Advance that keeps the thread below every other
+// thread's wake time may skip intermediate predicate evaluations at
+// times at or below the horizon. Outside a drive (Drain) callers must
+// not fuse.
+func (w *World) FuseHorizon() (deadline Cycles, running bool) {
+	return w.deadline, w.running
+}
+
+// CycleLimit returns the configured MaxCycles (0 = none).
+func (w *World) CycleLimit() Cycles { return w.cfg.MaxCycles }
 
 // continues reports whether the running thread t, whose clock just
 // advanced, is what the scheduler loop would select next, and if so
@@ -278,7 +254,7 @@ func (w *World) Shutdown() {
 }
 
 // Drain stops every thread and schedules until all have unwound. Call it
-// after RunUntil returns with live threads, so their coroutines exit
+// after RunUntilDeadline returns with live threads, so their coroutines exit
 // before the world is dropped. A thread that panics while unwinding is
 // finished, not re-panicked.
 func (w *World) Drain() {

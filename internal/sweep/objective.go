@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"coherentleak/internal/experiments"
 )
@@ -13,9 +12,9 @@ import (
 // to each completed point. The built-in "tsv" kind reads a number out
 // of one artifact's assembled table — covert capacity, error rate,
 // mitigation accuracy and the like are all columns of the reproduced
-// figures — but new kinds can be registered for derived scores.
+// figures.
 type ObjectiveSpec struct {
-	// Kind names a registered objective builder; empty means "tsv".
+	// Kind names the objective; "tsv", the only kind, is the default.
 	Kind string `json:"kind,omitempty"`
 	// Artifact is the registry artifact whose TSV is scored. Required
 	// by the tsv objective; it must appear in the sweep's artifact list
@@ -34,13 +33,6 @@ type ObjectiveSpec struct {
 	Filter map[string]string `json:"filter,omitempty"`
 }
 
-func (o ObjectiveSpec) kind() string {
-	if o.Kind == "" {
-		return "tsv"
-	}
-	return o.Kind
-}
-
 func (o ObjectiveSpec) aggregate() string {
 	if o.Aggregate == "" {
 		return "max"
@@ -57,11 +49,7 @@ func (o ObjectiveSpec) validate() error {
 	default:
 		return fmt.Errorf("sweep: objective direction %q (want \"max\" or \"min\")", o.Direction)
 	}
-	b, err := builderFor(o.kind())
-	if err != nil {
-		return err
-	}
-	_, err = b(o)
+	_, err := BuildObjective(o)
 	return err
 }
 
@@ -73,51 +61,13 @@ type Objective interface {
 	Score(res PointResult) (float64, error)
 }
 
-// Builder constructs an Objective from its spec, validating it.
-type Builder func(ObjectiveSpec) (Objective, error)
-
-var (
-	objMu       sync.Mutex
-	objBuilders = map[string]Builder{}
-)
-
-// RegisterObjective adds an objective kind. Duplicate registration
-// panics: kinds are static wiring, not runtime data.
-func RegisterObjective(kind string, b Builder) {
-	objMu.Lock()
-	defer objMu.Unlock()
-	if _, dup := objBuilders[kind]; dup {
-		panic(fmt.Sprintf("sweep: duplicate objective kind %q", kind))
-	}
-	objBuilders[kind] = b
-}
-
-func builderFor(kind string) (Builder, error) {
-	objMu.Lock()
-	defer objMu.Unlock()
-	b, ok := objBuilders[kind]
-	if !ok {
-		known := make([]string, 0, len(objBuilders))
-		for k := range objBuilders {
-			known = append(known, k)
-		}
-		sort.Strings(known)
-		return nil, fmt.Errorf("sweep: unknown objective kind %q (known: %s)", kind, strings.Join(known, ", "))
-	}
-	return b, nil
-}
-
-// BuildObjective resolves a spec into a ready objective.
+// BuildObjective resolves a spec into a ready objective. The only kind
+// is "tsv" (the default).
 func BuildObjective(spec ObjectiveSpec) (Objective, error) {
-	b, err := builderFor(spec.kind())
-	if err != nil {
-		return nil, err
+	if spec.Kind != "" && spec.Kind != "tsv" {
+		return nil, fmt.Errorf("sweep: unknown objective kind %q (known: tsv)", spec.Kind)
 	}
-	return b(spec)
-}
-
-func init() {
-	RegisterObjective("tsv", newTSVObjective)
+	return newTSVObjective(spec)
 }
 
 // tsvObjective extracts and aggregates one TSV column.
