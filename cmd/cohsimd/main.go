@@ -11,8 +11,13 @@
 // Jobs execute through the worker-fleet dispatch subsystem: start any
 // number of cohsim-worker processes pointed at this daemon and cells
 // are leased out to them (with timeout-based reclaim and bounded
-// retry); with no workers attached, cells run on the in-process pool
-// exactly as before. GET /v1/workers lists the fleet.
+// retry); with no workers attached, or once a cell's attempts are used
+// up, cells run in-process, at most -parallel at a time per job.
+// GET /v1/workers lists the fleet. The /v1/workers routes take no API
+// key even with -keys: anyone who can reach them can lease cells and
+// post rows that land in the shared cell store. With untrusted clients,
+// run with -dispatch=false (which unmounts them) or keep /v1/workers
+// behind a network boundary.
 //
 // Usage:
 //
@@ -82,15 +87,15 @@ func main() {
 		out          = flag.String("out", "results-daemon", "state directory (per-job results)")
 		queue        = flag.Int("queue", 16, "bounded job queue depth (admission control)")
 		jobs         = flag.Int("jobs", 1, "jobs executing cells concurrently")
-		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "max cells in flight per job")
+		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "cells executing in-process per job")
 		jobTimeout   = flag.Duration("job-timeout", 15*time.Minute, "default per-job timeout")
 		maxTimeout   = flag.Duration("max-timeout", 2*time.Hour, "cap on client-requested timeouts")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for in-flight jobs")
 		persist      = flag.Bool("persist", true, "write per-job TSVs and replay archives under -out")
-		dispatchOn   = flag.Bool("dispatch", true, "lease cells to attached cohsim-worker processes")
+		dispatchOn   = flag.Bool("dispatch", true, "lease cells to attached cohsim-worker processes (mounts the unauthenticated /v1/workers routes: turn off with untrusted clients)")
 		leaseTTL     = flag.Duration("lease-ttl", 0, "worker cell lease before reclaim (0 = 90s default)")
 		workerTTL    = flag.Duration("worker-ttl", 0, "silent-worker expiry (0 = 3x lease TTL)")
-		leaseTries   = flag.Int("lease-attempts", 0, "worker attempts per cell before local fallback (0 = 3)")
+		leaseTries   = flag.Int("lease-attempts", 0, "worker attempts per cell before it runs in-process (0 = 3)")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 		cacheMax     = flag.Int("cache-max", 50000, "max cells kept in the in-memory cell store, LRU-pruned (0 = unbounded; unused with -store-dir)")
 		maxSweeps    = flag.Int("max-sweeps", 2, "sweeps executed concurrently (further sweeps queue)")

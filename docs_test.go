@@ -2,9 +2,11 @@ package coherentleak
 
 import (
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -127,4 +129,86 @@ func TestDocsNameRealTests(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMitigationTableMatchesTSV: every cell of EXPERIMENTS.md's §VIII-E
+// table equals results/mitigations.tsv at the precision the table
+// prints it, and the table covers every row of the TSV, so the prose
+// cannot drift from the committed results.
+func TestMitigationTableMatchesTSV(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsv, err := os.ReadFile("results/mitigations.tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{} // "scenario/defense" -> accuracy
+	for _, line := range strings.Split(strings.TrimSpace(string(tsv)), "\n")[1:] {
+		f := strings.Split(line, "\t")
+		if len(f) != 3 {
+			t.Fatalf("mitigations.tsv row %q: want 3 fields", line)
+		}
+		v, err := strconv.ParseFloat(f[2], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[f[0]+"/"+f[1]] = v
+	}
+	defenses := map[string]string{
+		"none": "none", "monitor": "monitor", "ksm-guard": "ksm-guard",
+		"E→M notify": "etom-notify", "equalize": "equalize", "full HW": "full-hw",
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## §VIII-E")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no §VIII-E section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var cols []string
+	checked := 0
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(strings.TrimSpace(line), "|"), "|")
+		for i := range cells {
+			cells[i] = strings.Trim(strings.TrimSpace(cells[i]), "*")
+		}
+		switch {
+		case cells[0] == "Scenario":
+			for _, h := range cells[1:] {
+				d, ok := defenses[h]
+				if !ok {
+					t.Fatalf("§VIII-E table: unknown defense column %q", h)
+				}
+				cols = append(cols, d)
+			}
+		case strings.HasPrefix(cells[0], "---"):
+		default:
+			if len(cells)-1 != len(cols) {
+				t.Fatalf("§VIII-E row %q: %d cells, want %d", line, len(cells)-1, len(cols))
+			}
+			for i, c := range cells[1:] {
+				key := cells[0] + "/" + cols[i]
+				w, ok := want[key]
+				got, err := strconv.ParseFloat(c, 64)
+				if !ok || err != nil {
+					t.Errorf("§VIII-E %s = %q: not in mitigations.tsv or not a number", key, c)
+					continue
+				}
+				decimals := 0
+				if dot := strings.IndexByte(c, '.'); dot >= 0 {
+					decimals = len(c) - dot - 1
+				}
+				if math.Abs(got-w) > 0.5*math.Pow(10, -float64(decimals))+1e-9 {
+					t.Errorf("§VIII-E %s = %s, mitigations.tsv has %.4f", key, c, w)
+				}
+				checked++
+			}
+		}
+	}
+	if checked != len(want) {
+		t.Errorf("§VIII-E table checks %d cells, mitigations.tsv has %d", checked, len(want))
+	}
 }

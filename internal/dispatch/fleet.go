@@ -1,25 +1,26 @@
 // Package dispatch is the scale-out execution subsystem: a coordinator
-// (Fleet) that farms harness cells out to a fleet of worker processes
-// over a long-poll HTTP+JSON protocol, and the worker client that
-// executes them against the same deterministic simulator.
+// (Fleet) that leases harness cells to a fleet of worker processes over
+// a long-poll HTTP+JSON protocol, and the worker client that executes
+// them against the same deterministic simulator.
 //
 // The Fleet implements harness.Dispatcher, so the existing Runner
 // executes through it unchanged: the Runner keeps its deterministic
 // assembly (results are keyed by cell index, so the TSV bytes cannot
 // depend on which worker ran what), and the cell cache is consulted
-// before dispatch, so cached cells never ship anywhere.
+// before dispatch, so cached cells never ship anywhere. The Fleet
+// never runs a cell itself.
 //
 // Fault model: every dispatched cell is covered by a lease with a
 // deadline. A worker that crashes, hangs, or falls off the network
 // simply stops completing (and heartbeating); the reaper reclaims its
 // leases and requeues the cells for other workers, bounded by
-// MaxAttempts, after which the cell falls back to in-process execution
-// so a job always completes. A late result for a reclaimed lease is
-// dropped as a duplicate — the first accepted result wins, and because
-// the simulator is deterministic, any accepted result is the right one.
-// When no live workers are attached, dispatch degrades to the local
-// pool (bounded by LocalParallel), so the fleet is always safe to leave
-// enabled.
+// MaxAttempts. A late result for a reclaimed lease is dropped as a
+// duplicate — the first accepted result wins, and because the
+// simulator is deterministic, any accepted result is the right one.
+// When no live worker is attached, a cell's attempts are used up, or
+// the fleet closes, Dispatch returns harness.ErrNotDispatched and the
+// Runner executes the cell in-process under its own Parallel bound, so
+// a job always completes.
 package dispatch
 
 import (
@@ -28,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -53,8 +53,9 @@ type Observer interface {
 	// DuplicateResult fires when a result arrives for a lease that no
 	// longer exists (reclaimed, or its task already settled).
 	DuplicateResult(worker string)
-	// LocalFallback fires when a cell executes in-process because no
-	// workers are live or its worker attempts were exhausted.
+	// LocalFallback fires when Dispatch hands a cell back with
+	// harness.ErrNotDispatched (no live worker, attempts exhausted or
+	// fleet closed), so the Runner executes it in-process.
 	LocalFallback()
 }
 
@@ -63,17 +64,14 @@ type Options struct {
 	// LeaseTTL is how long a worker holds a cell before the reaper
 	// reclaims it; <=0 means 90s. Heartbeats keep a *worker* alive but
 	// never extend a lease: a cell slower than the TTL is re-dispatched
-	// and, once MaxAttempts is exhausted, runs locally.
+	// and, once MaxAttempts is exhausted, handed back to the Runner.
 	LeaseTTL time.Duration
 	// WorkerTTL expires a worker that neither polls, heartbeats, nor
 	// reports within it; <=0 means 3×LeaseTTL.
 	WorkerTTL time.Duration
-	// MaxAttempts bounds worker executions per cell before the local
-	// fallback; <=0 means 3.
+	// MaxAttempts bounds worker executions per cell before it is
+	// handed back to the Runner; <=0 means 3.
 	MaxAttempts int
-	// LocalParallel bounds concurrent in-process fallback executions;
-	// <=0 means GOMAXPROCS.
-	LocalParallel int
 	// Observer receives metrics callbacks; nil discards them.
 	Observer Observer
 	// Log receives one line per fleet lifecycle event; nil discards.
@@ -89,9 +87,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
-	}
-	if o.LocalParallel <= 0 {
-		o.LocalParallel = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -109,10 +104,11 @@ type taskResult struct {
 	out    harness.CellOutput
 	worker string
 	err    error
-	// runLocal directs the waiting Dispatch call to execute the cell
-	// in-process (attempts exhausted, or the fleet emptied out).
-	runLocal bool
 }
+
+// handBack settles a task the fleet gives up on (attempts exhausted,
+// no live worker, fleet closed): the Runner executes it in-process.
+var handBack = taskResult{err: harness.ErrNotDispatched}
 
 // task is one cell in flight through the fleet.
 type task struct {
@@ -167,8 +163,7 @@ type Grant struct {
 // Fleet is the coordinator: it owns the worker registry, the pending
 // task queue, and the lease table, and implements harness.Dispatcher.
 type Fleet struct {
-	opts     Options
-	localSem chan struct{}
+	opts Options
 
 	mu         sync.Mutex
 	workers    map[string]*workerState
@@ -186,7 +181,6 @@ func NewFleet(opts Options) *Fleet {
 	opts = opts.withDefaults()
 	f := &Fleet{
 		opts:       opts,
-		localSem:   make(chan struct{}, opts.LocalParallel),
 		workers:    make(map[string]*workerState),
 		leases:     make(map[string]*lease),
 		reaperStop: make(chan struct{}),
@@ -203,7 +197,7 @@ func NewFleet(opts Options) *Fleet {
 }
 
 // Close stops the reaper and fails future worker calls. Pending
-// dispatches settle via the local fallback.
+// dispatches are handed back to the Runner.
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	if f.closed {
@@ -212,15 +206,15 @@ func (f *Fleet) Close() {
 	}
 	f.closed = true
 	close(f.reaperStop)
-	// Settle everything still in the fleet locally so no Dispatch call
-	// is left hanging on a worker that will never answer.
+	// Hand back everything still in the fleet so no Dispatch call is
+	// left hanging on a worker that will never answer.
 	for _, t := range f.queue {
-		f.settleLocked(t, taskResult{runLocal: true})
+		f.settleLocked(t, handBack)
 	}
 	f.queue = nil
 	for id, l := range f.leases {
 		delete(f.leases, id)
-		f.settleLocked(l.task, taskResult{runLocal: true})
+		f.settleLocked(l.task, handBack)
 	}
 	for _, w := range f.waiters {
 		close(w.ch)
@@ -242,14 +236,15 @@ func (f *Fleet) observe(fn func(Observer)) {
 	}
 }
 
-// Dispatch implements harness.Dispatcher: the cell is executed by a
-// live worker when one is attached, with lease-based recovery, and
-// in-process otherwise. It blocks until the cell settles or ctx ends.
+// Dispatch implements harness.Dispatcher: the cell is leased to a live
+// worker, with lease-based recovery. It blocks until the cell settles
+// or ctx ends, and returns harness.ErrNotDispatched when no worker can
+// take the cell.
 func (f *Fleet) Dispatch(ctx context.Context, t harness.CellTask) (harness.CellOutput, string, error) {
 	f.mu.Lock()
 	if f.closed || len(f.workers) == 0 {
 		f.mu.Unlock()
-		return f.runLocal(ctx, t)
+		return f.notDispatched()
 	}
 	tk := &task{spec: t, enqueued: time.Now(), result: make(chan taskResult, 1)}
 	f.enqueueLocked(tk, false)
@@ -257,8 +252,8 @@ func (f *Fleet) Dispatch(ctx context.Context, t harness.CellTask) (harness.CellO
 
 	select {
 	case res := <-tk.result:
-		if res.runLocal {
-			return f.runLocal(ctx, t)
+		if errors.Is(res.err, harness.ErrNotDispatched) {
+			return f.notDispatched()
 		}
 		return res.out, res.worker, res.err
 	case <-ctx.Done():
@@ -271,17 +266,10 @@ func (f *Fleet) Dispatch(ctx context.Context, t harness.CellTask) (harness.CellO
 	}
 }
 
-// runLocal executes the cell in-process, bounded by LocalParallel.
-func (f *Fleet) runLocal(ctx context.Context, t harness.CellTask) (harness.CellOutput, string, error) {
+// notDispatched hands a cell back to the Runner.
+func (f *Fleet) notDispatched() (harness.CellOutput, string, error) {
 	f.observe(func(o Observer) { o.LocalFallback() })
-	select {
-	case f.localSem <- struct{}{}:
-	case <-ctx.Done():
-		return harness.CellOutput{}, "", ctx.Err()
-	}
-	defer func() { <-f.localSem }()
-	out, err := t.Run()
-	return out, "", err
+	return harness.CellOutput{}, "", harness.ErrNotDispatched
 }
 
 // enqueueLocked hands the task to a parked waiter, or queues it.
@@ -543,7 +531,7 @@ func (f *Fleet) reapOnce(now time.Time) {
 			f.reclaimLocked(l, "lease deadline passed")
 		}
 	}
-	// A non-empty queue with no one to serve it runs locally.
+	// A non-empty queue with no one to serve it is handed back.
 	if len(f.workers) == 0 {
 		f.flushQueueLocked()
 	}
@@ -577,7 +565,7 @@ func (f *Fleet) removeWorkerLocked(w *workerState, reason string) {
 }
 
 // reclaimLocked takes a cell back from a dead lease: requeue ahead of
-// fresh work, or fall back to local execution once attempts run out.
+// fresh work, or hand it back to the Runner once attempts run out.
 func (f *Fleet) reclaimLocked(l *lease, reason string) {
 	tk := l.task
 	name := l.workerID
@@ -591,16 +579,16 @@ func (f *Fleet) reclaimLocked(l *lease, reason string) {
 		return
 	}
 	if tk.attempt >= f.opts.MaxAttempts {
-		f.settleLocked(tk, taskResult{runLocal: true})
+		f.settleLocked(tk, handBack)
 		return
 	}
 	f.enqueueLocked(tk, true)
 }
 
-// flushQueueLocked settles every pending task locally (no live workers).
+// flushQueueLocked hands back every pending task (no live workers).
 func (f *Fleet) flushQueueLocked() {
 	for _, tk := range f.queue {
-		f.settleLocked(tk, taskResult{runLocal: true})
+		f.settleLocked(tk, handBack)
 	}
 	f.queue = f.queue[:0]
 }

@@ -55,8 +55,7 @@ func (o *recObs) snapshot() (reclaims, dups, local int) {
 	return o.reclaims, o.dups, o.local
 }
 
-// spec builds a dispatchable cell whose in-process body returns a
-// deterministic row.
+// spec builds a dispatchable cell.
 func spec(cell string, idx int) harness.CellTask {
 	plan := harness.Plan{Seed: 7, Sizing: harness.SizingQuick}
 	return harness.CellTask{
@@ -65,9 +64,6 @@ func spec(cell string, idx int) harness.CellTask {
 		Artifact:     "art",
 		Cell:         cell,
 		Index:        idx,
-		Run: func() (harness.CellOutput, error) {
-			return harness.CellOutput{Rows: []string{cell + "\tlocal"}}, nil
-		},
 	}
 }
 
@@ -92,6 +88,15 @@ func dispatchAsync(ctx context.Context, f *Fleet, t harness.CellTask) <-chan dis
 		ch <- dispatchResult{out, worker, err}
 	}()
 	return ch
+}
+
+// wantHandedBack fails unless the dispatch returned the cell to the
+// Runner: harness.ErrNotDispatched, no output, no worker.
+func wantHandedBack(t *testing.T, r dispatchResult) {
+	t.Helper()
+	if !errors.Is(r.err, harness.ErrNotDispatched) || r.worker != "" || r.out.Rows != nil {
+		t.Fatalf("dispatch = %+v, want harness.ErrNotDispatched", r)
+	}
 }
 
 func waitDispatch(t *testing.T, ch <-chan dispatchResult) dispatchResult {
@@ -193,16 +198,13 @@ func TestDispatchWorkerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDispatchNoWorkersRunsLocal: an empty fleet degrades to in-process
-// execution.
+// TestDispatchNoWorkersRunsLocal: an empty fleet hands the cell back
+// for in-process execution.
 func TestDispatchNoWorkersRunsLocal(t *testing.T) {
 	obs := &recObs{}
 	f := NewFleet(quietOpts(obs))
 	defer f.Close()
-	r := waitDispatch(t, dispatchAsync(context.Background(), f, spec("c0", 0)))
-	if r.err != nil || r.worker != "" || r.out.Rows[0] != "c0\tlocal" {
-		t.Fatalf("dispatch = %+v", r)
-	}
+	wantHandedBack(t, waitDispatch(t, dispatchAsync(context.Background(), f, spec("c0", 0))))
 	if _, _, local := obs.snapshot(); local != 1 {
 		t.Fatalf("local fallbacks = %d, want 1", local)
 	}
@@ -302,7 +304,8 @@ func TestWorkerKilledMidCell(t *testing.T) {
 }
 
 // TestMaxAttemptsFallsBackToLocal: after MaxAttempts worker executions
-// are reclaimed, the cell runs in-process so the job still completes.
+// are reclaimed, the cell is handed back to run in-process, so the job
+// still completes.
 func TestMaxAttemptsFallsBackToLocal(t *testing.T) {
 	obs := &recObs{}
 	opts := quietOpts(obs)
@@ -320,10 +323,7 @@ func TestMaxAttemptsFallsBackToLocal(t *testing.T) {
 		backdateLease(f, g.LeaseID)
 		f.reapOnce(time.Now())
 	}
-	r := waitDispatch(t, resCh)
-	if r.err != nil || r.worker != "" || r.out.Rows[0] != "c0\tlocal" {
-		t.Fatalf("dispatch = %+v, want local fallback", r)
-	}
+	wantHandedBack(t, waitDispatch(t, resCh))
 	reclaims, _, local := obs.snapshot()
 	if reclaims != 2 || local != 1 {
 		t.Fatalf("observer: reclaims=%d local=%d, want 2 and 1", reclaims, local)
@@ -331,7 +331,7 @@ func TestMaxAttemptsFallsBackToLocal(t *testing.T) {
 }
 
 // TestAllWorkersDeadFlushesQueue: queued cells whose whole fleet died
-// run locally instead of waiting for a worker that will never poll.
+// are handed back instead of waiting for a worker that will never poll.
 func TestAllWorkersDeadFlushesQueue(t *testing.T) {
 	obs := &recObs{}
 	f := NewFleet(quietOpts(obs))
@@ -345,9 +345,9 @@ func TestAllWorkersDeadFlushesQueue(t *testing.T) {
 	backdateWorker(f, id)
 	f.reapOnce(time.Now())
 
-	r := waitDispatch(t, resCh)
-	if r.err != nil || r.worker != "" || r.out.Rows[0] != "c0\tlocal" {
-		t.Fatalf("dispatch = %+v, want local fallback", r)
+	wantHandedBack(t, waitDispatch(t, resCh))
+	if _, _, local := obs.snapshot(); local != 1 {
+		t.Fatalf("local fallbacks = %d, want 1", local)
 	}
 	if s := f.Stats(); s.LiveWorkers != 0 || s.QueueDepth != 0 || s.LeasesInFlight != 0 {
 		t.Fatalf("stats = %+v", s)
@@ -442,7 +442,7 @@ func TestDeregisterWhileParkedReturnsUnknown(t *testing.T) {
 }
 
 // TestCloseSettlesEverythingLocally: shutdown must not strand dispatch
-// calls — queued and leased cells all settle via the local fallback.
+// calls — queued and leased cells are all handed back.
 func TestCloseSettlesEverythingLocally(t *testing.T) {
 	obs := &recObs{}
 	f := NewFleet(quietOpts(obs))
@@ -455,11 +455,11 @@ func TestCloseSettlesEverythingLocally(t *testing.T) {
 	waitUntil(t, func() bool { return f.Stats().QueueDepth == 1 })
 
 	f.Close()
-	for i, ch := range []<-chan dispatchResult{leasedCh, queuedCh} {
-		r := waitDispatch(t, ch)
-		if r.err != nil || r.worker != "" {
-			t.Fatalf("dispatch %d after close = %+v, want local", i, r)
-		}
+	for _, ch := range []<-chan dispatchResult{leasedCh, queuedCh} {
+		wantHandedBack(t, waitDispatch(t, ch))
+	}
+	if _, _, local := obs.snapshot(); local != 2 {
+		t.Fatalf("local fallbacks = %d, want 2", local)
 	}
 	if _, err := f.Register("late"); !errors.Is(err, errClosed) {
 		t.Fatalf("register after close: %v", err)

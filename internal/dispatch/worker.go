@@ -194,7 +194,7 @@ func (w *Worker) execute(g *Grant) Result {
 		res.Error = err.Error()
 		return res
 	}
-	out, err := runSafely(cell)
+	out, err := harness.RunCell(cell)
 	res.WallMillis = float64(time.Since(begin)) / float64(time.Millisecond)
 	if err != nil {
 		res.Error = err.Error()
@@ -233,17 +233,6 @@ func (w *Worker) resolve(g *Grant) (harness.Cell, error) {
 		}
 	}
 	return zero, fmt.Errorf("unknown cell %s/%s (worker registry out of sync)", g.Artifact, g.Cell)
-}
-
-// runSafely converts a cell panic into an error, mirroring the
-// harness's own in-process protection.
-func runSafely(c harness.Cell) (out harness.CellOutput, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("panic: %v", p)
-		}
-	}()
-	return c.Run()
 }
 
 // report delivers a result, retrying transient failures so a finished

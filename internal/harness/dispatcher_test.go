@@ -4,20 +4,34 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"coherentleak/internal/store"
 )
 
-// countingDispatcher executes tasks via their in-process body and
-// records every dispatch, so tests can assert what was (not) shipped.
+// countingDispatcher executes every task the way a worker does: it
+// re-derives the cell from its registry by plan, artifact and cell
+// name, then runs it. It records every dispatch, so tests can assert
+// what was (not) shipped.
 type countingDispatcher struct {
 	name string
+	reg  *Registry
 	err  error
 
 	mu    sync.Mutex
 	tasks []CellTask
+}
+
+func newCountingDispatcher(name string, arts ...*Artifact) *countingDispatcher {
+	reg := NewRegistry()
+	for _, a := range arts {
+		reg.MustRegister(a)
+	}
+	return &countingDispatcher{name: name, reg: reg}
 }
 
 func (d *countingDispatcher) Dispatch(ctx context.Context, t CellTask) (CellOutput, string, error) {
@@ -27,8 +41,21 @@ func (d *countingDispatcher) Dispatch(ctx context.Context, t CellTask) (CellOutp
 	if d.err != nil {
 		return CellOutput{}, d.name, d.err
 	}
-	out, err := t.Run()
-	return out, d.name, err
+	a, ok := d.reg.Get(t.Artifact)
+	if !ok {
+		return CellOutput{}, d.name, fmt.Errorf("unknown artifact %q", t.Artifact)
+	}
+	cells, err := a.Cells(t.Plan)
+	if err != nil {
+		return CellOutput{}, d.name, err
+	}
+	for _, c := range cells {
+		if c.Name == t.Cell {
+			out, err := RunCell(c)
+			return out, d.name, err
+		}
+	}
+	return CellOutput{}, d.name, fmt.Errorf("unknown cell %s/%s", t.Artifact, t.Cell)
 }
 
 func (d *countingDispatcher) calls() int {
@@ -48,7 +75,7 @@ func TestRunnerDispatcherByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := &countingDispatcher{name: "w1"}
+	d := newCountingDispatcher("w1", arts()[0])
 	remote := &Runner{Dispatcher: d}
 	rrep, err := remote.Run(context.Background(), Plan{Seed: 3}, arts())
 	if err != nil {
@@ -67,7 +94,7 @@ func TestRunnerDispatcherByteIdentity(t *testing.T) {
 	}
 	// Tasks carry everything a remote executor needs.
 	for _, task := range d.tasks {
-		if task.Artifact != "delta" || task.Cell == "" || task.ConfigDigest == "" || task.Run == nil {
+		if task.Artifact != "delta" || task.Cell == "" || task.ConfigDigest == "" || task.Plan.Seed != 3 {
 			t.Fatalf("incomplete task: %+v", task)
 		}
 	}
@@ -85,7 +112,7 @@ func TestRunnerCacheConsultedBeforeDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := &countingDispatcher{name: "w1"}
+	d := newCountingDispatcher("w1", arts()[0])
 	r := &Runner{Manifest: m, Dispatcher: d}
 	rep, err := r.Run(context.Background(), Plan{Seed: 11}, arts())
 	if err != nil {
@@ -105,7 +132,7 @@ func TestRunnerCacheConsultedBeforeDispatch(t *testing.T) {
 		t.Fatalf("cold cells dispatched %d time(s), want 5", d.calls())
 	}
 	// Dispatched outputs land in the manifest like local ones.
-	d2 := &countingDispatcher{name: "w2"}
+	d2 := newCountingDispatcher("w2", arts()[0])
 	r2 := &Runner{Manifest: m, Dispatcher: d2}
 	rep, err = r2.Run(context.Background(), Plan{Seed: 12}, arts())
 	if err != nil {
@@ -138,15 +165,86 @@ func TestRunnerDispatcherErrorFailsCell(t *testing.T) {
 	}
 }
 
-// TestRunnerDispatcherUnboundedFanout: with a dispatcher and Parallel
-// unset, every cell is in flight at once (the dispatcher is the bound).
-func TestRunnerDispatcherUnboundedFanout(t *testing.T) {
-	r := &Runner{Dispatcher: &countingDispatcher{}}
-	if got := r.workers(37); got != 37 {
-		t.Fatalf("workers = %d, want 37", got)
+// handBack answers ErrNotDispatched for every cell, as a fleet with no
+// live worker does.
+type handBack struct{}
+
+func (handBack) Dispatch(context.Context, CellTask) (CellOutput, string, error) {
+	return CellOutput{}, "", fmt.Errorf("%w: no live worker", ErrNotDispatched)
+}
+
+// gatedDispatcher accepts every cell but answers none until n cells
+// are in Dispatch at once.
+type gatedDispatcher struct {
+	n   int
+	mu  sync.Mutex
+	in  int
+	all chan struct{}
+}
+
+func (d *gatedDispatcher) Dispatch(ctx context.Context, t CellTask) (CellOutput, string, error) {
+	d.mu.Lock()
+	if d.in++; d.in == d.n {
+		close(d.all)
 	}
-	r.Parallel = 4
-	if got := r.workers(37); got != 4 {
-		t.Fatalf("explicit Parallel ignored: %d", got)
+	d.mu.Unlock()
+	select {
+	case <-d.all:
+		return CellOutput{Rows: []string{t.Cell}}, "w1", nil
+	case <-ctx.Done():
+		return CellOutput{}, "w1", ctx.Err()
+	}
+}
+
+// TestRunnerParallelBoundsInProcessCells pins what Parallel means: it
+// bounds the cells executing in-process, whether no Dispatcher is set
+// or the Dispatcher hands every cell back, and never the cells a
+// Dispatcher accepts, which are all in flight at once.
+func TestRunnerParallelBoundsInProcessCells(t *testing.T) {
+	const cells = 12
+	var running, peak atomic.Int64
+	art := &Artifact{
+		Name: "bounded", Description: "d", File: "b.tsv", Header: "h",
+		Cells: func(p Plan) ([]Cell, error) {
+			out := make([]Cell, cells)
+			for i := range out {
+				out[i] = Cell{Name: fmt.Sprintf("c%02d", i), Run: func() (CellOutput, error) {
+					n := running.Add(1)
+					for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+					}
+					time.Sleep(2 * time.Millisecond)
+					running.Add(-1)
+					return CellOutput{Rows: []string{fmt.Sprint(i)}}, nil
+				}}
+			}
+			return out, nil
+		},
+	}
+	for _, d := range []Dispatcher{nil, handBack{}} {
+		peak.Store(0)
+		rep, err := (&Runner{Parallel: 2, Dispatcher: d}).Run(context.Background(), Plan{}, []*Artifact{art})
+		if err != nil || rep.Executed != cells || rep.Failed != 0 {
+			t.Fatalf("dispatcher %T: report %+v, err %v", d, rep, err)
+		}
+		if got := peak.Load(); got > 2 {
+			t.Fatalf("dispatcher %T: %d cells executed in-process at once, want <= 2", d, got)
+		}
+		for _, c := range rep.Results[0].Cells {
+			if c.Worker != "" {
+				t.Fatalf("in-process cell %s reports worker %q", c.Cell, c.Worker)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	gate := &gatedDispatcher{n: cells, all: make(chan struct{})}
+	peak.Store(0)
+	rep, err := (&Runner{Parallel: 2, Dispatcher: gate}).Run(ctx, Plan{}, []*Artifact{art})
+	if err != nil || rep.Failed != 0 {
+		t.Fatalf("accepted cells were not all in flight at once: report %+v, err %v", rep, err)
+	}
+	if got := peak.Load(); got != 0 {
+		t.Fatalf("accepted cells executed in-process (peak %d)", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -23,9 +24,8 @@ type Sink interface {
 
 // CellTask identifies one dispatchable cell: everything a remote
 // executor needs to re-derive the cell from a registry (plan, artifact
-// and cell names) plus the in-process body for dispatchers that execute
-// locally. The cell cache is consulted before a task is ever built, so
-// a cached cell is never dispatched anywhere.
+// and cell names). The cell cache is consulted before a task is ever
+// built, so a cached cell is never dispatched anywhere.
 type CellTask struct {
 	Plan         Plan
 	ConfigDigest string
@@ -33,29 +33,32 @@ type CellTask struct {
 	Cell         string
 	// Index is the cell's position in its artifact's deterministic order.
 	Index int
-	// Run executes the cell in-process (panic-safe). Remote dispatchers
-	// ignore it and re-plan the cell from the registry instead.
-	Run func() (CellOutput, error)
 }
 
-// Dispatcher executes cells somewhere — in-process, or farmed out to a
-// worker fleet. Dispatch blocks until the cell finishes (or ctx ends)
-// and returns the output plus the identity of the executor ("" means
-// in-process). Implementations must be safe for concurrent calls: the
-// Runner keeps many dispatches in flight.
+// ErrNotDispatched is what a Dispatcher returns (bare or wrapped) for a
+// cell it could not hand to any executor; the Runner then executes the
+// cell in-process under its Parallel bound.
+var ErrNotDispatched = errors.New("harness: cell not dispatched")
+
+// Dispatcher farms cells out to executors elsewhere, such as a worker
+// fleet. Dispatch blocks until the cell finishes (or ctx ends) and
+// returns the output plus the identity of the executor, or
+// ErrNotDispatched to leave the cell to the Runner. Implementations
+// must be safe for concurrent calls: the Runner dispatches every cell
+// at once.
 type Dispatcher interface {
 	Dispatch(ctx context.Context, t CellTask) (CellOutput, string, error)
 }
 
-// Runner executes artifact cells on a bounded worker pool.
+// Runner executes artifact cells in-process on a bounded pool of slots,
+// or through a Dispatcher.
 type Runner struct {
-	// Parallel bounds the cells in flight; <=0 means GOMAXPROCS when
-	// executing locally. When a Dispatcher is set, <=0 means "all cells
-	// at once": the dispatcher's own lease queue is the real bound, and
-	// throttling here would only starve remote workers.
+	// Parallel bounds the cells executing in-process; <=0 means
+	// GOMAXPROCS. Cells a Dispatcher accepts do not count against it.
 	Parallel int
-	// Dispatcher, when set, executes cells instead of the local pool.
-	// Nil keeps the default in-process execution path.
+	// Dispatcher, when set, is offered every uncached cell first; the
+	// cells it answers ErrNotDispatched for run in-process. Nil runs
+	// every cell in-process.
 	Dispatcher Dispatcher
 	// Progress receives streaming per-cell completion lines (with
 	// timing) and, at assembly, each cell's deterministic summary
@@ -145,14 +148,11 @@ func (r *RunReport) Err() error {
 	return fmt.Errorf("harness: %d cell(s) failed: %s", r.Failed, strings.Join(msgs, "; "))
 }
 
-func (r *Runner) workers(jobs int) int {
+// parallel is the in-process execution bound for a run of jobs cells.
+func (r *Runner) parallel(jobs int) int {
 	n := r.Parallel
 	if n <= 0 {
-		if r.Dispatcher != nil {
-			n = jobs
-		} else {
-			n = runtime.GOMAXPROCS(0)
-		}
+		n = runtime.GOMAXPROCS(0)
 	}
 	if n > jobs {
 		n = jobs
@@ -292,9 +292,17 @@ func (r *Runner) Execute(ctx context.Context, b *Batch) (*RunReport, error) {
 		}
 	}
 
+	// Without a Dispatcher one goroutine per slot drains the jobs; with
+	// one, every cell is in flight at once and only the cells it hands
+	// back wait for a slot.
+	slots := make(chan struct{}, r.parallel(len(jobs)))
+	fanout := cap(slots)
+	if r.Dispatcher != nil {
+		fanout = len(jobs)
+	}
 	jobCh := make(chan job)
 	var wg sync.WaitGroup
-	for w := r.workers(len(jobs)); w > 0; w-- {
+	for w := fanout; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -307,7 +315,7 @@ func (r *Runner) Execute(ctx context.Context, b *Batch) (*RunReport, error) {
 					rep.Artifact, rep.Cell, rep.Index = a.Name, c.Name, j.cell
 					rep.Err = fmt.Errorf("%s/%s: %w", a.Name, c.Name, err)
 				} else {
-					r.runCell(ctx, b, a, c, j.cell, &outputs[j.art][j.cell], rep)
+					r.runCell(ctx, b, a, c, j.cell, slots, &outputs[j.art][j.cell], rep)
 				}
 				finish(rep)
 			}
@@ -417,7 +425,7 @@ func cached(e *store.Entry, rep *CellReport) CellOutput {
 	return CellOutput{Rows: e.Rows, Summary: e.Summary}
 }
 
-func (r *Runner) runCell(ctx context.Context, b *Batch, a *Artifact, c Cell, idx int, out *CellOutput, rep *CellReport) {
+func (r *Runner) runCell(ctx context.Context, b *Batch, a *Artifact, c Cell, idx int, slots chan struct{}, out *CellOutput, rep *CellReport) {
 	rep.Artifact, rep.Cell, rep.Index = a.Name, c.Name, idx
 	// The cache is consulted before dispatch, not just before local
 	// execution: a cached cell never ships to a remote worker.
@@ -427,10 +435,7 @@ func (r *Runner) runCell(ctx context.Context, b *Batch, a *Artifact, c Cell, idx
 		return
 	}
 	begin := time.Now()
-	var (
-		o   CellOutput
-		err error
-	)
+	o, err := CellOutput{}, ErrNotDispatched
 	if r.Dispatcher != nil {
 		o, rep.Worker, err = r.Dispatcher.Dispatch(ctx, CellTask{
 			Plan:         b.plan,
@@ -438,10 +443,17 @@ func (r *Runner) runCell(ctx context.Context, b *Batch, a *Artifact, c Cell, idx
 			Artifact:     a.Name,
 			Cell:         c.Name,
 			Index:        idx,
-			Run:          func() (CellOutput, error) { return runCellSafely(c) },
 		})
-	} else {
-		o, err = runCellSafely(c)
+	}
+	if errors.Is(err, ErrNotDispatched) {
+		// The slot wait counts toward the cell's wall time.
+		select {
+		case slots <- struct{}{}:
+			o, err = RunCell(c)
+			<-slots
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
 	}
 	rep.Wall = time.Since(begin)
 	if err != nil {
@@ -460,10 +472,10 @@ func (r *Runner) runCell(ctx context.Context, b *Batch, a *Artifact, c Cell, idx
 	}
 }
 
-// runCellSafely converts a cell panic (e.g. a noise-attach panic deep in
-// an experiment closure) into a per-cell error so one bad cell cannot
-// take down the whole run.
-func runCellSafely(c Cell) (out CellOutput, err error) {
+// RunCell runs one cell, converting a panic (e.g. a noise-attach panic
+// deep in an experiment closure) into an error so one bad cell cannot
+// take down a whole run or a worker process.
+func RunCell(c Cell) (out CellOutput, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)

@@ -352,14 +352,3 @@ func TestRunnerObserveReportsEveryCell(t *testing.T) {
 		}
 	}
 }
-
-func TestRunnerParallelDefaultsAndClamps(t *testing.T) {
-	r := &Runner{}
-	if got := r.workers(100); got < 1 {
-		t.Fatalf("workers = %d", got)
-	}
-	r.Parallel = 64
-	if got := r.workers(3); got != 3 {
-		t.Fatalf("workers should clamp to job count, got %d", got)
-	}
-}

@@ -56,7 +56,9 @@ import (
 // When dispatch is enabled the worker-fleet protocol mounts alongside:
 // POST/GET /v1/workers, DELETE /v1/workers/{id}, and the per-worker
 // lease / result / heartbeat routes (see internal/dispatch). Workers
-// are operator-deployed infrastructure, not tenants.
+// are operator-deployed infrastructure, not tenants, so these routes
+// take no key: any client that reaches them can lease cells and post
+// rows into the shared store. DisableDispatch is what unmounts them.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)

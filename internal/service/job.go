@@ -82,15 +82,17 @@ type Job struct {
 	// Mutable state, guarded by the owning Service's mu (jobs are few
 	// and events short; one lock keeps ordering between state changes
 	// and event publication trivial).
-	state    State
-	started  time.Time
-	finished time.Time
-	errMsg   string
-	total    int
-	done     int
-	executed int
-	cached   int
-	failed   int
+	state     State
+	started   time.Time
+	finished  time.Time
+	errMsg    string
+	total     int
+	cellsDone int
+	executed  int
+	cached    int
+	failed    int
+	// done is closed when the job reaches a terminal state.
+	done chan struct{}
 	// batch is the job's cells resolved against the store at Submit;
 	// released once the job is terminal.
 	batch   *harness.Batch
@@ -148,7 +150,7 @@ func (j *Job) view() View {
 		Created:      j.Created,
 		Error:        j.errMsg,
 		Cells: CellsView{
-			Total: j.total, Done: j.done,
+			Total: j.total, Done: j.cellsDone,
 			Executed: j.executed, Cached: j.cached, Failed: j.failed,
 		},
 	}

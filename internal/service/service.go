@@ -56,8 +56,8 @@ type Options struct {
 	// means 1 (cells within a job already parallelize). A job whose
 	// cells the store holds entirely needs no executor.
 	Executors int
-	// CellParallel is the Runner worker count per job; <=0 means
-	// GOMAXPROCS.
+	// CellParallel bounds the cells executing in-process per job; <=0
+	// means GOMAXPROCS. Cells leased to fleet workers do not count.
 	CellParallel int
 	// DefaultTimeout caps jobs that do not request one; <=0 means 15m.
 	DefaultTimeout time.Duration
@@ -70,10 +70,13 @@ type Options struct {
 	// DefaultSeed seeds jobs whose requests omit one (the daemon passes
 	// experiments.DefaultSeed so service runs match the CLI).
 	DefaultSeed uint64
-	// DisableDispatch pins every job to the in-process cell pool even
-	// when workers are attached. Default off: jobs execute through the
-	// worker fleet whenever one is live, falling back to the local pool
-	// otherwise.
+	// DisableDispatch runs every cell in-process and unmounts the
+	// /v1/workers routes. Default off: cells are leased to the worker
+	// fleet whenever a worker is live and run in-process otherwise.
+	// The worker routes take no API key, so anyone who can reach them
+	// can lease cells and post rows into the shared store; with
+	// untrusted clients, set this or keep /v1/workers behind a network
+	// boundary.
 	DisableDispatch bool
 	// DispatchLeaseTTL is how long a worker holds one cell before the
 	// lease reclaims; <=0 means the dispatch default (90s).
@@ -190,12 +193,11 @@ func New(opts Options) (*Service, error) {
 	}
 	if !opts.DisableDispatch {
 		s.fleet = dispatch.NewFleet(dispatch.Options{
-			LeaseTTL:      opts.DispatchLeaseTTL,
-			WorkerTTL:     opts.DispatchWorkerTTL,
-			MaxAttempts:   opts.DispatchMaxAttempts,
-			LocalParallel: opts.CellParallel,
-			Observer:      s.metrics,
-			Log:           opts.Log,
+			LeaseTTL:    opts.DispatchLeaseTTL,
+			WorkerTTL:   opts.DispatchWorkerTTL,
+			MaxAttempts: opts.DispatchMaxAttempts,
+			Observer:    s.metrics,
+			Log:         opts.Log,
 		})
 	}
 	for i := 0; i < opts.Executors; i++ {
@@ -344,6 +346,7 @@ func (s *Service) Submit(tn *tenant.Tenant, req *SubmitRequest) (*Job, error) {
 		batch:     batch,
 		results:   make(map[string]*harness.ArtifactResult),
 		stream:    newEventLog[Event](subEventBuffer, s.metrics.SSEEvicted),
+		done:      make(chan struct{}),
 	}
 	if batch.Pending() > 0 {
 		if err := s.queue.Push(tn.Name, tn.Weight, job); err != nil {
@@ -567,6 +570,7 @@ func (s *Service) finishLocked(j *Job, state State, errMsg string) {
 	j.errMsg = errMsg
 	j.batch = nil // its cells and held entries are no longer needed
 	j.finished = time.Now()
+	close(j.done)
 	j.publish(Event{Type: "state", State: state, Error: errMsg})
 	s.metrics.JobFinished(state, j.finished.Sub(j.started).Seconds())
 	s.logf("%s %s%s", j.ID, state, suffixIf(errMsg))
@@ -639,12 +643,9 @@ func (s *Service) runJob(ctx context.Context, j *Job) {
 		Sinks: s.jobSinks(j),
 	}
 	if s.fleet != nil {
-		// Cells route through the worker fleet (local fallback inside
-		// the fleet stays bounded by CellParallel). Parallel 0 lets the
-		// Runner fan every cell out at once: the fleet's lease queue is
-		// the real bound, and throttling here would starve workers.
+		// Every cell is offered to the worker fleet at once; the cells
+		// it hands back run in-process, bounded by CellParallel.
 		runner.Dispatcher = s.fleet
-		runner.Parallel = 0
 	}
 	report, runErr := runner.Execute(tctx, j.batch)
 
@@ -695,7 +696,7 @@ func (s *Service) observeCell(j *Job, done, total int, rep harness.CellReport) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.total = total
-	j.done = done
+	j.cellsDone = done
 	switch {
 	case rep.Err != nil:
 		j.failed++

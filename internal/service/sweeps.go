@@ -466,9 +466,9 @@ func (s *Service) runSweep(sw *Sweep) {
 	s.mu.Unlock()
 
 	rep, runErr := sweep.Run(ctx, sw.Spec, sweep.Options{
-		Runner: sweep.RunnerFunc(func(ctx context.Context, pt sweep.Point) (sweep.PointResult, error) {
+		RunPoint: func(ctx context.Context, pt sweep.Point) (sweep.PointResult, error) {
 			return s.runSweepPoint(ctx, sw, pt)
-		}),
+		},
 		DefaultSeed: s.opts.DefaultSeed,
 		InFlight:    s.opts.SweepInFlight,
 		Observe:     func(ev sweep.Event) { s.observeSweep(sw, ev) },
@@ -540,7 +540,8 @@ func (s *Service) observeSweep(sw *Sweep, ev sweep.Event) {
 // points competes as that tenant, not ahead of other tenants.
 // Queue-full and tenant-quota rejections become RetryErrors so the
 // engine backs off instead of failing the point; the shared cell
-// store dedupes repeated cells across points automatically.
+// store dedupes repeated cells across points automatically. The point
+// waits for its job to finish, and cancels it if ctx ends first.
 func (s *Service) runSweepPoint(ctx context.Context, sw *Sweep, pt sweep.Point) (sweep.PointResult, error) {
 	var res sweep.PointResult
 	job, err := s.Submit(sw.owner, s.sweepPointRequest(sw.Spec, pt))
@@ -550,77 +551,33 @@ func (s *Service) runSweepPoint(ctx context.Context, sw *Sweep, pt sweep.Point) 
 	if err != nil {
 		return res, err
 	}
-	state, errMsg, err := s.followJob(ctx, sw.owner, job.ID)
-	if err != nil {
-		return res, err
+	select {
+	case <-job.done:
+	case <-ctx.Done():
+		s.Cancel(sw.owner, job.ID)
+		return res, ctx.Err()
 	}
+	// A terminal job's fields no longer change.
+	s.mu.Lock()
+	state, errMsg, results := job.state, job.errMsg, job.results
+	res.Cells = sweep.CellCounts{
+		Total:    job.total,
+		Executed: job.executed,
+		Cached:   job.cached,
+		Failed:   job.failed,
+	}
+	s.mu.Unlock()
 	if state != StateDone {
 		return res, fmt.Errorf("%s %s%s", job.ID, state, suffixIf(errMsg))
 	}
-	v, ok := s.JobView(sw.owner, job.ID)
-	if !ok {
-		return res, fmt.Errorf("%s vanished", job.ID)
-	}
 	res.JobID = job.ID
-	res.Cells = sweep.CellCounts{
-		Total:    v.Cells.Total,
-		Executed: v.Cells.Executed,
-		Cached:   v.Cells.Cached,
-		Failed:   v.Cells.Failed,
-	}
 	res.TSV = make(map[string][]byte, len(job.Artifacts))
 	for _, name := range job.Artifacts {
-		r, okr := s.Result(sw.owner, job.ID, name)
-		if !okr {
+		r, ok := results[name]
+		if !ok {
 			return res, fmt.Errorf("%s finished without an assembled %s table", job.ID, name)
 		}
 		res.TSV[name] = r.TSV()
 	}
 	return res, nil
-}
-
-// followJob waits for one of tn's jobs to reach a terminal state via
-// its event stream (resubscribing if this subscriber is ever evicted).
-// Context cancellation cancels the job.
-func (s *Service) followJob(ctx context.Context, tn *tenant.Tenant, id string) (State, string, error) {
-	for {
-		history, ch, unsub, ok := s.Subscribe(tn, id)
-		if !ok {
-			return "", "", fmt.Errorf("%s vanished", id)
-		}
-		for _, ev := range history {
-			if ev.Type == "state" && ev.State.Terminal() {
-				unsub()
-				return ev.State, ev.Error, nil
-			}
-		}
-		if ch == nil {
-			// Terminal without a terminal event cannot happen, but fall
-			// back to the view rather than spinning.
-			unsub()
-			v, okv := s.JobView(tn, id)
-			if !okv {
-				return "", "", fmt.Errorf("%s vanished", id)
-			}
-			return v.State, v.Error, nil
-		}
-	live:
-		for {
-			select {
-			case ev, open := <-ch:
-				if !open {
-					break live // evicted; resubscribe and rescan history
-				}
-				if ev.Type == "state" && ev.State.Terminal() {
-					unsub()
-					return ev.State, ev.Error, nil
-				}
-			case <-ctx.Done():
-				unsub()
-				s.Cancel(tn, id)
-				return "", "", ctx.Err()
-			}
-		}
-		unsub()
-	}
 }

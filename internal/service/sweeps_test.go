@@ -539,7 +539,7 @@ func TestSweepReplacementAxis(t *testing.T) {
 // cancelled without waiting for its in-flight point.
 func TestSweepCancel(t *testing.T) {
 	release := make(chan struct{})
-	defer close(release)
+	rel := releaseOnce(t, release)
 	reg := blockingRegistry(1, release)
 	_, ts := newTestServer(t, service.Options{
 		Registry: reg, QueueDepth: 4, Executors: 1, DisableDispatch: true, SweepInFlight: 1,
@@ -554,6 +554,20 @@ func TestSweepCancel(t *testing.T) {
 		t.Fatalf("POST /v1/sweeps = %d: %s", code, raw)
 	}
 	waitSweep(t, ts, sw.ID, service.StateRunning)
+	// Cancel once the first point's job is executing its cell.
+	var jobID string
+	for deadline := time.Now().Add(30 * time.Second); jobID == ""; time.Sleep(5 * time.Millisecond) {
+		var list struct{ Jobs []service.View }
+		_, body := fetch(t, ts, "/v1/jobs")
+		if err := json.Unmarshal(body, &list); err != nil {
+			t.Fatal(err)
+		}
+		if len(list.Jobs) == 1 && list.Jobs[0].State == service.StateRunning {
+			jobID = list.Jobs[0].ID
+		} else if time.Now().After(deadline) {
+			t.Fatalf("no running point job: %s", body)
+		}
+	}
 
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweeps/"+sw.ID, nil)
 	if err != nil {
@@ -577,6 +591,12 @@ func TestSweepCancel(t *testing.T) {
 	tail := events[len(events)-1]
 	if tail.event != "state" || !strings.Contains(tail.data, `"state":"cancelled"`) {
 		t.Errorf("stream tail = %s %q, want cancelled state event", tail.event, tail.data)
+	}
+	// The point's context ended with the sweep, so its job was
+	// cancelled: once the cell returns, the job ends cancelled, not done.
+	rel()
+	if jv := waitState(t, ts, jobID, service.StateCancelled); jv.Error != "cancelled by client" {
+		t.Errorf("point job error = %q", jv.Error)
 	}
 }
 

@@ -214,6 +214,35 @@ func TestAuthRequiredAndExemptRoutes(t *testing.T) {
 	}
 }
 
+// TestWorkerRoutesMountOnlyWithDispatch pins the only guard on the
+// worker-fleet protocol: its routes take no API key even with a keys
+// file loaded, so any client that reaches them can register, lease
+// cells and post results, and DisableDispatch unmounts every one.
+func TestWorkerRoutesMountOnlyWithDispatch(t *testing.T) {
+	routes := []struct{ method, path, body string }{
+		{"POST", "/v1/workers", `{"name":"stranger"}`},
+		{"GET", "/v1/workers", ""},
+		{"POST", "/v1/workers/w-000001/heartbeat", ""},
+		{"POST", "/v1/workers/w-000001/lease", `{"waitMillis":1}`},
+		{"POST", "/v1/workers/w-000001/result", `{"leaseId":"lease-00000001"}`},
+		{"DELETE", "/v1/workers/w-000001", ""},
+	}
+	for _, disable := range []bool{false, true} {
+		_, ts := newTestServer(t, service.Options{
+			Registry: blockingRegistry(1, nil), Tenants: twoTenants(t), DisableDispatch: disable,
+		})
+		for _, r := range routes {
+			code, body, _ := doAs(t, ts, "", r.method, r.path, r.body)
+			if disable && code != http.StatusNotFound {
+				t.Fatalf("DisableDispatch: %s %s = %d (%s), want 404", r.method, r.path, code, body)
+			}
+			if !disable && (code < 200 || code > 299) {
+				t.Fatalf("dispatch on: %s %s without a key = %d (%s), want 2xx", r.method, r.path, code, body)
+			}
+		}
+	}
+}
+
 // TestSweepBudgetCheckedBeforeExpansion: a tenant's sweepBudget rejects
 // an oversized grid from its size alone — the 5,000,000 points the spec
 // allows itself are never built.

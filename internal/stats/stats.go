@@ -76,7 +76,10 @@ func Percentile(sorted []float64, p float64) float64 {
 	if lo+1 >= n {
 		return sorted[n-1]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	// Interpolating from the lower neighbour keeps the result inside
+	// [sorted[lo], sorted[lo+1]]; a*(1-frac) + b*frac can land one ulp
+	// outside it even when a == b.
+	return sorted[lo] + (sorted[lo+1]-sorted[lo])*frac
 }
 
 // CDFPoint is one point of an empirical CDF.

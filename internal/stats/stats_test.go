@@ -231,6 +231,11 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		va, vb := Percentile(xs, a), Percentile(xs, b)
 		return va <= vb && va >= xs[0] && vb <= xs[len(xs)-1]
 	}
+	// Two equal values at p 10 and 60 once drew a result one ulp
+	// outside them.
+	if !f([]uint8{114, 114}, 60, 212) {
+		t.Fatal("percentile of {114, 114} at p 10 and 60 leaves [114, 114] or is not monotone")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func (c *CellCounts) Add(o CellCounts) {
 	c.Failed += o.Failed
 }
 
-// PointResult is what a PointRunner returns for one completed point.
+// PointResult is what Options.RunPoint returns for one completed point.
 type PointResult struct {
 	// JobID names the job that ran the point (informational).
 	JobID string
@@ -62,20 +62,6 @@ type PointResult struct {
 	// Cells reports the job's cell outcomes.
 	Cells CellCounts
 }
-
-// PointRunner executes one point to completion. Implementations must
-// be safe for concurrent calls. Returning *RetryError means the point
-// was never admitted and the engine should back off and resubmit;
-// any other error fails the point.
-type PointRunner interface {
-	RunPoint(ctx context.Context, pt Point) (PointResult, error)
-}
-
-// RunnerFunc adapts a function to PointRunner.
-type RunnerFunc func(ctx context.Context, pt Point) (PointResult, error)
-
-// RunPoint implements PointRunner.
-func (f RunnerFunc) RunPoint(ctx context.Context, pt Point) (PointResult, error) { return f(ctx, pt) }
 
 // Event types emitted through Options.Observe.
 const (
@@ -113,8 +99,11 @@ type Event struct {
 
 // Options configures a sweep run.
 type Options struct {
-	// Runner executes points. Required.
-	Runner PointRunner
+	// RunPoint executes one point to completion. Required, and called
+	// concurrently. Returning *RetryError means the point was never
+	// admitted and the engine should back off and resubmit; any other
+	// error fails the point.
+	RunPoint func(ctx context.Context, pt Point) (PointResult, error)
 	// DefaultSeed seeds points when the spec has no Seed and no seed
 	// axis (mirrors job submission).
 	DefaultSeed uint64
@@ -177,8 +166,8 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opts.Runner == nil {
-		return nil, errors.New("sweep: Options.Runner is required")
+	if opts.RunPoint == nil {
+		return nil, errors.New("sweep: Options.RunPoint is required")
 	}
 	start := time.Now()
 	points, err := Expand(spec, opts.DefaultSeed)
@@ -228,7 +217,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range ptCh {
-				pr := runPoint(ctx, points[i], opts.Runner, obj, maxRetries, sleep, func(wait time.Duration, retries int) {
+				pr := runPoint(ctx, points[i], opts.RunPoint, obj, maxRetries, sleep, func(wait time.Duration, retries int) {
 					mu.Lock()
 					rep.Retries++
 					observe(Event{Type: EventBackoff, Done: done, Total: total, Point: &PointReport{
@@ -282,12 +271,12 @@ feed:
 
 // runPoint drives one point through admission backoff, execution and
 // scoring.
-func runPoint(ctx context.Context, pt Point, runner PointRunner, obj Objective, maxRetries int, sleep func(context.Context, time.Duration) error, onBackoff func(time.Duration, int)) PointReport {
+func runPoint(ctx context.Context, pt Point, run func(context.Context, Point) (PointResult, error), obj Objective, maxRetries int, sleep func(context.Context, time.Duration) error, onBackoff func(time.Duration, int)) PointReport {
 	pr := PointReport{Point: pt}
 	var res PointResult
 	for {
 		var err error
-		res, err = runner.RunPoint(ctx, pt)
+		res, err = run(ctx, pt)
 		if err == nil {
 			break
 		}

@@ -2,7 +2,7 @@
 // a Spec names parameter axes that map onto machine-config overrides
 // (plus the experiment seed), expands them into a bounded set of
 // operating points by grid enumeration or seeded random sampling, runs
-// every point through a PointRunner (the service adapter submits each
+// every point through Options.RunPoint (the service adapter submits each
 // point as a daemon job, so the shared cell store dedupes repeated
 // cells across points), scores completed points with a pluggable
 // objective read out of the artifact TSVs, and maintains a ranked

@@ -264,8 +264,8 @@ func TestSpecValidation(t *testing.T) {
 }
 
 // gridRunner fabricates deterministic results: value = seed*100 + QPI.
-func gridRunner(t *testing.T, delayByIndex func(i int) time.Duration) PointRunner {
-	return RunnerFunc(func(ctx context.Context, pt Point) (PointResult, error) {
+func gridRunner(t *testing.T, delayByIndex func(i int) time.Duration) func(context.Context, Point) (PointResult, error) {
+	return func(ctx context.Context, pt Point) (PointResult, error) {
 		if delayByIndex != nil {
 			time.Sleep(delayByIndex(pt.Index))
 		}
@@ -282,7 +282,7 @@ func gridRunner(t *testing.T, delayByIndex func(i int) time.Duration) PointRunne
 			TSV:   map[string][]byte{"grid": []byte(tsv)},
 			Cells: CellCounts{Total: 1, Executed: 1},
 		}, nil
-	})
+	}
 }
 
 func TestRunRanksFrontierDeterministically(t *testing.T) {
@@ -291,7 +291,7 @@ func TestRunRanksFrontierDeterministically(t *testing.T) {
 
 	run := func(delay func(int) time.Duration, inFlight int) []byte {
 		rep, err := Run(context.Background(), spec, Options{
-			Runner:   gridRunner(t, delay),
+			RunPoint: gridRunner(t, delay),
 			InFlight: inFlight,
 		})
 		if err != nil {
@@ -365,16 +365,16 @@ func TestBackoffOnAdmissionControl(t *testing.T) {
 		Objective: ObjectiveSpec{Artifact: "grid", Column: "value"},
 	}
 	var calls atomic.Int64
-	runner := RunnerFunc(func(ctx context.Context, pt Point) (PointResult, error) {
+	runner := func(ctx context.Context, pt Point) (PointResult, error) {
 		if calls.Add(1) <= 2 {
 			return PointResult{}, &RetryError{After: 1500 * time.Millisecond, Err: errors.New("queue full")}
 		}
 		return PointResult{TSV: map[string][]byte{"grid": []byte("cell\tvalue\nc\t1\n")}, Cells: CellCounts{Total: 1, Executed: 1}}, nil
-	})
+	}
 	var slept []time.Duration
 	var backoffEvents int
 	rep, err := Run(context.Background(), spec, Options{
-		Runner: runner,
+		RunPoint: runner,
 		Observe: func(ev Event) {
 			if ev.Type == EventBackoff {
 				backoffEvents++
@@ -405,10 +405,10 @@ func TestBackoffOnAdmissionControl(t *testing.T) {
 
 	// Unbounded rejection exhausts MaxRetries and fails the point.
 	calls.Store(0)
-	always := RunnerFunc(func(ctx context.Context, pt Point) (PointResult, error) {
+	always := func(ctx context.Context, pt Point) (PointResult, error) {
 		return PointResult{}, &RetryError{After: time.Second, Err: errors.New("queue full")}
-	})
-	rep, err = Run(context.Background(), spec, Options{Runner: always, MaxRetries: 3}.
+	}
+	rep, err = Run(context.Background(), spec, Options{RunPoint: always, MaxRetries: 3}.
 		WithSleep(func(ctx context.Context, d time.Duration) error { return nil }))
 	if err != nil {
 		t.Fatal(err)
@@ -426,14 +426,14 @@ func TestRunPointFailureDoesNotAbortSweep(t *testing.T) {
 		Axes:      []Axis{{Param: "seed", Values: rawValues("1", "2", "3")}},
 		Objective: ObjectiveSpec{Artifact: "grid", Column: "value"},
 	}
-	runner := RunnerFunc(func(ctx context.Context, pt Point) (PointResult, error) {
+	runner := func(ctx context.Context, pt Point) (PointResult, error) {
 		if pt.Seed == 2 {
 			return PointResult{}, errors.New("boom")
 		}
 		tsv := fmt.Sprintf("cell\tvalue\nc\t%d\n", pt.Seed)
 		return PointResult{TSV: map[string][]byte{"grid": []byte(tsv)}}, nil
-	})
-	rep, err := Run(context.Background(), spec, Options{Runner: runner})
+	}
+	rep, err := Run(context.Background(), spec, Options{RunPoint: runner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestRunCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	runner := RunnerFunc(func(ctx context.Context, pt Point) (PointResult, error) {
+	runner := func(ctx context.Context, pt Point) (PointResult, error) {
 		if ran.Add(1) == 2 {
 			cancel()
 		}
@@ -462,8 +462,8 @@ func TestRunCancellation(t *testing.T) {
 		default:
 		}
 		return PointResult{TSV: map[string][]byte{"grid": []byte("cell\tvalue\nc\t1\n")}}, nil
-	})
-	rep, err := Run(ctx, spec, Options{Runner: runner, InFlight: 1})
+	}
+	rep, err := Run(ctx, spec, Options{RunPoint: runner, InFlight: 1})
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
