@@ -196,14 +196,11 @@ func (d *gatedDispatcher) Dispatch(ctx context.Context, t CellTask) (CellOutput,
 	}
 }
 
-// TestRunnerParallelBoundsInProcessCells pins what Parallel means: it
-// bounds the cells executing in-process, whether no Dispatcher is set
-// or the Dispatcher hands every cell back, and never the cells a
-// Dispatcher accepts, which are all in flight at once.
-func TestRunnerParallelBoundsInProcessCells(t *testing.T) {
-	const cells = 12
-	var running, peak atomic.Int64
-	art := &Artifact{
+// peakArtifact has cells cells; each records in peak the most cells
+// executing in-process at once.
+func peakArtifact(cells int, peak *atomic.Int64) *Artifact {
+	var running atomic.Int64
+	return &Artifact{
 		Name: "bounded", Description: "d", File: "b.tsv", Header: "h",
 		Cells: func(p Plan) ([]Cell, error) {
 			out := make([]Cell, cells)
@@ -220,6 +217,15 @@ func TestRunnerParallelBoundsInProcessCells(t *testing.T) {
 			return out, nil
 		},
 	}
+}
+
+// TestRunnerParallelBoundsInProcessCells pins what Parallel means: it
+// bounds the cells executing in-process, whether no Dispatcher is set
+// or the Dispatcher hands every cell back.
+func TestRunnerParallelBoundsInProcessCells(t *testing.T) {
+	const cells = 12
+	var peak atomic.Int64
+	art := peakArtifact(cells, &peak)
 	for _, d := range []Dispatcher{nil, handBack{}} {
 		peak.Store(0)
 		rep, err := (&Runner{Parallel: 2, Dispatcher: d}).Run(context.Background(), Plan{}, []*Artifact{art})
@@ -235,16 +241,26 @@ func TestRunnerParallelBoundsInProcessCells(t *testing.T) {
 			}
 		}
 	}
+}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	gate := &gatedDispatcher{n: cells, all: make(chan struct{})}
-	peak.Store(0)
-	rep, err := (&Runner{Parallel: 2, Dispatcher: gate}).Run(ctx, Plan{}, []*Artifact{art})
-	if err != nil || rep.Failed != 0 {
-		t.Fatalf("accepted cells were not all in flight at once: report %+v, err %v", rep, err)
-	}
-	if got := peak.Load(); got != 0 {
-		t.Fatalf("accepted cells executed in-process (peak %d)", got)
+// TestRunnerDispatcherUnboundedFanout: every cell a Dispatcher accepts
+// is in flight at once, whether Parallel is unset or smaller than the
+// cell count; Parallel bounds only in-process cells.
+func TestRunnerDispatcherUnboundedFanout(t *testing.T) {
+	const cells = 37
+	var peak atomic.Int64
+	art := peakArtifact(cells, &peak)
+	for _, parallel := range []int{0, 4} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		gate := &gatedDispatcher{n: cells, all: make(chan struct{})}
+		peak.Store(0)
+		rep, err := (&Runner{Parallel: parallel, Dispatcher: gate}).Run(ctx, Plan{}, []*Artifact{art})
+		cancel()
+		if err != nil || rep.Failed != 0 {
+			t.Fatalf("Parallel=%d: accepted cells were not all in flight at once: report %+v, err %v", parallel, rep, err)
+		}
+		if got := peak.Load(); got != 0 {
+			t.Fatalf("Parallel=%d: accepted cells executed in-process (peak %d)", parallel, got)
+		}
 	}
 }

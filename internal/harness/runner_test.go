@@ -352,3 +352,17 @@ func TestRunnerObserveReportsEveryCell(t *testing.T) {
 		}
 	}
 }
+
+func TestRunnerParallelDefaultsAndClamps(t *testing.T) {
+	r := &Runner{}
+	if got := r.parallel(100); got < 1 {
+		t.Fatalf("parallel = %d", got)
+	}
+	if got := r.parallel(0); got != 1 {
+		t.Fatalf("parallel(0) = %d, want 1", got)
+	}
+	r.Parallel = 64
+	if got := r.parallel(3); got != 3 {
+		t.Fatalf("parallel should clamp to job count, got %d", got)
+	}
+}
