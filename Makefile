@@ -10,7 +10,7 @@ GO ?= go
 # Worker count for test-dispatch and run-workers.
 N ?= 4
 
-.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke examples-smoke fuzz-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci results-verify loc run-daemon run-workers
+.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke fuzz-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci results-verify loc run-daemon run-workers
 
 build:
 	$(GO) build ./...
@@ -70,15 +70,6 @@ replacement-smoke:
 # harness as a standalone binary for real deployments.
 loadgen-smoke:
 	$(GO) test -count=1 -run TestLoadgenSmoke ./internal/loadgen/
-
-# Run each of the six examples; stdout is discarded and any non-zero
-# exit fails (keyexfil and reliable exit 1 when their own end-to-end
-# check fails). About 3 s on a 2-CPU x86-64 host, most of it reliable.
-EXAMPLES = keyexfil ksmdedup mitigations multibit quickstart reliable
-examples-smoke:
-	@for e in $(EXAMPLES); do \
-		$(GO) run ./examples/$$e >/dev/null || { echo "examples-smoke: examples/$$e failed"; exit 1; }; \
-	done
 
 # Short fuzzing pass over the untrusted submit decoders (a job body
 # through plan building, a sweep spec through expansion), the replay
@@ -157,7 +148,7 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-ci: build vet staticcheck test test-race protocol-smoke sweep-smoke replacement-smoke loadgen-smoke examples-smoke
+ci: build vet staticcheck test test-race protocol-smoke sweep-smoke replacement-smoke loadgen-smoke
 
 # Regenerate every artifact at full size into a temporary directory and
 # diff each committed results/*.tsv against its regenerated twin; any

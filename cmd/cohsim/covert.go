@@ -62,11 +62,8 @@ func covertMain(args []string) {
 		if *traceFile != "" {
 			recorder = trace.Attach(s.Mach, 65536, trace.NewFilter())
 		}
-		if *noiseN > 0 {
-			if _, err := noise.Attach(s.Kern, noise.DefaultConfig(*noiseN)); err != nil {
-				fail(err)
-			}
-			s.OSNoiseProb = noise.CoLocationPressure(s.Kern, *noiseN)
+		if err := noise.CoLocate(s, *noiseN); err != nil {
+			fail(err)
 		}
 		switch *defense {
 		case "monitor":

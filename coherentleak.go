@@ -251,11 +251,9 @@ func AttachNoise(kern *Kernel, cfg NoiseConfig) (*NoiseWorkload, error) {
 	return noise.Attach(kern, cfg)
 }
 
-// CoLocationPressure returns the OS interruption rate attack threads
-// suffer at a given noise thread count.
-func CoLocationPressure(kern *Kernel, threads int) float64 {
-	return noise.CoLocationPressure(kern, threads)
-}
+// CoLocate runs `threads` default noise workers beside a session and
+// raises its OS interruption rate to match the oversubscription.
+func CoLocate(s *Session, threads int) error { return noise.CoLocate(s, threads) }
 
 // Defenses (§VIII-E).
 type (

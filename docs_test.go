@@ -11,10 +11,11 @@ import (
 	"testing"
 )
 
-// cmdRef matches `cmd/<name>` and `./cmd/<name>`, but not a path that
-// merely ends in cmd/ (honnef.co/go/tools/cmd/staticcheck).
+// dirRef matches `cmd/<name>`, `examples/<name>` and their `./` forms,
+// but not a path that merely ends in cmd/
+// (honnef.co/go/tools/cmd/staticcheck).
 var (
-	cmdRef     = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?cmd/([\w-]+)`)
+	dirRef     = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?(cmd|examples)/([\w-]+)`)
 	cmdBracket = regexp.MustCompile(`(?:^|[^\w./-])cmd/\{([\w,-]+)\}`)
 )
 
@@ -75,33 +76,38 @@ func forEachDocLine(t *testing.T, fn func(path string, lineNo int, line string))
 }
 
 // TestDocsNameRealCommands: every command the Markdown docs and the
-// Makefile name as cmd/<name> is a directory under cmd/, so folding or
-// renaming a binary cannot leave stale instructions behind.
+// Makefile name as cmd/<name> is a directory under cmd/, and every
+// examples/<name> a directory under examples/, so folding, renaming or
+// deleting a binary or an example cannot leave stale instructions behind.
 func TestDocsNameRealCommands(t *testing.T) {
 	forEachDocLine(t, func(path string, lineNo int, line string) {
-		var names []string
-		for _, m := range cmdRef.FindAllStringSubmatch(line, -1) {
-			names = append(names, m[1])
+		var refs []string
+		for _, m := range dirRef.FindAllStringSubmatch(line, -1) {
+			refs = append(refs, m[1]+"/"+m[2])
 		}
 		for _, m := range cmdBracket.FindAllStringSubmatch(line, -1) {
-			names = append(names, strings.Split(m[1], ",")...)
+			for _, name := range strings.Split(m[1], ",") {
+				refs = append(refs, "cmd/"+name)
+			}
 		}
-		for _, name := range names {
-			if st, err := os.Stat(filepath.Join("cmd", name)); err != nil || !st.IsDir() {
-				t.Errorf("%s:%d names cmd/%s, which is not a command under cmd/", path, lineNo, name)
+		for _, ref := range refs {
+			if st, err := os.Stat(filepath.FromSlash(ref)); err != nil || !st.IsDir() {
+				t.Errorf("%s:%d names %s, which is not a directory", path, lineNo, ref)
 			}
 		}
 	})
 }
 
+// testRef matches Test…, Benchmark… and Fuzz… names and the Example_x
+// and ExampleX forms, but not the bare word Example.
 var (
-	testRef  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
-	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Z]\w*)\(`)
+	testRef  = regexp.MustCompile(`\b(?:(?:Test|Benchmark|Fuzz|Example)[A-Z]\w*|Example_\w+)`)
+	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)[A-Z]\w*|Example_\w+)\(`)
 )
 
-// TestDocsNameRealTests: every Test…, Benchmark… or Fuzz… identifier
+// TestDocsNameRealTests: every test, benchmark, fuzz target or example
 // the scanned documents name is declared in some _test.go file, so
-// deleting or renaming a test cannot leave a stale citation behind.
+// deleting or renaming one cannot leave a stale citation behind.
 func TestDocsNameRealTests(t *testing.T) {
 	declared := map[string]bool{}
 	err := walkTree(func(path string) {

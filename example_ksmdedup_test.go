@@ -1,25 +1,22 @@
-// Ksmdedup walks through the paper's broader adversary model (§IV):
-// trojan and spy have no shared library or file, so they manufacture a
-// shared physical page by writing an agreed pseudo-random pattern and
-// letting the kernel's same-page merging deduplicate it. The example also
-// shows the §VII-A collision hazard — an unrelated process merging into
-// the channel page — and the spare-page recovery.
-//
-//	go run ./examples/ksmdedup
-package main
+package coherentleak_test
 
 import (
 	"fmt"
-	"log"
 
 	"coherentleak"
 )
 
-func main() {
+// Walk through the paper's broader adversary model (§IV): trojan and spy
+// have no shared library or file, so they manufacture a shared physical
+// page by writing an agreed pseudo-random pattern and letting the
+// kernel's same-page merging deduplicate it. The example also shows the
+// §VII-A collision hazard — an unrelated process merging into the
+// channel page — and the spare-page recovery.
+func Example_ksmdedup() {
 	cfg := coherentleak.DefaultMachineConfig()
 	sess, err := coherentleak.NewSession(cfg, 7, 0xA9, coherentleak.ShareKSM)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Println("trojan and spy processes created with no explicit sharing")
 	fmt.Printf("agreed pattern seed: %#x (both sides run the same PRNG)\n", 0xA9)
@@ -35,10 +32,10 @@ func main() {
 	pattern := make([]byte, coherentleak.PageSize)
 	coherentleak.PagePatternInto(0xA9, pattern)
 	if err := bystander.WriteBytes(va, pattern); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	if err := bystander.Madvise(va, 1); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	sess.Kern.KSM.Scan()
 	fmt.Printf("\nbystander wrote the same pattern; externally shared now: %v\n",
@@ -46,7 +43,7 @@ func main() {
 
 	// Recovery: the pre-created spare page (different pattern) is clean.
 	if !sess.SwitchToSpare() {
-		log.Fatal("no spare page available")
+		panic("no spare page available")
 	}
 	fmt.Printf("switched to spare page at PA %#x; externally shared: %v\n",
 		sess.SharedPA(), sess.ExternallyShared())
@@ -56,7 +53,7 @@ func main() {
 	ch.PatternSeed = 0xA9
 	res, err := ch.Run(coherentleak.TextToBits("dedup"))
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("\ntransmission over a KSM page: %q decoded, accuracy %.0f%%, %.0f Kbps\n",
 		coherentleak.BitsToText(res.RxBits), res.Accuracy*100, res.RawKbps)
@@ -64,9 +61,22 @@ func main() {
 	// Writes split the page (copy-on-write): no direct channel exists.
 	before := sess.SharedPA()
 	if err := sess.TrojanProc.WriteBytes(sess.TrojanVA, []byte{1}); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	after, _ := sess.TrojanProc.Translate(sess.TrojanVA)
 	fmt.Printf("\ntrojan wrote one byte: page split by COW (PA %#x -> %#x);\n", before, after)
 	fmt.Println("KSM never lets merged pages become a direct read/write channel.")
+	// Output:
+	// trojan and spy processes created with no explicit sharing
+	// agreed pattern seed: 0xa9 (both sides run the same PRNG)
+	// after one KSM scan: trojan VA 0x100000000 and spy VA 0x200000000 map frame at PA 0x1000
+	// KSM stats: 2 merged, 1 scans
+	//
+	// bystander wrote the same pattern; externally shared now: true
+	// switched to spare page at PA 0x2000; externally shared: false
+	//
+	// transmission over a KSM page: "dedup" decoded, accuracy 100%, 473 Kbps
+	//
+	// trojan wrote one byte: page split by COW (PA 0x2000 -> 0x4000);
+	// KSM never lets merged pages become a direct read/write channel.
 }

@@ -18,17 +18,19 @@ func TestDebugNoisyTrace(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	sc := covert.Scenarios[1] // RExclc-RSharedb
 	p := Fig10Params()
-	bands, _ := covert.Calibrate(cfg, DefaultSeed+7777, 200, p.BandMargin)
+	bands, err := covert.Calibrate(cfg, DefaultSeed+7777, 200, p.BandMargin)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bits := PatternBits(DefaultSeed^0x88, 528)
 	ch := covert.Channel{
 		Config: cfg, Scenario: sc, Params: p,
 		Mode: covert.ShareExplicit, WorldSeed: DefaultSeed, PatternSeed: DefaultSeed,
 		Bands: &bands,
 		PreRun: func(s *covert.Session) {
-			if _, err := noise.Attach(s.Kern, noise.DefaultConfig(8)); err != nil {
+			if err := noise.CoLocate(s, 8); err != nil {
 				panic(err)
 			}
-			s.OSNoiseProb = noise.CoLocationPressure(s.Kern, 8)
 			t.Logf("osNoiseProb=%v", s.OSNoiseProb)
 		},
 	}

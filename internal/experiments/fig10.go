@@ -77,13 +77,9 @@ func Fig10ECC(cfg machine.Config, sc covert.Scenario, levels []int, payloadPacke
 			Mode: covert.ShareExplicit, WorldSeed: seed + uint64(i)*131, PatternSeed: seed,
 			Bands: &bands,
 			PreRun: func(s *covert.Session) {
-				if n == 0 {
-					return
-				}
-				if _, err := noise.Attach(s.Kern, noise.DefaultConfig(n)); err != nil {
+				if err := noise.CoLocate(s, n); err != nil {
 					panic(err)
 				}
-				s.OSNoiseProb = noise.CoLocationPressure(s.Kern, n)
 			},
 		}
 		p := ecc.NewProtocol(ch)

@@ -41,13 +41,9 @@ func Fig9Noise(cfg machine.Config, sc covert.Scenario, levels []int, payloadBits
 			PatternSeed: seed,
 			Bands:       &bands,
 			PreRun: func(s *covert.Session) {
-				if n == 0 {
-					return
-				}
-				if _, err := noise.Attach(s.Kern, noise.DefaultConfig(n)); err != nil {
+				if err := noise.CoLocate(s, n); err != nil {
 					panic(err)
 				}
-				s.OSNoiseProb = noise.CoLocationPressure(s.Kern, n)
 			},
 		}
 		res, err := ch.Run(bits)

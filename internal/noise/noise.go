@@ -12,6 +12,7 @@ package noise
 import (
 	"fmt"
 
+	"coherentleak/internal/covert"
 	"coherentleak/internal/kernel"
 	"coherentleak/internal/sim"
 )
@@ -72,8 +73,8 @@ const (
 // trojan workers on 1, 2 and the first two of socket 1), noise threads
 // take those first; past that they double up — which is when a real
 // scheduler would start preempting the pinned attack threads, so the
-// caller should also raise the session's OS-noise probability (the
-// CoLocationPressure helper computes it).
+// caller should also raise the session's OS-noise probability (CoLocate
+// does both).
 func Attach(kern *kernel.Kernel, cfg Config) (*Workload, error) {
 	if cfg.Threads < 0 {
 		return nil, fmt.Errorf("noise: negative thread count")
@@ -145,6 +146,21 @@ func CoLocationPressure(kern *kernel.Kernel, threads int) float64 {
 		return 0
 	}
 	return 0.45 * float64(over)
+}
+
+// CoLocate runs `threads` default kernel-build workers beside a covert
+// session and raises the session's OS-noise probability to the matching
+// CoLocationPressure. With zero threads it leaves the session untouched:
+// Attach would still create an (idle) process.
+func CoLocate(s *covert.Session, threads int) error {
+	if threads == 0 {
+		return nil
+	}
+	if _, err := Attach(s.Kern, DefaultConfig(threads)); err != nil {
+		return err
+	}
+	s.OSNoiseProb = CoLocationPressure(s.Kern, threads)
+	return nil
 }
 
 // run is one thread's phase loop. A pre-pass flattens each phase's

@@ -93,6 +93,32 @@ func TestCoLocationPressure(t *testing.T) {
 	}
 }
 
+func TestCoLocate(t *testing.T) {
+	s, err := covert.NewSession(machine.DefaultConfig(), 1, 1, covert.ShareExplicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := len(s.Kern.Processes())
+	if err := CoLocate(s, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.Kern.Processes()); n != procs || s.OSNoiseProb != 0 {
+		t.Fatalf("zero threads: %d processes (was %d), OSNoiseProb %v; want the session untouched", n, procs, s.OSNoiseProb)
+	}
+	if err := CoLocate(s, 8); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.Kern.Processes()); n != procs+1 {
+		t.Fatalf("8 threads: %d processes, want %d", n, procs+1)
+	}
+	if want := CoLocationPressure(s.Kern, 8); s.OSNoiseProb != want || want == 0 {
+		t.Fatalf("OSNoiseProb = %v, want CoLocationPressure %v > 0", s.OSNoiseProb, want)
+	}
+	if err := CoLocate(s, -1); err == nil {
+		t.Fatal("negative threads accepted")
+	}
+}
+
 func TestWorkloadDeterministic(t *testing.T) {
 	run := func() uint64 {
 		w := sim.NewWorld(sim.Config{Seed: 11})
