@@ -153,7 +153,8 @@ ci: build vet staticcheck test test-race protocol-smoke sweep-smoke replacement-
 # Regenerate every artifact at full size into a temporary directory and
 # diff each committed results/*.tsv against its regenerated twin; any
 # difference fails. Simulator refactors must keep these byte-identical.
-# About 14 s on a 2-CPU x86-64 host; not part of `make ci`.
+# About 14 s on a 2-CPU x86-64 host; not part of `make ci`, but CI runs
+# it as its own job.
 results-verify:
 	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
 	$(GO) run ./cmd/experiments -out "$$out" -cache=false -archive=false >/dev/null || exit 1; \

@@ -235,22 +235,6 @@ func NewReliableProtocol(ch Channel) *ReliableProtocol { return ecc.NewProtocol(
 // NewFECProtocol wraps a channel with forward error correction.
 func NewFECProtocol(ch Channel) *FECProtocol { return ecc.NewFECProtocol(ch) }
 
-// Noise workload (§VIII-C).
-type (
-	// NoiseConfig tunes the kernel-build-like background workload.
-	NoiseConfig = noise.Config
-	// NoiseWorkload is a running set of noise threads.
-	NoiseWorkload = noise.Workload
-)
-
-// DefaultNoiseConfig returns a kcbench-like intensity for n threads.
-func DefaultNoiseConfig(threads int) NoiseConfig { return noise.DefaultConfig(threads) }
-
-// AttachNoise spawns the workload's threads in kern.
-func AttachNoise(kern *Kernel, cfg NoiseConfig) (*NoiseWorkload, error) {
-	return noise.Attach(kern, cfg)
-}
-
 // CoLocate runs `threads` default noise workers beside a session and
 // raises its OS interruption rate to match the oversubscription.
 func CoLocate(s *Session, threads int) error { return noise.CoLocate(s, threads) }

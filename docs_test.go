@@ -137,24 +137,74 @@ func TestDocsNameRealTests(t *testing.T) {
 	})
 }
 
+// experimentsTable returns the cells of every row of the first table in
+// EXPERIMENTS.md's section whose heading starts with heading, header
+// row included and the separator row skipped, with bold marks trimmed.
+func experimentsTable(t *testing.T, heading string) [][]string {
+	t.Helper()
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## "+heading)
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md has no %q section", heading)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var rows [][]string
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(strings.TrimSpace(line), "|"), "|")
+		for i := range cells {
+			cells[i] = strings.Trim(strings.TrimSpace(cells[i]), "*")
+		}
+		if !strings.HasPrefix(cells[0], "---") {
+			rows = append(rows, cells)
+		}
+	}
+	return rows
+}
+
+// tsvRows returns the data rows of a results TSV, split into fields.
+func tsvRows(t *testing.T, path string) [][]string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n")[1:] {
+		rows = append(rows, strings.Split(line, "\t"))
+	}
+	return rows
+}
+
+// leadNumber matches the number leading a table cell, after an optional
+// "~"; group 2 holds its decimals.
+var leadNumber = regexp.MustCompile(`^~?([0-9]+(?:\.([0-9]+))?)`)
+
+// printedAs reports whether the number leading cell equals v rounded to
+// the decimals it is printed with.
+func printedAs(cell string, v float64) bool {
+	num := leadNumber.FindStringSubmatch(cell)
+	if num == nil {
+		return false
+	}
+	got, err := strconv.ParseFloat(num[1], 64)
+	return err == nil && math.Abs(got-v) <= 0.5*math.Pow(10, -float64(len(num[2])))+1e-9
+}
+
 // TestMitigationTableMatchesTSV: every cell of EXPERIMENTS.md's §VIII-E
 // table equals results/mitigations.tsv at the precision the table
 // prints it, and the table covers every row of the TSV, so the prose
 // cannot drift from the committed results.
 func TestMitigationTableMatchesTSV(t *testing.T) {
-	doc, err := os.ReadFile("EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsv, err := os.ReadFile("results/mitigations.tsv")
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := map[string]float64{} // "scenario/defense" -> accuracy
-	for _, line := range strings.Split(strings.TrimSpace(string(tsv)), "\n")[1:] {
-		f := strings.Split(line, "\t")
+	for _, f := range tsvRows(t, "results/mitigations.tsv") {
 		if len(f) != 3 {
-			t.Fatalf("mitigations.tsv row %q: want 3 fields", line)
+			t.Fatalf("mitigations.tsv row %q: want 3 fields", f)
 		}
 		v, err := strconv.ParseFloat(f[2], 64)
 		if err != nil {
@@ -166,23 +216,10 @@ func TestMitigationTableMatchesTSV(t *testing.T) {
 		"none": "none", "monitor": "monitor", "ksm-guard": "ksm-guard",
 		"E→M notify": "etom-notify", "equalize": "equalize", "full HW": "full-hw",
 	}
-	_, section, ok := strings.Cut(string(doc), "\n## §VIII-E")
-	if !ok {
-		t.Fatal("EXPERIMENTS.md has no §VIII-E section")
-	}
-	section, _, _ = strings.Cut(section, "\n## ")
 	var cols []string
 	checked := 0
-	for _, line := range strings.Split(section, "\n") {
-		if !strings.HasPrefix(line, "|") {
-			continue
-		}
-		cells := strings.Split(strings.Trim(strings.TrimSpace(line), "|"), "|")
-		for i := range cells {
-			cells[i] = strings.Trim(strings.TrimSpace(cells[i]), "*")
-		}
-		switch {
-		case cells[0] == "Scenario":
+	for _, cells := range experimentsTable(t, "§VIII-E") {
+		if cells[0] == "Scenario" {
 			for _, h := range cells[1:] {
 				d, ok := defenses[h]
 				if !ok {
@@ -190,31 +227,72 @@ func TestMitigationTableMatchesTSV(t *testing.T) {
 				}
 				cols = append(cols, d)
 			}
-		case strings.HasPrefix(cells[0], "---"):
-		default:
-			if len(cells)-1 != len(cols) {
-				t.Fatalf("§VIII-E row %q: %d cells, want %d", line, len(cells)-1, len(cols))
+			continue
+		}
+		if len(cells)-1 != len(cols) {
+			t.Fatalf("§VIII-E row %q: %d cells, want %d", cells, len(cells)-1, len(cols))
+		}
+		for i, c := range cells[1:] {
+			key := cells[0] + "/" + cols[i]
+			w, ok := want[key]
+			if !ok {
+				t.Errorf("§VIII-E %s = %q: not in mitigations.tsv", key, c)
+				continue
 			}
-			for i, c := range cells[1:] {
-				key := cells[0] + "/" + cols[i]
-				w, ok := want[key]
-				got, err := strconv.ParseFloat(c, 64)
-				if !ok || err != nil {
-					t.Errorf("§VIII-E %s = %q: not in mitigations.tsv or not a number", key, c)
-					continue
-				}
-				decimals := 0
-				if dot := strings.IndexByte(c, '.'); dot >= 0 {
-					decimals = len(c) - dot - 1
-				}
-				if math.Abs(got-w) > 0.5*math.Pow(10, -float64(decimals))+1e-9 {
-					t.Errorf("§VIII-E %s = %s, mitigations.tsv has %.4f", key, c, w)
-				}
-				checked++
+			if !printedAs(c, w) {
+				t.Errorf("§VIII-E %s = %s, mitigations.tsv has %.4f", key, c, w)
 			}
+			checked++
 		}
 	}
 	if checked != len(want) {
 		t.Errorf("§VIII-E table checks %d cells, mitigations.tsv has %d", checked, len(want))
+	}
+}
+
+// TestPeaksTableMatchesTSV: the measured column of EXPERIMENTS.md's peak
+// rates table equals results/peaks.tsv at the precision the table
+// prints it: the binary and multibit rates, the binary row's best
+// scenario, and the multibit/binary ratio.
+func TestPeaksTableMatchesTSV(t *testing.T) {
+	kbps, scenario := map[string]float64{}, map[string]string{}
+	for _, f := range tsvRows(t, "results/peaks.tsv") {
+		if len(f) != 3 {
+			t.Fatalf("peaks.tsv row %q: want 3 fields", f)
+		}
+		v, err := strconv.ParseFloat(f[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kbps[f[0]], scenario[f[0]] = v, f[2]
+	}
+	if kbps["binary"] == 0 || kbps["multibit"] == 0 {
+		t.Fatalf("peaks.tsv lacks a binary or multibit rate: %v", kbps)
+	}
+	want := map[string]float64{
+		"Binary, best scenario": kbps["binary"],
+		"2-bit symbols":         kbps["multibit"],
+		"Ratio":                 kbps["multibit"] / kbps["binary"],
+	}
+	checked := 0
+	for _, cells := range experimentsTable(t, "Abstract / §VIII peak rates") {
+		if cells[0] == "Channel" {
+			continue
+		}
+		w, ok := want[cells[0]]
+		if !ok || len(cells) != 3 {
+			t.Errorf("peak rates row %q: unknown channel or not 3 cells", cells)
+			continue
+		}
+		if !printedAs(cells[2], w) {
+			t.Errorf("peak rates %s = %q, peaks.tsv gives %.4f", cells[0], cells[2], w)
+		}
+		if cells[0] == "Binary, best scenario" && !strings.Contains(cells[2], "`"+scenario["binary"]+"`") {
+			t.Errorf("peak rates %s = %q, peaks.tsv's best scenario is %s", cells[0], cells[2], scenario["binary"])
+		}
+		checked++
+	}
+	if checked != len(want) {
+		t.Errorf("peak rates table checks %d rows, want %d", checked, len(want))
 	}
 }

@@ -8,6 +8,8 @@ package cache
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"coherentleak/internal/coherence"
 )
@@ -54,6 +56,12 @@ type Line struct {
 	// rrpv is the 2-bit re-reference prediction value (PolicySRRIP and
 	// PolicyBRRIP only); it fits in State's padding.
 	rrpv uint8
+	// clean is a shared cache's LLC-valid mark: the line is a clean,
+	// current copy that can service misses (§VI-A keeps this at the LLC).
+	// Only InsertClean sets it; a fresh fill, eviction or invalidation
+	// drops it, and ClearClean drops it when the copy goes stale. It too
+	// fits in the padding.
+	clean bool
 	// lru is the recency stamp used by the LRU policy: the cache clock
 	// at the line's last touch. Only the order of the stamps within a
 	// set matters, which is what lets them be 32 bits wide (see tick).
@@ -102,6 +110,11 @@ type Cache struct {
 	numSets uint64
 	setMask uint64 // numSets-1 when numSets is a power of two
 	pow2    bool
+	// modM is ceil(2^64/numSets), the multiplier that gives a line
+	// number below 2^32 its set without a division (Lemire's fastmod):
+	// the LLC's 12288 sets are not a power of two, and every LLC access
+	// indexes.
+	modM uint64
 
 	// plruBits[p] is the tree-PLRU node-bit word of the set at store
 	// position p (PolicyTreePLRU only; nil otherwise). Bit k is internal
@@ -112,8 +125,27 @@ type Cache struct {
 	// insertion (every brripLongEvery-th fill inserts at "long").
 	brripFills uint64
 
+	// memo says where the last clean-mark query or clean fill found its
+	// line: one coherence transaction asks about its line's mark in every
+	// socket several times, and without the memo each ask rescans a set.
+	// gen counts fills, the only way an absent line becomes present.
+	memo memoEntry
+	gen  uint64
+
 	// Stats accumulates hit/miss/eviction counts.
 	Stats Stats
+}
+
+// memoEntry says where line tag was found: way way-1 of the set at store
+// position pos, or nowhere when way is 0. A found way is checked before
+// it is trusted, since tags are full line numbers; an absence holds only
+// while the cache's gen still equals gen. The entry holds no pointer, so
+// taking it costs no GC write barrier.
+type memoEntry struct {
+	tag uint64
+	gen uint64
+	pos uint32
+	way int32
 }
 
 // Stats counts cache events.
@@ -146,6 +178,7 @@ func New(geo Geometry, policy Policy) (*Cache, error) {
 		c.pow2 = true
 		c.setMask = c.numSets - 1
 	}
+	c.modM = ^uint64(0)/c.numSets + 1
 	return c, nil
 }
 
@@ -234,6 +267,10 @@ func (c *Cache) index(line uint64) (set uint64, tag uint64) {
 	if c.pow2 {
 		return n & c.setMask, n
 	}
+	if n < 1<<32 {
+		s, _ := bits.Mul64(c.modM*n, c.numSets)
+		return s, n
+	}
 	return n % c.numSets, n
 }
 
@@ -265,11 +302,12 @@ func (c *Cache) at(p uint32) []Line {
 	return c.blocks[p/blockSets][off : off+c.ways : off+c.ways]
 }
 
-// setMake returns the ways of set s, giving it the next position on
-// first use, allocating its slot page on the page's first fill, and
-// appending a block when the last one is full. A cache with fewer than
-// blockSets unfilled sets left gets a block sized to them.
-func (c *Cache) setMake(s uint64) []Line {
+// setMake returns the ways of set s and their store position, giving
+// the set the next position on first use, allocating its slot page on
+// the page's first fill, and appending a block when the last one is
+// full. A cache with fewer than blockSets unfilled sets left gets a
+// block sized to them.
+func (c *Cache) setMake(s uint64) ([]Line, uint32) {
 	pg := c.slot[s>>slotPageShift]
 	if pg == nil {
 		pg = make([]uint32, min(slotPageSets, c.numSets-s&^slotPageMask))
@@ -277,7 +315,7 @@ func (c *Cache) setMake(s uint64) []Line {
 	}
 	i := s & slotPageMask
 	if p := pg[i]; p != 0 {
-		return c.at(p - 1)
+		return c.at(p - 1), p - 1
 	}
 	p := c.used
 	if int(p/blockSets) == len(c.blocks) {
@@ -289,7 +327,7 @@ func (c *Cache) setMake(s uint64) []Line {
 	}
 	c.used++
 	pg[i] = p + 1
-	return c.at(p)
+	return c.at(p), p
 }
 
 // Probe returns the line's state without updating recency, or Invalid if
@@ -380,25 +418,56 @@ type Evicted struct {
 // full. It returns the evicted line's identity so the caller can run the
 // coherence eviction transaction (write-back, directory update,
 // back-invalidation for inclusive caches). ok is false when nothing valid
-// was displaced.
+// was displaced. A re-fill of a present line just updates its state and
+// keeps its clean mark.
 func (c *Cache) Insert(addr uint64, state coherence.State) (ev Evicted, ok bool) {
+	return c.insert(addr, state, true, false)
+}
+
+// InsertAbsent is Insert for callers that have already proven the line is
+// not present (a preceding Lookup or Probe missed): it skips the re-fill
+// scan and goes straight to victim selection. Behavior is otherwise
+// identical to Insert; calling it with a present line would duplicate the
+// tag within the set, so the proof is the caller's obligation.
+func (c *Cache) InsertAbsent(addr uint64, state coherence.State) (ev Evicted, ok bool) {
+	return c.insert(addr, state, false, false)
+}
+
+// InsertClean is Insert that also sets the line's clean mark, in the
+// same scan of the set: the shared level's fill of a clean, current copy.
+func (c *Cache) InsertClean(addr uint64, state coherence.State) (ev Evicted, ok bool) {
+	return c.insert(addr, state, true, true)
+}
+
+// insert implements the three Inserts: refill scans for a present line
+// first, and clean sets the filled line's mark and leaves the memo on
+// it, since the shared level's next question is about the same line.
+func (c *Cache) insert(addr uint64, state coherence.State, refill, clean bool) (ev Evicted, ok bool) {
 	if !state.Valid() {
 		panic("cache: Insert with Invalid state")
 	}
 	line := LineAddr(addr)
 	set, tag := c.index(line)
-	ways := c.setMake(set)
+	ways, pos := c.setMake(set)
 
-	// Re-fill of a present line just updates state.
-	for i := range ways {
-		l := &ways[i]
-		if l.Valid() && l.Tag == tag {
-			l.State = state
-			l.lru = c.tick()
-			if c.policy != PolicyLRU {
-				c.touchSlow(set, ways, i)
+	if e := c.memo; e.tag == tag && e.way == 0 && e.gen == c.gen {
+		refill = false // the memo proves the line absent
+	}
+	if refill {
+		for i := range ways {
+			l := &ways[i]
+			if l.Valid() && l.Tag == tag {
+				l.State = state
+				l.clean = l.clean || clean
+				l.lru = c.tick()
+				if c.policy != PolicyLRU {
+					c.touchSlow(set, ways, i)
+				}
+				if clean {
+					c.memo = memoEntry{tag: tag, pos: pos, way: int32(i) + 1}
+				}
+				return Evicted{}, false
 			}
-			return Evicted{}, false
 		}
 	}
 
@@ -414,40 +483,11 @@ func (c *Cache) Insert(addr uint64, state coherence.State) (ev Evicted, ok bool)
 		ok = true
 		c.Stats.Evictions++
 	}
-	*victim = Line{Tag: tag, State: state, lru: c.tick()}
-	if c.policy != PolicyLRU {
-		c.fillMeta(set, ways, w)
+	*victim = Line{Tag: tag, State: state, clean: clean, lru: c.tick()}
+	c.gen++
+	if clean {
+		c.memo = memoEntry{tag: tag, pos: pos, way: int32(w) + 1}
 	}
-	c.Stats.Fills++
-	return ev, ok
-}
-
-// InsertAbsent is Insert for callers that have already proven the line is
-// not present (a preceding Lookup or Probe missed): it skips the re-fill
-// scan and goes straight to victim selection. Behavior is otherwise
-// identical to Insert; calling it with a present line would duplicate the
-// tag within the set, so the proof is the caller's obligation.
-func (c *Cache) InsertAbsent(addr uint64, state coherence.State) (ev Evicted, ok bool) {
-	if !state.Valid() {
-		panic("cache: InsertAbsent with Invalid state")
-	}
-	line := LineAddr(addr)
-	set, tag := c.index(line)
-	ways := c.setMake(set)
-
-	var w int
-	if c.policy == PolicyLRU {
-		w = lruVictim(ways)
-	} else {
-		w = c.victimSlow(set, ways)
-	}
-	victim := &ways[w]
-	if victim.Valid() {
-		ev = Evicted{Addr: c.addrOf(set, victim.Tag), State: victim.State}
-		ok = true
-		c.Stats.Evictions++
-	}
-	*victim = Line{Tag: tag, State: state, lru: c.tick()}
 	if c.policy != PolicyLRU {
 		c.fillMeta(set, ways, w)
 	}
@@ -561,6 +601,64 @@ func (c *Cache) Clear() {
 	c.used = 0
 	c.plruBits = c.plruBits[:0]
 	c.brripFills = 0
+}
+
+// Clean reports whether addr's line is present with its clean mark.
+func (c *Cache) Clean(addr uint64) bool {
+	l := c.find(addr)
+	return l != nil && l.clean
+}
+
+// ClearClean drops addr's clean mark (the copy went stale). An absent
+// line is left alone.
+func (c *Cache) ClearClean(addr uint64) {
+	if l := c.find(addr); l != nil {
+		l.clean = false
+	}
+}
+
+// find returns addr's way, or nil when the line is absent, without
+// touching recency or stats, answering from the memo when it can.
+func (c *Cache) find(addr uint64) *Line {
+	tag := addr / LineSize // index's tag, without computing the set
+	if e := c.memo; e.tag == tag {
+		if e.way == 0 {
+			if e.gen == c.gen {
+				return nil
+			}
+		} else if l := &c.at(e.pos)[e.way-1]; l.Tag == tag && l.Valid() {
+			return l // a valid way holding the tag is the line
+		}
+	}
+	c.memo = memoEntry{tag: tag, gen: c.gen}
+	set, _ := c.index(LineAddr(addr))
+	pg, i := c.slot[set>>slotPageShift], set&slotPageMask
+	if i < uint64(len(pg)) && pg[i] != 0 { // as in set
+		c.memo.pos = pg[i] - 1
+		ways := c.at(c.memo.pos)
+		for w := range ways {
+			if ways[w].Tag == tag && ways[w].Valid() {
+				c.memo.way = int32(w) + 1
+				return &ways[w]
+			}
+		}
+	}
+	return nil
+}
+
+// CleanLines returns the address of every line with its clean mark, in
+// ascending order.
+func (c *Cache) CleanLines() []uint64 {
+	var out []uint64
+	for _, b := range c.blocks {
+		for i := range b {
+			if b[i].Valid() && b[i].clean {
+				out = append(out, b[i].Tag*LineSize)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // SetIndexOf exposes the set index for addr (for conflict-set workload

@@ -8,11 +8,12 @@ import (
 	"coherentleak/internal/sim"
 )
 
-// The directory the census is computed from lives in the machine's line
-// table; its unit tests are in internal/machine. These tests pin the same
-// behaviour end to end, through the machine's public API: the service
-// path of each miss is the census of the LLC's core-valid bits, and
-// LLCHasClean is the LLC-valid bit.
+// The core-valid bits the census is computed from live in the machine's
+// line table, and the LLC-valid mark on the LLC's own lines; their unit
+// tests are in internal/machine and internal/cache. These tests pin the
+// same behaviour end to end, through the machine's public API: the
+// service path of each miss is the census of the LLC's core-valid bits,
+// and LLCHasClean is the LLC-valid mark.
 
 func runDirectory(t *testing.T, body func(th *sim.Thread, m *machine.Machine)) {
 	t.Helper()

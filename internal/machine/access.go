@@ -206,29 +206,22 @@ func (m *Machine) exclusiveMoveOut(sock *Socket, line uint64) {
 		return
 	}
 	sock.LLC.Invalidate(line)
-	m.lines.invalidateLLC(line, sock.ID)
 }
 
 // needsSnoop reports whether a memory fetch of line must snoop the other
-// sockets: a cleared snoop-filter entry from an explicit flush, or a
-// live directory entry in any socket, the requester's own included.
+// sockets: a cleared snoop-filter entry from an explicit flush. A live
+// directory entry in any socket would also force the snoop, but missPath
+// fetches from memory only after finding none: every socket's census
+// was empty and no LLC held a clean copy.
 func (m *Machine) needsSnoop(line uint64) bool {
-	if lm := m.lines.meta(line); lm != nil && lm.flushEpochs > 0 {
-		return true
-	}
-	for s := range m.sockets {
-		if m.lines.live(line, s) {
-			return true
-		}
-	}
-	return false
+	lm := m.lines.meta(line)
+	return lm != nil && lm.flushEpochs > 0
 }
 
 // llcServiceable reports whether sock's LLC can answer a read for line
-// with clean data. The LLC-valid mark implies the LLC holds the line
-// (CheckInvariants' invariant 9).
+// with clean data: its LLC-valid mark, which lives on the LLC's line.
 func (m *Machine) llcServiceable(sock *Socket, line uint64) bool {
-	return m.lines.llcValid(line, sock.ID)
+	return sock.LLC.Clean(line)
 }
 
 // forwardFromLocal runs the owner-forward transaction within requestor's
@@ -387,17 +380,17 @@ func (m *Machine) handleL2Evict(core *Core, ev cache.Evicted) {
 	}
 }
 
-// installLLC places a clean copy of line in sock's LLC and marks the
-// directory, handling any LLC eviction (with back-invalidation when the
-// LLC is inclusive).
+// installLLC places a clean copy of line in sock's LLC with its
+// LLC-valid mark, handling any LLC eviction (with back-invalidation when
+// the LLC is inclusive).
 func (m *Machine) installLLC(sock *Socket, line uint64) {
-	if ev, ok := sock.LLC.Insert(line, coherence.Shared); ok {
+	if ev, ok := sock.LLC.InsertClean(line, coherence.Shared); ok {
 		m.handleLLCEvict(sock, ev)
 	}
-	m.lines.markLLC(line, sock.ID)
 }
 
-// handleLLCEvict processes a victim leaving sock's LLC.
+// handleLLCEvict processes a victim leaving sock's LLC; its LLC-valid
+// mark left with the line.
 func (m *Machine) handleLLCEvict(sock *Socket, ev cache.Evicted) {
 	if m.cfg.InclusiveLLC {
 		// Inclusion forces the private copies out too.
@@ -419,7 +412,6 @@ func (m *Machine) handleLLCEvict(sock *Socket, ev cache.Evicted) {
 			m.clearUpgraded(ev.Addr)
 		}
 	}
-	m.lines.invalidateLLC(ev.Addr, sock.ID)
 }
 
 // Store performs a timed write to addr by core g on behalf of thread t.
@@ -502,18 +494,15 @@ func (m *Machine) store(t *sim.Thread, g int, addr uint64) Access {
 		// Write-through: the local shared level holds the data now; only
 		// other sockets' records are stale.
 		m.installLLC(sock, line)
-		for s := range m.sockets {
-			if s != core.Socket {
-				m.lines.invalidateLLC(line, s)
+		for _, s := range m.sockets {
+			if s != sock {
+				s.LLC.ClearClean(line)
 			}
 		}
 	default:
-		// Every LLC copy is now stale. invalidateLLC (rather than a raw
-		// bit clear) also reclaims records left with no live entry after
-		// remoteWriteOthers, so long store-heavy runs do not accumulate
-		// dead records.
-		for s := range m.sockets {
-			m.lines.invalidateLLC(line, s)
+		// Every LLC copy is now stale.
+		for _, s := range m.sockets {
+			s.LLC.ClearClean(line)
 		}
 	}
 	return m.finish(line, path, base+lat.RFOOverhead+walk)

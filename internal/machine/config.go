@@ -202,6 +202,13 @@ func SmallConfig() Config {
 	return c
 }
 
+// maxSockets bounds Config.Sockets. No field of the model is sized by
+// it; it keeps a config override, which the daemon accepts from job
+// submissions, from asking for a machine whose QPI links grow with the
+// square of the socket count, whose line records carry a sharer vector
+// per socket and whose every miss walks every socket.
+const maxSockets = 16
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Sockets <= 0 || c.Sockets > maxSockets {

@@ -44,11 +44,9 @@ func (m *Machine) StateDigest() string {
 	for _, s := range m.sockets {
 		w(0x50c6, uint64(s.ID))
 		hashCache(s.LLC)
-		for _, line := range lines {
-			if m.lines.live(line, s.ID) {
-				w(line, m.lines.sharerMask(line, s.ID), b2u(m.lines.llcValid(line, s.ID)))
-			}
-		}
+		m.entries(s, lines, func(line, sharers uint64, clean bool) {
+			w(line, sharers, b2u(clean))
+		})
 		w(s.Ring.Messages, s.Ring.TotalQueuing)
 	}
 	w(0xd7a8, m.dram.Messages, m.dram.TotalQueuing)
@@ -76,6 +74,32 @@ func (m *Machine) StateDigest() string {
 		w(hits, misses)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// entries calls fn, in ascending line order, for every line sock has a
+// directory entry for: a private sharer, or a clean LLC copy. lines is
+// the line table's sortedLines, which holds every line with a sharer;
+// the lines with only a clean LLC copy come from the LLC itself.
+func (m *Machine) entries(sock *Socket, lines []uint64, fn func(line, sharers uint64, clean bool)) {
+	clean := sock.LLC.CleanLines()
+	i := 0
+	for _, line := range lines {
+		sharers := m.lines.sharerMask(line, sock.ID)
+		if sharers == 0 {
+			continue
+		}
+		for ; i < len(clean) && clean[i] < line; i++ {
+			fn(clean[i], 0, true)
+		}
+		hit := i < len(clean) && clean[i] == line
+		if hit {
+			i++
+		}
+		fn(line, sharers, hit)
+	}
+	for ; i < len(clean); i++ {
+		fn(clean[i], 0, true)
+	}
 }
 
 func b2u(b bool) uint64 {

@@ -6,12 +6,11 @@ import (
 	"coherentleak/internal/sim"
 )
 
-// Regression for the directory leak: the store path used to clear the
+// Regression for the directory leak: the store path once cleared the
 // LLC-valid mark of remote-socket entries without the delete-when-empty
-// logic, so every cross-socket RFO left a dead entry (no sharers, no LLC
-// copy) behind forever. Dead entries are not just wasted memory —
-// needsSnoop treats any live entry as "must snoop", so a leak slowly
-// poisons DRAM-fetch timing too.
+// logic, so every cross-socket RFO left a dead record (no sharers, no
+// LLC copy) behind forever. The table now holds records only for
+// sharers, and a remote RFO must still leave none behind.
 func TestStoreRFOReclaimsRemoteDirectoryRecords(t *testing.T) {
 	runOn(t, DefaultConfig(), func(th *sim.Thread, m *Machine) {
 		const n = 64

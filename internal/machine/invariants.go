@@ -10,7 +10,8 @@ import (
 
 // Violation is one broken invariant of CheckInvariants.
 type Violation struct {
-	// Invariant is the number in CheckInvariants' list (1..9).
+	// Invariant is the number in CheckInvariants' list (1..8; 9 is
+	// retired).
 	Invariant int
 	// Line is the line-aligned address checked.
 	Line   uint64
@@ -73,8 +74,11 @@ func KnownDivergence(cfg Config, n int) bool {
 //  8. Unique-state uniqueness: at most one copy of any state the spec
 //     declares unique (MESIF's one Forwarder, MOESI's and Dragon's one
 //     Owner) exists globally.
-//  9. LLC-valid accuracy: a socket's LLC-valid mark implies its LLC
-//     holds the line.
+//  9. Retired. It was LLC-valid accuracy (a socket's LLC-valid mark
+//     implies its LLC holds the line), which now holds by construction:
+//     the mark is a bit on the LLC's own line and leaves with it. The
+//     number stays reserved so Violation.Invariant values and
+//     KnownDivergence keep their meaning.
 func (m *Machine) CheckInvariants(addr uint64) error {
 	line := cache.LineAddr(addr)
 	var errs []error
@@ -130,10 +134,6 @@ func (m *Machine) CheckInvariants(addr uint64) error {
 		}
 
 		llcHas := sock.LLC.Contains(line)
-		// Invariant 9: LLC-valid accuracy.
-		if m.lines.llcValid(line, sock.ID) && !llcHas {
-			fail(9, "socket %d: marked LLC-valid but absent from the LLC", sock.ID)
-		}
 		// Invariant 5: inclusive LLC.
 		if m.cfg.InclusiveLLC && privInSocket > 0 && !llcHas {
 			fail(5, "socket %d: %d private copies without an LLC copy (inclusion violated)", sock.ID, privInSocket)

@@ -2,23 +2,25 @@ package machine
 
 import "sort"
 
-// lineTable is the machine's one record per cache line. A record holds,
-// for every socket, the core-valid bit vector the paper places at the LLC
-// (§VI-A) and whether that socket's LLC holds a clean copy that can
-// service misses, plus the line's lineMeta bookkeeping.
+// lineTable holds, for every line with a private copy somewhere, each
+// socket's core-valid bit vector the paper places at the LLC (§VI-A),
+// plus the line's lineMeta bookkeeping. Whether a socket's LLC holds a
+// clean copy that can service misses is not here: that mark lives on
+// the LLC's own line (cache.Line's clean mark).
 //
-// A socket's entry is live iff its sharer mask is non-zero or its LLC
-// copy is marked valid. A record exists while any socket's entry is live
-// or the line has meta; meta is never removed.
+// A record exists while any socket's sharer mask is non-zero or the
+// line has meta; meta is never removed.
 //
 // The storage is an open-addressing table of 16-byte slots (no pointers,
 // no per-record allocation) with the sharer masks in a parallel slice and
-// the meta records in an append-only slab. Deletion leaves tombstones
-// that the next growth rehash reclaims. A move-to-front lookaside keyed
-// by line remembers both present and absent lines: one coherence
-// transaction asks about its line many times (local census, remote
-// census, snoop and fill decisions, the jitter lookup) interleaved with
-// its eviction victims, and most of those lines have no record at all.
+// the meta records in an append-only slab. Deletion shifts the rest of
+// the record's probe chain back instead of leaving a tombstone, so lines
+// that keep entering and leaving the private caches never force a
+// rehash. A move-to-front lookaside keyed by line remembers both present
+// and absent lines: one coherence transaction asks about its line many
+// times (local census, remote census, snoop and fill decisions, the
+// jitter lookup) interleaved with its eviction victims, and most of
+// those lines have no record at all.
 //
 // Pointer validity: a *lineMeta stays valid until the next metaMake,
 // the only call that appends to the slab. Creating or deleting records
@@ -27,12 +29,11 @@ type lineTable struct {
 	sockets int
 
 	// slots is the table; mask = len(slots)-1 (a power of two). used
-	// counts records, tombs tombstones; the table is rehashed when
-	// used+tombs would exceed 3/4 of it.
+	// counts records; the table doubles when they would fill more than
+	// 3/4 of it.
 	slots []lineSlot
 	mask  uint64
 	used  int
-	tombs int
 	// sharers[i*sockets+s] is slot i's core-valid vector for socket s
 	// (see masks).
 	sharers []uint64
@@ -40,9 +41,9 @@ type lineTable struct {
 	metas []lineMeta
 
 	// look is the lookaside, most recent first. Entries are updated when
-	// a record is created or deleted and re-resolved after a rehash. The
-	// zero lookaside is valid: it says line 0 has no record, which holds
-	// for the empty table.
+	// a record is created, moved or deleted and re-resolved after a
+	// rehash. The zero lookaside is valid: it says line 0 has no record,
+	// which holds for the empty table.
 	look [lookN]lookEntry
 }
 
@@ -60,22 +61,15 @@ type lookEntry struct {
 const (
 	slotEmpty uint8 = iota
 	slotUsed
-	slotTomb
 )
 
 // lineSlot is one table slot.
 type lineSlot struct {
 	line uint64
 	// meta is 1 + the line's index in metas, or 0 without meta.
-	meta uint32
-	// llc has bit s set when socket s's LLC holds a clean copy; 16 bits
-	// bound Config.Sockets.
-	llc   uint16
+	meta  uint32
 	state uint8
 }
-
-// maxSockets is the socket count lineSlot.llc can describe.
-const maxSockets = 16
 
 // lineHash spreads line addresses (low 6 bits always zero) over the
 // table with a Fibonacci multiplicative hash. The multiply concentrates
@@ -136,7 +130,7 @@ func (t *lineTable) findOrAdd(line uint64) int {
 	if i := t.find(line); i >= 0 {
 		return i
 	}
-	if len(t.slots) == 0 || (t.used+t.tombs+1)*4 > len(t.slots)*3 {
+	if len(t.slots) == 0 || (t.used+1)*4 > len(t.slots)*3 {
 		t.grow()
 	}
 	h := lineHash(line)
@@ -144,9 +138,6 @@ func (t *lineTable) findOrAdd(line uint64) int {
 		h++
 	}
 	i := int(h & t.mask)
-	if t.slots[i].state == slotTomb {
-		t.tombs--
-	}
 	t.slots[i] = lineSlot{line: line, state: slotUsed}
 	clear(t.masks(i))
 	t.used++
@@ -154,24 +145,13 @@ func (t *lineTable) findOrAdd(line uint64) int {
 	return i
 }
 
-// grow rehashes the table, shedding tombstones. Capacity doubles only
-// when records fill more than 3/8 of it; otherwise the rehash keeps the
-// size and merely reclaims tombstones — without this, workloads that
-// constantly add and drop records (streaming evictions) would trigger
-// doubling on tombstone pressure alone and balloon the table.
+// grow doubles the table (64 slots at first) and rehashes it.
 func (t *lineTable) grow() {
-	n := len(t.slots) * 2
-	if t.used*8 <= len(t.slots)*3 {
-		n = len(t.slots)
-	}
-	if n < 64 {
-		n = 64
-	}
+	n := max(64, len(t.slots)*2)
 	old, oldSharers := t.slots, t.sharers
 	t.slots = make([]lineSlot, n)
 	t.sharers = make([]uint64, n*t.sockets)
 	t.mask = uint64(n - 1)
-	t.tombs = 0
 	for i := range old {
 		if old[i].state != slotUsed {
 			continue
@@ -191,11 +171,13 @@ func (t *lineTable) grow() {
 	}
 }
 
-// reclaim deletes slot i's record once no socket entry is live and the
-// line has no meta.
+// reclaim deletes slot i's record once no socket has a sharer and the
+// line has no meta. Each later record of the probe chain moves back into
+// the hole unless its home slot lies cyclically after the hole and at or
+// before its own slot, so every record stays reachable from its home
+// without tombstones.
 func (t *lineTable) reclaim(i int) {
-	s := &t.slots[i]
-	if s.llc != 0 || s.meta != 0 {
+	if t.slots[i].meta != 0 {
 		return
 	}
 	for _, v := range t.masks(i) {
@@ -203,10 +185,22 @@ func (t *lineTable) reclaim(i int) {
 			return
 		}
 	}
-	s.state = slotTomb
+	t.lookSet(t.slots[i].line, -1)
 	t.used--
-	t.tombs++
-	t.lookSet(s.line, -1)
+	for j := i; ; {
+		j = int(uint64(j+1) & t.mask)
+		if t.slots[j].state == slotEmpty {
+			break
+		}
+		home := int(lineHash(t.slots[j].line) & t.mask)
+		if i < j && (home <= i || home > j) || j < i && home <= i && home > j {
+			t.slots[i] = t.slots[j]
+			copy(t.masks(i), t.masks(j))
+			t.lookSet(t.slots[i].line, i)
+			i = j
+		}
+	}
+	t.slots[i] = lineSlot{}
 }
 
 // masks returns slot i's core-valid vectors, one per socket.
@@ -221,18 +215,6 @@ func (t *lineTable) sharerMask(line uint64, s int) uint64 {
 		return t.masks(i)[s]
 	}
 	return 0
-}
-
-// llcValid reports whether socket s's LLC holds a clean copy of line.
-func (t *lineTable) llcValid(line uint64, s int) bool {
-	i := t.find(line)
-	return i >= 0 && t.slots[i].llc&(1<<s) != 0
-}
-
-// live reports whether socket s has an entry for line: a sharer or a
-// clean LLC copy.
-func (t *lineTable) live(line uint64, s int) bool {
-	return t.sharerMask(line, s) != 0 || t.llcValid(line, s)
 }
 
 // addSharer records that core local of socket s now holds line.
@@ -250,26 +232,9 @@ func (t *lineTable) removeSharer(line uint64, s, local int) {
 	}
 }
 
-// markLLC records that socket s's LLC holds a clean, current copy of
-// line (after a write-back or a fill).
-func (t *lineTable) markLLC(line uint64, s int) {
-	i := t.findOrAdd(line)
-	t.slots[i].llc |= 1 << s
-}
-
-// invalidateLLC drops socket s's clean-copy mark (LLC eviction of the
-// line, or a store making the LLC copy stale).
-func (t *lineTable) invalidateLLC(line uint64, s int) {
-	if i := t.find(line); i >= 0 {
-		t.slots[i].llc &^= 1 << s
-		t.reclaim(i)
-	}
-}
-
-// clearLine removes every socket's entry for line (clflush).
+// clearLine removes every socket's sharers of line (clflush).
 func (t *lineTable) clearLine(line uint64) {
 	if i := t.find(line); i >= 0 {
-		t.slots[i].llc = 0
 		clear(t.masks(i))
 		t.reclaim(i)
 	}

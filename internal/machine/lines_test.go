@@ -6,28 +6,27 @@ import (
 	"testing"
 	"testing/quick"
 
+	"coherentleak/internal/cache"
 	"coherentleak/internal/coherence"
+	"coherentleak/internal/sim"
 )
 
-// liveEntries counts the lines with a live entry for socket s.
+// liveEntries counts the lines socket s has a directory entry for: a
+// private sharer or a clean LLC copy.
 func liveEntries(m *Machine, s int) int {
 	n := 0
-	for _, line := range m.lines.sortedLines() {
-		if m.lines.live(line, s) {
-			n++
-		}
-	}
+	m.entries(m.sockets[s], m.lines.sortedLines(), func(uint64, uint64, bool) { n++ })
 	return n
 }
 
-// deadRecords counts the records with no live entry and no meta, which
-// the table must have deleted.
+// deadRecords counts the records with no sharer and no meta, which the
+// table must have deleted.
 func deadRecords(m *Machine) int {
 	n := 0
 	for _, line := range m.lines.sortedLines() {
 		dead := m.lines.meta(line) == nil
 		for s := range m.sockets {
-			dead = dead && !m.lines.live(line, s)
+			dead = dead && m.lines.sharerMask(line, s) == 0
 		}
 		if dead {
 			n++
@@ -42,7 +41,7 @@ func newTestTable(sockets int) *lineTable {
 
 func TestDirectoryEmpty(t *testing.T) {
 	tb := newTestTable(2)
-	if tb.sharerMask(0x40, 0) != 0 || tb.live(0x40, 1) || tb.meta(0x40) != nil {
+	if tb.sharerMask(0x40, 0) != 0 || tb.sharerMask(0x40, 1) != 0 || tb.meta(0x40) != nil {
 		t.Error("fresh table has an entry")
 	}
 	if c := coherence.CensusOf(tb.sharerMask(0x40, 0)); c != coherence.CensusNone {
@@ -66,7 +65,7 @@ func TestDirectorySharerCensus(t *testing.T) {
 	if census() != coherence.CensusShared || tb.sharerMask(line, 1) != 1<<3|1<<7 {
 		t.Fatalf("two sharers: census %v, mask %b", census(), tb.sharerMask(line, 1))
 	}
-	if tb.live(line, 0) {
+	if tb.sharerMask(line, 0) != 0 {
 		t.Fatal("socket 1's sharers made socket 0's entry live")
 	}
 	tb.removeSharer(line, 1, 3)
@@ -91,32 +90,45 @@ func TestDirectoryIdempotentAdd(t *testing.T) {
 	}
 }
 
-// An LLC-only entry keeps its record; invalidateLLC deletes it once no
-// sharer is left and keeps the sharers otherwise. Every mutation is
-// visible to the next query, which the lookaside answers.
+// The LLC-valid mark lives on the LLC's line, not in the table: a fill
+// marks exactly the local LLC, an upgrade makes the mark stale and keeps
+// the writer's sharer bit, the writer's dirty eviction marks the
+// written-back copy and leaves the line with no record, and a flush
+// drops the mark.
 func TestDirectoryLLCValidLifecycle(t *testing.T) {
-	tb := newTestTable(2)
-	const line = 0x3000
-	tb.markLLC(line, 1)
-	if !tb.llcValid(line, 1) || tb.llcValid(line, 0) || !tb.live(line, 1) {
-		t.Fatal("markLLC not recorded for exactly its socket")
-	}
-	if tb.used != 1 {
-		t.Fatal("LLC-only record deleted")
-	}
-	tb.invalidateLLC(line, 1)
-	if tb.used != 0 || tb.live(line, 1) {
-		t.Fatal("invalidateLLC left an empty record")
-	}
-	tb.addSharer(line, 1, 2)
-	tb.markLLC(line, 1)
-	tb.invalidateLLC(line, 1)
-	if tb.llcValid(line, 1) {
-		t.Fatal("invalidateLLC not visible to the next query")
-	}
-	if tb.sharerMask(line, 1) != 1<<2 {
-		t.Fatal("invalidateLLC dropped the sharers")
-	}
+	runOn(t, SmallConfig(), func(th *sim.Thread, m *Machine) {
+		const line = 0x3000
+		m.Load(th, 0, line)
+		m.Load(th, 1, line)
+		if !m.LLCHasClean(0, line) || m.LLCHasClean(1, line) {
+			t.Fatal("fill did not mark exactly the local LLC")
+		}
+		m.Store(th, 0, line)
+		if m.LLCHasClean(0, line) {
+			t.Fatal("upgrade left the LLC copy marked clean")
+		}
+		if m.lines.sharerMask(line, 0) != 1 {
+			t.Fatalf("upgrade left sharers %b, want the writer's", m.lines.sharerMask(line, 0))
+		}
+		// Four more lines in the writer's L2 set evict the dirty copy.
+		stride := uint64(m.Core(0).L2.Geometry().Sets()) * cache.LineSize
+		for k := uint64(1); k <= 4; k++ {
+			m.Load(th, 0, line+k*stride)
+		}
+		if m.ProbeState(0, line).Valid() {
+			t.Fatal("the writer's copy survived its L2 set filling up")
+		}
+		if !m.LLCHasClean(0, line) {
+			t.Fatal("write-back not marked clean")
+		}
+		if m.lines.find(line) >= 0 {
+			t.Fatal("a line with only an LLC copy kept a record")
+		}
+		m.Flush(th, 0, line)
+		if m.LLCHasClean(0, line) {
+			t.Fatal("flush left the mark")
+		}
+	})
 }
 
 func TestDirectoryClear(t *testing.T) {
@@ -125,17 +137,15 @@ func TestDirectoryClear(t *testing.T) {
 	tb.addSharer(line, 0, 0)
 	tb.addSharer(line, 0, 1)
 	tb.addSharer(line, 1, 4)
-	tb.markLLC(line, 0)
-	tb.markLLC(line, 1)
 	tb.clearLine(line)
-	if tb.live(line, 0) || tb.live(line, 1) || tb.used != 0 {
+	if tb.sharerMask(line, 0) != 0 || tb.sharerMask(line, 1) != 0 || tb.used != 0 {
 		t.Fatal("clear left state behind")
 	}
 	// A record with meta outlives clear; the meta is untouched.
 	tb.metaMake(line).flushEpochs = 3
 	tb.addSharer(line, 1, 4)
 	tb.clearLine(line)
-	if tb.live(line, 1) || tb.used != 1 || tb.meta(line).flushEpochs != 3 {
+	if tb.sharerMask(line, 1) != 0 || tb.used != 1 || tb.meta(line).flushEpochs != 3 {
 		t.Fatal("clear of a line with meta")
 	}
 }
@@ -143,7 +153,6 @@ func TestDirectoryClear(t *testing.T) {
 func TestDirectoryRemoveUnknownLine(t *testing.T) {
 	tb := newTestTable(2)
 	tb.removeSharer(0x9c0, 1, 1)
-	tb.invalidateLLC(0x9c0, 0)
 	tb.clearLine(0x9c0)
 	if tb.used != 0 || tb.meta(0x9c0) != nil {
 		t.Fatal("phantom records created")
@@ -195,7 +204,7 @@ func TestLineMetaPointerStable(t *testing.T) {
 	slots := len(tb.slots)
 	for i := uint64(1); i <= 1000; i++ {
 		tb.addSharer(i*64+0x100000, int(i%2), int(i%6))
-		tb.markLLC(i*64+0x200000, 1)
+		tb.addSharer(i*64+0x200000, 1, 0)
 		tb.removeSharer(i*64+0x100000, int(i%2), int(i%6))
 	}
 	if len(tb.slots) == slots {
@@ -209,18 +218,18 @@ func TestLineMetaPointerStable(t *testing.T) {
 // modelRec is the map model's view of one line.
 type modelRec struct {
 	sharers [3]uint64
-	llc     uint16
 	meta    bool
 	epochs  uint64
 }
 
 func (r modelRec) dead() bool {
-	return r.sharers == [3]uint64{} && r.llc == 0 && !r.meta
+	return r.sharers == [3]uint64{} && !r.meta
 }
 
 // Property: the table answers every query like a map, across random
-// record creation, deletion (tombstones) and growth, including queries
-// right after a delete and right after a rehash.
+// record creation, deletion (which shifts later records back) and
+// growth, including queries right after a delete and right after a
+// rehash, and for every line of the pool now and then.
 func TestLineTableMatchesMapModel(t *testing.T) {
 	const sockets = 3
 	for seed := int64(1); seed <= 20; seed++ {
@@ -235,9 +244,6 @@ func TestLineTableMatchesMapModel(t *testing.T) {
 				if got := tb.sharerMask(line, s); got != want.sharers[s] {
 					t.Fatalf("seed %d %s: line %#x socket %d sharers %b, want %b", seed, when, line, s, got, want.sharers[s])
 				}
-				if got := tb.llcValid(line, s); got != (want.llc>>s&1 != 0) {
-					t.Fatalf("seed %d %s: line %#x socket %d llcValid %v", seed, when, line, s, got)
-				}
 			}
 			lm := tb.meta(line)
 			if (lm != nil) != want.meta || lm != nil && lm.flushEpochs != want.epochs {
@@ -249,20 +255,14 @@ func TestLineTableMatchesMapModel(t *testing.T) {
 			s, core := r.Intn(sockets), r.Intn(64)
 			rec := model[line]
 			slots := len(tb.slots)
-			switch r.Intn(7) {
+			switch r.Intn(6) {
 			case 0, 1:
 				tb.addSharer(line, s, core)
 				rec.sharers[s] |= 1 << core
-			case 2:
+			case 2, 3:
 				tb.removeSharer(line, s, core)
 				rec.sharers[s] &^= 1 << core
-			case 3:
-				tb.markLLC(line, s)
-				rec.llc |= 1 << s
 			case 4:
-				tb.invalidateLLC(line, s)
-				rec.llc &^= 1 << s
-			case 5:
 				// Drain every entry of the line, then clear it.
 				for c := 0; c < 64; c++ {
 					tb.removeSharer(line, s, c)
@@ -270,9 +270,9 @@ func TestLineTableMatchesMapModel(t *testing.T) {
 				rec.sharers[s] = 0
 				if r.Intn(2) == 0 {
 					tb.clearLine(line)
-					rec.sharers, rec.llc = [3]uint64{}, 0
+					rec.sharers = [3]uint64{}
 				}
-			case 6:
+			case 5:
 				if r.Intn(8) == 0 {
 					tb.metaMake(line).flushEpochs++
 					rec.meta = true
@@ -291,11 +291,16 @@ func TestLineTableMatchesMapModel(t *testing.T) {
 					check(e.line, "after growth")
 				}
 			}
+			if op%97 == 0 {
+				for l := 0; l < pool; l++ {
+					check(uint64(l)*64, "sweep")
+				}
+			}
 			if tb.used != len(model) {
 				t.Fatalf("seed %d op %d: %d records, model has %d", seed, op, tb.used, len(model))
 			}
-			if tb.used+tb.tombs > len(tb.slots)*3/4 {
-				t.Fatalf("seed %d op %d: load %d+%d over 3/4 of %d", seed, op, tb.used, tb.tombs, len(tb.slots))
+			if tb.used > len(tb.slots)*3/4 {
+				t.Fatalf("seed %d op %d: load %d over 3/4 of %d", seed, op, tb.used, len(tb.slots))
 			}
 		}
 		for l := 0; l < pool; l++ {

@@ -30,8 +30,8 @@ type Core struct {
 }
 
 // Socket is one processor package: cores, a shared LLC and the on-chip
-// ring. Its directory (the LLC's core-valid bits) lives in the machine's
-// line table.
+// ring. Its directory's core-valid bits live in the machine's line
+// table; its LLC-valid marks live on the LLC's lines.
 type Socket struct {
 	ID    int
 	Cores []*Core
@@ -67,8 +67,9 @@ type Machine struct {
 	// Stats tallies service paths; the experiments read it.
 	Stats MachineStats
 
-	// lines is the one record per cache line: every socket's directory
-	// entry (core-valid bits, LLC-valid mark) and the line's lineMeta.
+	// lines holds every socket's core-valid bits and the lineMeta of
+	// each line that has either; the LLC-valid marks live on the LLCs'
+	// own lines (cache.Line's clean mark).
 	lines lineTable
 
 	// missCommon is the static latency every off-core miss pays:
@@ -319,11 +320,12 @@ func (m *Machine) globalSharers(line uint64) int {
 	return n
 }
 
-// anyOtherCopy reports whether any cache outside socket s holds the line
-// (private or LLC); used to decide E vs. S on a fill.
+// anyOtherCopy reports whether any socket other than s has a directory
+// entry for the line (a private sharer or a clean LLC copy); used to
+// decide E vs. S on a fill.
 func (m *Machine) anyOtherCopy(line uint64, s int) bool {
-	for other := range m.sockets {
-		if other != s && m.lines.live(line, other) {
+	for _, other := range m.sockets {
+		if other.ID != s && (m.lines.sharerMask(line, other.ID) != 0 || other.LLC.Clean(line)) {
 			return true
 		}
 	}
@@ -366,5 +368,5 @@ func (m *Machine) InvalidationEpoch(addr uint64) uint64 {
 // LLCHasClean reports whether socket s's LLC holds a clean serviceable
 // copy of addr's line.
 func (m *Machine) LLCHasClean(s int, addr uint64) bool {
-	return m.lines.llcValid(cache.LineAddr(addr), m.Socket(s).ID)
+	return m.Socket(s).LLC.Clean(cache.LineAddr(addr))
 }

@@ -79,13 +79,11 @@ func modesRow(t *testing.T, name string, cfg Config, seed int64) string {
 		}
 		w(0xe7e7)
 		lines := m.lines.sortedLines()
-		for s := range m.sockets {
-			for _, line := range lines {
-				if m.lines.live(line, s) {
-					entries++
-					w(uint64(s), line, m.lines.sharerMask(line, s), b2u(m.lines.llcValid(line, s)))
-				}
-			}
+		for s, sock := range m.sockets {
+			m.entries(sock, lines, func(line, sharers uint64, clean bool) {
+				entries++
+				w(uint64(s), line, sharers, b2u(clean))
+			})
 		}
 		w(0x11fe)
 		for _, line := range lines {
