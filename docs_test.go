@@ -181,19 +181,18 @@ func tsvRows(t *testing.T, path string) [][]string {
 	return rows
 }
 
-// leadNumber matches the number leading a table cell, after an optional
-// "~"; group 2 holds its decimals.
-var leadNumber = regexp.MustCompile(`^~?([0-9]+(?:\.([0-9]+))?)`)
+// plainNumber matches a cell that is a number and nothing else.
+var plainNumber = regexp.MustCompile(`^[0-9]+(\.[0-9]+)?$`)
 
-// printedAs reports whether the number leading cell equals v rounded to
+// printedAs reports whether num, a decimal number, equals v rounded to
 // the decimals it is printed with.
-func printedAs(cell string, v float64) bool {
-	num := leadNumber.FindStringSubmatch(cell)
-	if num == nil {
-		return false
+func printedAs(num string, v float64) bool {
+	got, err := strconv.ParseFloat(num, 64)
+	decimals := 0
+	if _, frac, ok := strings.Cut(num, "."); ok {
+		decimals = len(frac)
 	}
-	got, err := strconv.ParseFloat(num[1], 64)
-	return err == nil && math.Abs(got-v) <= 0.5*math.Pow(10, -float64(len(num[2])))+1e-9
+	return err == nil && math.Abs(got-v) <= 0.5*math.Pow(10, -float64(decimals))+1e-9
 }
 
 // TestMitigationTableMatchesTSV: every cell of EXPERIMENTS.md's §VIII-E
@@ -239,7 +238,9 @@ func TestMitigationTableMatchesTSV(t *testing.T) {
 				t.Errorf("§VIII-E %s = %q: not in mitigations.tsv", key, c)
 				continue
 			}
-			if !printedAs(c, w) {
+			if !plainNumber.MatchString(c) {
+				t.Errorf("§VIII-E %s = %q: not a number", key, c)
+			} else if !printedAs(c, w) {
 				t.Errorf("§VIII-E %s = %s, mitigations.tsv has %.4f", key, c, w)
 			}
 			checked++
@@ -249,6 +250,10 @@ func TestMitigationTableMatchesTSV(t *testing.T) {
 		t.Errorf("§VIII-E table checks %d cells, mitigations.tsv has %d", checked, len(want))
 	}
 }
+
+// peakRate matches the rate leading a peak rates cell, as in
+// "767 Kbps (≥97%)" or "~1.61×".
+var peakRate = regexp.MustCompile(`^~?([0-9]+(?:\.[0-9]+)?)(?: Kbps|×)`)
 
 // TestPeaksTableMatchesTSV: the measured column of EXPERIMENTS.md's peak
 // rates table equals results/peaks.tsv at the precision the table
@@ -284,7 +289,7 @@ func TestPeaksTableMatchesTSV(t *testing.T) {
 			t.Errorf("peak rates row %q: unknown channel or not 3 cells", cells)
 			continue
 		}
-		if !printedAs(cells[2], w) {
+		if num := peakRate.FindStringSubmatch(cells[2]); num == nil || !printedAs(num[1], w) {
 			t.Errorf("peak rates %s = %q, peaks.tsv gives %.4f", cells[0], cells[2], w)
 		}
 		if cells[0] == "Binary, best scenario" && !strings.Contains(cells[2], "`"+scenario["binary"]+"`") {

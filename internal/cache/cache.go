@@ -8,7 +8,6 @@ package cache
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"coherentleak/internal/coherence"
@@ -110,11 +109,6 @@ type Cache struct {
 	numSets uint64
 	setMask uint64 // numSets-1 when numSets is a power of two
 	pow2    bool
-	// modM is ceil(2^64/numSets), the multiplier that gives a line
-	// number below 2^32 its set without a division (Lemire's fastmod):
-	// the LLC's 12288 sets are not a power of two, and every LLC access
-	// indexes.
-	modM uint64
 
 	// plruBits[p] is the tree-PLRU node-bit word of the set at store
 	// position p (PolicyTreePLRU only; nil otherwise). Bit k is internal
@@ -125,27 +119,8 @@ type Cache struct {
 	// insertion (every brripLongEvery-th fill inserts at "long").
 	brripFills uint64
 
-	// memo says where the last clean-mark query or clean fill found its
-	// line: one coherence transaction asks about its line's mark in every
-	// socket several times, and without the memo each ask rescans a set.
-	// gen counts fills, the only way an absent line becomes present.
-	memo memoEntry
-	gen  uint64
-
 	// Stats accumulates hit/miss/eviction counts.
 	Stats Stats
-}
-
-// memoEntry says where line tag was found: way way-1 of the set at store
-// position pos, or nowhere when way is 0. A found way is checked before
-// it is trusted, since tags are full line numbers; an absence holds only
-// while the cache's gen still equals gen. The entry holds no pointer, so
-// taking it costs no GC write barrier.
-type memoEntry struct {
-	tag uint64
-	gen uint64
-	pos uint32
-	way int32
 }
 
 // Stats counts cache events.
@@ -178,7 +153,6 @@ func New(geo Geometry, policy Policy) (*Cache, error) {
 		c.pow2 = true
 		c.setMask = c.numSets - 1
 	}
-	c.modM = ^uint64(0)/c.numSets + 1
 	return c, nil
 }
 
@@ -267,10 +241,6 @@ func (c *Cache) index(line uint64) (set uint64, tag uint64) {
 	if c.pow2 {
 		return n & c.setMask, n
 	}
-	if n < 1<<32 {
-		s, _ := bits.Mul64(c.modM*n, c.numSets)
-		return s, n
-	}
 	return n % c.numSets, n
 }
 
@@ -302,12 +272,11 @@ func (c *Cache) at(p uint32) []Line {
 	return c.blocks[p/blockSets][off : off+c.ways : off+c.ways]
 }
 
-// setMake returns the ways of set s and their store position, giving
-// the set the next position on first use, allocating its slot page on
-// the page's first fill, and appending a block when the last one is
-// full. A cache with fewer than blockSets unfilled sets left gets a
-// block sized to them.
-func (c *Cache) setMake(s uint64) ([]Line, uint32) {
+// setMake returns the ways of set s, giving it the next position on
+// first use, allocating its slot page on the page's first fill, and
+// appending a block when the last one is full. A cache with fewer than
+// blockSets unfilled sets left gets a block sized to them.
+func (c *Cache) setMake(s uint64) []Line {
 	pg := c.slot[s>>slotPageShift]
 	if pg == nil {
 		pg = make([]uint32, min(slotPageSets, c.numSets-s&^slotPageMask))
@@ -315,7 +284,7 @@ func (c *Cache) setMake(s uint64) ([]Line, uint32) {
 	}
 	i := s & slotPageMask
 	if p := pg[i]; p != 0 {
-		return c.at(p - 1), p - 1
+		return c.at(p - 1)
 	}
 	p := c.used
 	if int(p/blockSets) == len(c.blocks) {
@@ -327,7 +296,7 @@ func (c *Cache) setMake(s uint64) ([]Line, uint32) {
 	}
 	c.used++
 	pg[i] = p + 1
-	return c.at(p), p
+	return c.at(p)
 }
 
 // Probe returns the line's state without updating recency, or Invalid if
@@ -440,19 +409,15 @@ func (c *Cache) InsertClean(addr uint64, state coherence.State) (ev Evicted, ok 
 }
 
 // insert implements the three Inserts: refill scans for a present line
-// first, and clean sets the filled line's mark and leaves the memo on
-// it, since the shared level's next question is about the same line.
+// first, and clean sets the filled line's mark.
 func (c *Cache) insert(addr uint64, state coherence.State, refill, clean bool) (ev Evicted, ok bool) {
 	if !state.Valid() {
 		panic("cache: Insert with Invalid state")
 	}
 	line := LineAddr(addr)
 	set, tag := c.index(line)
-	ways, pos := c.setMake(set)
+	ways := c.setMake(set)
 
-	if e := c.memo; e.tag == tag && e.way == 0 && e.gen == c.gen {
-		refill = false // the memo proves the line absent
-	}
 	if refill {
 		for i := range ways {
 			l := &ways[i]
@@ -462,9 +427,6 @@ func (c *Cache) insert(addr uint64, state coherence.State, refill, clean bool) (
 				l.lru = c.tick()
 				if c.policy != PolicyLRU {
 					c.touchSlow(set, ways, i)
-				}
-				if clean {
-					c.memo = memoEntry{tag: tag, pos: pos, way: int32(i) + 1}
 				}
 				return Evicted{}, false
 			}
@@ -484,10 +446,6 @@ func (c *Cache) insert(addr uint64, state coherence.State, refill, clean bool) (
 		c.Stats.Evictions++
 	}
 	*victim = Line{Tag: tag, State: state, clean: clean, lru: c.tick()}
-	c.gen++
-	if clean {
-		c.memo = memoEntry{tag: tag, pos: pos, way: int32(w) + 1}
-	}
 	if c.policy != PolicyLRU {
 		c.fillMeta(set, ways, w)
 	}
@@ -618,29 +576,13 @@ func (c *Cache) ClearClean(addr uint64) {
 }
 
 // find returns addr's way, or nil when the line is absent, without
-// touching recency or stats, answering from the memo when it can.
+// touching recency or stats.
 func (c *Cache) find(addr uint64) *Line {
-	tag := addr / LineSize // index's tag, without computing the set
-	if e := c.memo; e.tag == tag {
-		if e.way == 0 {
-			if e.gen == c.gen {
-				return nil
-			}
-		} else if l := &c.at(e.pos)[e.way-1]; l.Tag == tag && l.Valid() {
-			return l // a valid way holding the tag is the line
-		}
-	}
-	c.memo = memoEntry{tag: tag, gen: c.gen}
-	set, _ := c.index(LineAddr(addr))
-	pg, i := c.slot[set>>slotPageShift], set&slotPageMask
-	if i < uint64(len(pg)) && pg[i] != 0 { // as in set
-		c.memo.pos = pg[i] - 1
-		ways := c.at(c.memo.pos)
-		for w := range ways {
-			if ways[w].Tag == tag && ways[w].Valid() {
-				c.memo.way = int32(w) + 1
-				return &ways[w]
-			}
+	set, tag := c.index(LineAddr(addr))
+	ways := c.set(set)
+	for i := range ways {
+		if l := &ways[i]; l.Valid() && l.Tag == tag {
+			return l
 		}
 	}
 	return nil

@@ -148,8 +148,7 @@ func TestCleanAndPlainInsertsChooseSameVictim(t *testing.T) {
 }
 
 // Property: Clean answers like a map model of present lines and their
-// marks after every operation, including the repeated asks the memo
-// answers without a scan.
+// marks after every operation.
 func TestCleanMatchesModel(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, c *Cache) {
 		r := rand.New(rand.NewPCG(3, 4))
@@ -207,36 +206,6 @@ func TestCleanMatchesModel(t *testing.T) {
 		slices.Sort(want)
 		if got := c.CleanLines(); !slices.Equal(got, want) {
 			t.Fatalf("CleanLines = %#x, model %#x", got, want)
-		}
-	})
-}
-
-// A remembered way is checked before it is trusted: once its line has
-// left and another line took the way, the memo must not answer for the
-// old line. A remembered absence ends with the next fill.
-func TestFindChecksRememberedWay(t *testing.T) {
-	forEachPolicy(t, func(t *testing.T, c *Cache) {
-		a, b := setLine(0), setLine(1)
-		if c.find(b) != nil {
-			t.Fatal("find answered for a line never filled")
-		}
-		c.Insert(b, coherence.Shared)
-		if c.find(b) == nil {
-			t.Fatal("a remembered absence outlived the line's fill")
-		}
-		c.Invalidate(b)
-		c.InsertClean(a, coherence.Shared)
-		if c.find(a) == nil {
-			t.Fatal("find missed a present line")
-		}
-		c.Invalidate(a)
-		c.Insert(b, coherence.Shared) // every policy fills the first invalid way: a's
-		if l := c.find(a); l != nil {
-			t.Fatalf("find answered for an absent line with the way of %#x", l.Tag*LineSize)
-		}
-		c.InsertClean(a, coherence.Shared)
-		if l := c.find(a); l == nil || l.Tag*LineSize != a {
-			t.Fatal("find lost a refilled line")
 		}
 	})
 }

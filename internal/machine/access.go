@@ -107,7 +107,7 @@ func (m *Machine) missPath(now sim.Cycles, core *Core, line uint64) (Path, sim.C
 		// Two or more local sharers: the LLC's copy is clean (S state)
 		// and services the miss directly (§VI-A).
 		if m.llcServiceable(sock, line) {
-			m.fillRequestor(core, line, false)
+			m.fillRequestor(core, line, fromLocalLLC)
 			m.exclusiveMoveOut(sock, line)
 			return PathLocalLLC, base
 		}
@@ -122,7 +122,7 @@ func (m *Machine) missPath(now sim.Cycles, core *Core, line uint64) (Path, sim.C
 		// unless the LLC can prove its copy current (the E->M notification
 		// mitigation, or a protocol with no silent upgrades at all).
 		if m.llcTrust && !m.upgradedLine(line) && m.llcServiceable(sock, line) {
-			m.fillRequestor(core, line, false)
+			m.fillRequestor(core, line, fromLocalLLC)
 			return PathLocalLLC, base
 		}
 		m.forwardFromLocal(sock, core, line)
@@ -131,7 +131,7 @@ func (m *Machine) missPath(now sim.Cycles, core *Core, line uint64) (Path, sim.C
 	case coherence.CensusNone:
 		if m.llcServiceable(sock, line) {
 			// Clean LLC hit with no private copies: no coherence activity.
-			m.fillRequestor(core, line, false)
+			m.fillRequestor(core, line, fromLocalLLC)
 			m.exclusiveMoveOut(sock, line)
 			return PathLocalLLC, base
 		}
@@ -151,7 +151,7 @@ func (m *Machine) missPath(now sim.Cycles, core *Core, line uint64) (Path, sim.C
 		case coherence.CensusShared:
 			hop := qpiLink.Traverse(now) + qpiLink.Traverse(now)
 			if m.llcServiceable(remote, line) {
-				m.fillRequestor(core, line, false)
+				m.fillRequestor(core, line, fromRemoteLLC)
 				return PathRemoteLLC, base + hop
 			}
 			m.forwardFromRemote(remote, core, line)
@@ -159,7 +159,7 @@ func (m *Machine) missPath(now sim.Cycles, core *Core, line uint64) (Path, sim.C
 		case coherence.CensusOwned:
 			hop := qpiLink.Traverse(now) + qpiLink.Traverse(now)
 			if m.llcTrust && !m.upgradedLine(line) && m.llcServiceable(remote, line) {
-				m.fillRequestor(core, line, false)
+				m.fillRequestor(core, line, fromRemoteLLC)
 				return PathRemoteLLC, base + hop
 			}
 			m.forwardFromRemote(remote, core, line)
@@ -167,7 +167,7 @@ func (m *Machine) missPath(now sim.Cycles, core *Core, line uint64) (Path, sim.C
 		case coherence.CensusNone:
 			if m.llcServiceable(remote, line) {
 				hop := qpiLink.Traverse(now) + qpiLink.Traverse(now)
-				m.fillRequestor(core, line, false)
+				m.fillRequestor(core, line, fromRemoteLLC)
 				return PathRemoteLLC, base + hop
 			}
 		}
@@ -194,7 +194,7 @@ func (m *Machine) missPath(now sim.Cycles, core *Core, line uint64) (Path, sim.C
 		m.lastUtil = u
 	}
 	dramLat := m.dram.Traverse(now)
-	m.fillRequestor(core, line, false)
+	m.fillRequestor(core, line, fromMemory)
 	return PathDRAM, base + snoop + dramLat
 }
 
@@ -229,13 +229,13 @@ func (m *Machine) llcServiceable(sock *Socket, line uint64) bool {
 // downgrades, the LLC receives a clean copy, and the requestor fills.
 func (m *Machine) forwardFromLocal(sock *Socket, requestor *Core, line uint64) {
 	m.downgradeOwner(sock, line)
-	m.fillRequestor(requestor, line, true)
+	m.fillRequestor(requestor, line, fromOwner)
 }
 
 // forwardFromRemote is forwardFromLocal across the socket link.
 func (m *Machine) forwardFromRemote(remote *Socket, requestor *Core, line uint64) {
 	m.downgradeOwner(remote, line)
-	m.fillRequestor(requestor, line, true)
+	m.fillRequestor(requestor, line, fromOwner)
 }
 
 // downgradeOwner applies the RemoteRead transition to every private copy
@@ -271,22 +271,43 @@ func (m *Machine) downgradeIn(sock *Socket, pc *cache.Cache, line uint64) {
 	}
 }
 
+// fillSource is where a miss's data comes from, and with it what
+// missPath has already learnt about copies outside the requestor's
+// socket, so that fillRequestor does not ask the other LLCs again.
+type fillSource uint8
+
+const (
+	// fromLocalLLC: the requestor's LLC holds a clean copy; the other
+	// sockets' LLC marks were not read.
+	fromLocalLLC fillSource = iota
+	// fromRemoteLLC: another socket's LLC holds a clean copy.
+	fromRemoteLLC
+	// fromMemory: no cache holds the line. Every socket's census was
+	// empty and no LLC held a clean copy.
+	fromMemory
+	// fromOwner: a previous owner forwarded the line.
+	fromOwner
+)
+
 // fillRequestor installs line into the requestor's private caches (and
 // the local LLC when inclusive), letting the spec's install policy pick
-// the state from the copy census. fromForward marks fills supplied by a
-// previous owner, in which case the policy's FromOwner state applies (the
-// supplier retains F/O duty).
-func (m *Machine) fillRequestor(core *Core, line uint64, fromForward bool) {
+// the state from the copy census. Fills supplied by a previous owner
+// (fromOwner) take the policy's FromOwner state (the supplier retains
+// F/O duty).
+func (m *Machine) fillRequestor(core *Core, line uint64, src fillSource) {
 	sock := m.sockets[core.Socket]
 	var st coherence.State
-	if fromForward {
+	if src == fromOwner {
 		st = m.spec.Install().FromOwner
 	} else {
-		census := m.globalSharers(line)
+		census := 0
+		if src != fromMemory {
+			census = m.globalSharers(line)
+		}
 		// An inclusive LLC's own copy coexists with the requestor's E
 		// (the hierarchy always duplicates locally), so only private
-		// copies and *other* sockets' caches block exclusivity.
-		if census == 0 && m.anyOtherCopy(line, core.Socket) {
+		// copies and *other* sockets' LLCs block exclusivity.
+		if census == 0 && (src == fromRemoteLLC || src == fromLocalLLC && m.otherLLCClean(line, core.Socket)) {
 			census = 1
 		}
 		st = m.spec.Install().For(census)
@@ -298,7 +319,7 @@ func (m *Machine) fillRequestor(core *Core, line uint64, fromForward bool) {
 	}
 	m.fillPrivateAbsent(core, line, st)
 	m.lines.addSharer(line, sock.ID, core.Local)
-	if (m.cfg.InclusiveLLC || fromForward) && !m.cfg.ExclusiveLLC {
+	if (m.cfg.InclusiveLLC || src == fromOwner) && !m.cfg.ExclusiveLLC {
 		m.installLLC(sock, line)
 	}
 }

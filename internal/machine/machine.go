@@ -320,12 +320,12 @@ func (m *Machine) globalSharers(line uint64) int {
 	return n
 }
 
-// anyOtherCopy reports whether any socket other than s has a directory
-// entry for the line (a private sharer or a clean LLC copy); used to
-// decide E vs. S on a fill.
-func (m *Machine) anyOtherCopy(line uint64, s int) bool {
+// otherLLCClean reports whether the LLC of any socket other than s
+// holds a clean copy of line; with no private copy anywhere, that decides
+// E vs. S on a fill.
+func (m *Machine) otherLLCClean(line uint64, s int) bool {
 	for _, other := range m.sockets {
-		if other.ID != s && (m.lines.sharerMask(line, other.ID) != 0 || other.LLC.Clean(line)) {
+		if other.ID != s && other.LLC.Clean(line) {
 			return true
 		}
 	}
