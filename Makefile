@@ -98,11 +98,17 @@ bench:
 # (TestMmapAllocatesPerTableGrowth bounds its objects). NoiseKCycles is
 # the default eight-thread §VIII-C noise for 2,000 kcycles, the
 # simulated-access path end to end (kcycle_us = host µs per kcycle).
+# CachedJob is one fully cached hot-mix job through Prepare and Execute
+# (its B/op is what a served job allocates; TestCachedResultSharesStoreRows
+# pins that none of it is a copy of the stored rows); MemoryStoreFull is
+# one Store into a full in-memory store at cohsimd's default -cache-max.
 bench-hotpath:
 	$(GO) test -bench='LoadHit|LoadMiss|StoreRFO|MachineNew' -benchmem -run=^$$ ./internal/machine/
 	$(GO) test -bench='MmapPages' -benchmem -run=^$$ ./internal/kernel/
 	$(GO) test -bench='WorldSwitch|WorldAdvanceInline' -benchmem -run=^$$ ./internal/sim/
 	$(GO) test -bench='NoiseKCycles' -benchmem -run=^$$ ./internal/noise/
+	$(GO) test -bench='CachedJob' -benchmem -run=^$$ ./internal/harness/
+	$(GO) test -bench='MemoryStoreFull' -benchmem -run=^$$ ./internal/store/
 
 # One-iteration smoke pass over the artifact benchmarks — catches bench
 # bit-rot in CI without paying for stable numbers.
@@ -111,6 +117,7 @@ bench-smoke:
 	$(GO) test -bench='LoadHit|LoadMiss|MachineNew' -benchtime=100x -benchmem -run=^$$ ./internal/machine/
 	$(GO) test -bench='MmapPages' -benchtime=10x -benchmem -run=^$$ ./internal/kernel/
 	$(GO) test -bench='NoiseKCycles' -benchtime=1x -benchmem -run=^$$ ./internal/noise/
+	$(GO) test -bench='CachedJob' -benchtime=10x -benchmem -run=^$$ ./internal/harness/
 
 # Access-stream executor performance gate: run the hot-path benches,
 # then time kernel.Thread.Exec against the hand-written per-op loop it

@@ -58,7 +58,7 @@ func BenchmarkArtifact(b *testing.B) {
 			var rows int
 			for i := 0; i < b.N; i++ {
 				rep := runArtifacts(b, []string{name}, 1)
-				rows = len(rep.Results[0].Rows)
+				rows = rep.Results[0].NumRows()
 			}
 			b.ReportMetric(float64(rows), "rows")
 		})

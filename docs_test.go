@@ -301,3 +301,63 @@ func TestPeaksTableMatchesTSV(t *testing.T) {
 		t.Errorf("peak rates table checks %d rows, want %d", checked, len(want))
 	}
 }
+
+// fig2Cell matches a Figure 2 measured cell, "98.2 (93..106)".
+var fig2Cell = regexp.MustCompile(`^([0-9]+\.[0-9]+) \(([0-9]+)\.\.([0-9]+)\)$`)
+
+// TestFig2TableMatchesTSV: every placement row of EXPERIMENTS.md's
+// Figure 2 table prints the mean, min and max of that placement's CDF
+// in results/fig2_cdf.tsv, and the table covers every placement. The
+// mean is the sum of latency × CDF step; min and max are the first and
+// last latencies. The DRAM row has no TSV source and must say so.
+func TestFig2TableMatchesTSV(t *testing.T) {
+	type band struct{ mean, min, max, cdf float64 }
+	bands := map[string]*band{}
+	for _, f := range tsvRows(t, "results/fig2_cdf.tsv") {
+		if len(f) != 3 {
+			t.Fatalf("fig2_cdf.tsv row %q: want 3 fields", f)
+		}
+		lat, err1 := strconv.ParseFloat(f[1], 64)
+		cdf, err2 := strconv.ParseFloat(f[2], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("fig2_cdf.tsv row %q: not numbers", f)
+		}
+		b, ok := bands[f[0]]
+		if !ok {
+			b = &band{min: lat}
+			bands[f[0]] = b
+		}
+		b.mean += lat * (cdf - b.cdf)
+		b.max, b.cdf = lat, cdf
+	}
+	placements := map[string]string{
+		"Local Shared": "LShared", "Local Exclusive": "LExcl",
+		"Remote Shared": "RShared", "Remote Exclusive": "RExcl",
+	}
+	checked := 0
+	for _, cells := range experimentsTable(t, "§V / Figure 2") {
+		if cells[0] == "Combination" {
+			continue
+		}
+		if len(cells) != 3 {
+			t.Errorf("Figure 2 row %q: want 3 cells", cells)
+			continue
+		}
+		name, _, _ := strings.Cut(cells[0], " (")
+		b, ok := bands[placements[name]]
+		if !ok {
+			if !strings.HasSuffix(cells[2], "(not in the TSV)") {
+				t.Errorf("Figure 2 row %q: no placement in fig2_cdf.tsv, and the row does not say so", cells[0])
+			}
+			continue
+		}
+		m := fig2Cell.FindStringSubmatch(cells[2])
+		if m == nil || !printedAs(m[1], b.mean) || !printedAs(m[2], b.min) || !printedAs(m[3], b.max) {
+			t.Errorf("Figure 2 %s = %q, fig2_cdf.tsv gives %.1f (%.0f..%.0f)", name, cells[2], b.mean, b.min, b.max)
+		}
+		checked++
+	}
+	if checked != len(bands) {
+		t.Errorf("Figure 2 table checks %d placements, fig2_cdf.tsv has %d", checked, len(bands))
+	}
+}

@@ -54,7 +54,7 @@ func TestRealArtifactSerialParallelIdentical(t *testing.T) {
 	if !bytes.Equal(s, p) {
 		t.Fatalf("fig2 TSV differs between -parallel 1 and -parallel 8:\n--- serial ---\n%s--- parallel ---\n%s", s, p)
 	}
-	if len(serial.Results[0].Rows) == 0 {
+	if serial.Results[0].NumRows() == 0 {
 		t.Fatal("empty artifact")
 	}
 }
@@ -95,7 +95,7 @@ func TestSinksWriteTSVAndReplayArchive(t *testing.T) {
 	if rec.ConfigDigest != quickPlan().ConfigDigest() {
 		t.Fatal("archived config digest mismatch")
 	}
-	if len(rec.Rows) != len(rep.Results[1].Rows) || len(rec.Cells) != 4 {
+	if len(rec.Rows) != rep.Results[1].NumRows() || len(rec.Cells) != 4 {
 		t.Fatalf("archived shape wrong: %d rows, %d cells", len(rec.Rows), len(rec.Cells))
 	}
 }

@@ -99,9 +99,12 @@ type ArtifactResult struct {
 	Artifact     *Artifact
 	Plan         Plan
 	ConfigDigest string
-	// Rows are the artifact's TSV rows in deterministic cell order,
-	// byte-identical regardless of worker count.
-	Rows []string
+	// CellRows holds each cell's TSV rows, parallel to Cells: the slice
+	// the cell produced or the cell store returned, shared rather than
+	// copied, so it must not be modified. A failed cell's entry is nil.
+	// In order they are the artifact's table, byte-identical regardless
+	// of worker count.
+	CellRows [][]string
 	// Summary is the concatenation of cell summary lines in cell order.
 	Summary []string
 	Cells   []CellReport
@@ -109,16 +112,47 @@ type ArtifactResult struct {
 	Failed int
 }
 
+// NumRows counts the table's rows, header excluded.
+func (a *ArtifactResult) NumRows() int {
+	n := 0
+	for _, rows := range a.CellRows {
+		n += len(rows)
+	}
+	return n
+}
+
+// Rows returns the table's rows in cell order as one new slice, nil
+// when there are none.
+func (a *ArtifactResult) Rows() []string {
+	n := a.NumRows()
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for _, rows := range a.CellRows {
+		out = append(out, rows...)
+	}
+	return out
+}
+
 // TSV renders the assembled table, header included.
 func (a *ArtifactResult) TSV() []byte {
-	var b strings.Builder
-	b.WriteString(a.Artifact.Header)
-	b.WriteByte('\n')
-	for _, r := range a.Rows {
-		b.WriteString(r)
-		b.WriteByte('\n')
+	n := len(a.Artifact.Header) + 1
+	for _, rows := range a.CellRows {
+		for _, r := range rows {
+			n += len(r) + 1
+		}
 	}
-	return []byte(b.String())
+	b := make([]byte, 0, n)
+	b = append(b, a.Artifact.Header...)
+	b = append(b, '\n')
+	for _, rows := range a.CellRows {
+		for _, r := range rows {
+			b = append(b, r...)
+			b = append(b, '\n')
+		}
+	}
+	return b
 }
 
 // RunReport summarizes one Runner.Run invocation.
@@ -361,10 +395,14 @@ dispatch:
 func (r *Runner) assemble(b *Batch, outputs [][]CellOutput, reports [][]CellReport, sinks []Sink) (*RunReport, error) {
 	rep := &RunReport{}
 	for ai, a := range b.arts {
-		res := &ArtifactResult{Artifact: a, Plan: b.plan, ConfigDigest: b.digest}
-		for ci := range b.cells[ai] {
-			cr := reports[ai][ci]
-			res.Cells = append(res.Cells, cr)
+		res := &ArtifactResult{
+			Artifact:     a,
+			Plan:         b.plan,
+			ConfigDigest: b.digest,
+			CellRows:     make([][]string, len(b.cells[ai])),
+			Cells:        reports[ai],
+		}
+		for ci, cr := range reports[ai] {
 			switch {
 			case cr.Err != nil:
 				res.Failed++
@@ -375,7 +413,7 @@ func (r *Runner) assemble(b *Batch, outputs [][]CellOutput, reports [][]CellRepo
 				rep.Executed++
 			}
 			if cr.Err == nil {
-				res.Rows = append(res.Rows, outputs[ai][ci].Rows...)
+				res.CellRows[ci] = outputs[ai][ci].Rows
 				res.Summary = append(res.Summary, outputs[ai][ci].Summary...)
 			}
 		}

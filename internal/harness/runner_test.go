@@ -56,7 +56,7 @@ func TestRunnerAssemblesInCellOrder(t *testing.T) {
 		t.Fatalf("results = %d", len(rep.Results))
 	}
 	for _, res := range rep.Results {
-		for i, row := range res.Rows {
+		for i, row := range res.Rows() {
 			if want := fmt.Sprintf("c%02d\t%d", i, i*i); row != want {
 				t.Fatalf("%s row %d = %q, want %q", res.Artifact.Name, i, row, want)
 			}
@@ -125,8 +125,8 @@ func TestRunnerContinuesPastCellFailure(t *testing.T) {
 		t.Fatalf("Failed = %d, want 2", rep.Failed)
 	}
 	res := rep.Results[0]
-	if want := []string{"row0", "row1", "row3", "row5"}; strings.Join(res.Rows, ",") != strings.Join(want, ",") {
-		t.Fatalf("rows = %v, want %v", res.Rows, want)
+	if want := []string{"row0", "row1", "row3", "row5"}; strings.Join(res.Rows(), ",") != strings.Join(want, ",") {
+		t.Fatalf("rows = %v, want %v", res.Rows(), want)
 	}
 	aggErr := rep.Err()
 	if aggErr == nil {
@@ -248,6 +248,49 @@ func TestRunnerManifestCache(t *testing.T) {
 	}
 }
 
+// TestCachedResultSharesStoreRows pins that assembly copies no rows: a
+// fully cached run's result holds each cell's rows as the very slice
+// its store entry holds, and the table still renders byte-identically.
+func TestCachedResultSharesStoreRows(t *testing.T) {
+	arts := []*Artifact{shuffledArtifact("one", 5, nil), shuffledArtifact("two", 3, nil)}
+	plan := Plan{Seed: 5}
+	m := store.NewMemory()
+	r := &Runner{Parallel: 2, Manifest: m}
+	first, err := r.Run(context.Background(), plan, arts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Prepare(plan, arts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Pending() != 0 {
+		t.Fatalf("Pending = %d after a full run, want 0", b.Pending())
+	}
+	rep, err := r.Execute(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ai, res := range rep.Results {
+		if len(res.CellRows) != len(res.Cells) {
+			t.Fatalf("%s: %d cell row slices for %d cells", res.Artifact.Name, len(res.CellRows), len(res.Cells))
+		}
+		for ci, c := range b.cells[ai] {
+			e, ok := m.Lookup(cacheKey(b, res.Artifact, c))
+			if !ok {
+				t.Fatalf("%s/%s not stored", res.Artifact.Name, c.Name)
+			}
+			rows := res.CellRows[ci]
+			if len(rows) != len(e.Rows) || len(rows) == 0 || &rows[0] != &e.Rows[0] {
+				t.Fatalf("%s/%s: result rows do not share the store entry's backing array", res.Artifact.Name, c.Name)
+			}
+		}
+		if !bytes.Equal(res.TSV(), first.Results[ai].TSV()) {
+			t.Fatalf("%s: cached TSV differs from executed TSV", res.Artifact.Name)
+		}
+	}
+}
+
 // TestRunnerContextCancellation pins the cancellation contract: cells
 // already executing finish, undispatched cells are marked failed with
 // the context error, sinks never fire, and Run returns the partial
@@ -293,8 +336,8 @@ func TestRunnerContextCancellation(t *testing.T) {
 		t.Fatal("cancelled run returned no partial report")
 	}
 	res := rep.Results[0]
-	if len(res.Rows) == 0 || len(res.Rows) >= 16 {
-		t.Fatalf("partial rows = %d, want some but not all", len(res.Rows))
+	if res.NumRows() == 0 || res.NumRows() >= 16 {
+		t.Fatalf("partial rows = %d, want some but not all", res.NumRows())
 	}
 	for _, c := range res.Cells {
 		if c.Err != nil && !errors.Is(c.Err, context.Canceled) {

@@ -29,7 +29,7 @@ func (s TSVSink) WriteArtifact(res *ArtifactResult) error {
 		return err
 	}
 	if s.Log != nil {
-		fmt.Fprintf(s.Log, "wrote %s (%d rows)\n", path, len(res.Rows))
+		fmt.Fprintf(s.Log, "wrote %s (%d rows)\n", path, res.NumRows())
 	}
 	return nil
 }
@@ -53,7 +53,7 @@ func NewArtifactRecord(res *ArtifactResult) *replay.ArtifactRecord {
 		Seed:         res.Plan.Seed,
 		ConfigDigest: res.ConfigDigest,
 		Header:       res.Artifact.Header,
-		Rows:         res.Rows,
+		Rows:         res.Rows(),
 	}
 	if rec.Sizing == "" {
 		rec.Sizing = string(SizingFull)

@@ -95,10 +95,22 @@ type Job struct {
 	done chan struct{}
 	// batch is the job's cells resolved against the store at Submit;
 	// released once the job is terminal.
-	batch   *harness.Batch
-	report  *harness.RunReport
-	results map[string]*harness.ArtifactResult
+	batch *harness.Batch
+	// results are the assembled artifacts in request order, set once
+	// the run ends.
+	results []*harness.ArtifactResult
 	stream  *eventLog[Event]
+}
+
+// result returns the job's assembled artifact of that name. Caller
+// holds the service lock, or the job is terminal.
+func (j *Job) result(name string) (*harness.ArtifactResult, bool) {
+	for _, res := range j.results {
+		if res.Artifact.Name == name {
+			return res, true
+		}
+	}
+	return nil, false
 }
 
 // CellsView summarizes per-cell progress counters.
@@ -163,16 +175,14 @@ func (j *Job) view() View {
 		v.Finished = &t
 		v.WallMillis = float64(j.finished.Sub(j.started)) / float64(time.Millisecond)
 	}
-	if j.report != nil {
-		for _, res := range j.report.Results {
-			v.Results = append(v.Results, ArtifactView{
-				Name: res.Artifact.Name,
-				File: res.Artifact.File,
-				Rows: len(res.Rows),
-				TSV:  "/v1/jobs/" + j.ID + "/artifacts/" + res.Artifact.Name + ".tsv",
-				JSON: "/v1/jobs/" + j.ID + "/artifacts/" + res.Artifact.Name + ".json",
-			})
-		}
+	for _, res := range j.results {
+		v.Results = append(v.Results, ArtifactView{
+			Name: res.Artifact.Name,
+			File: res.Artifact.File,
+			Rows: res.NumRows(),
+			TSV:  "/v1/jobs/" + j.ID + "/artifacts/" + res.Artifact.Name + ".tsv",
+			JSON: "/v1/jobs/" + j.ID + "/artifacts/" + res.Artifact.Name + ".json",
+		})
 	}
 	return v
 }

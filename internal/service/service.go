@@ -344,7 +344,6 @@ func (s *Service) Submit(tn *tenant.Tenant, req *SubmitRequest) (*Job, error) {
 		Created:   time.Now(),
 		state:     StateQueued,
 		batch:     batch,
-		results:   make(map[string]*harness.ArtifactResult),
 		stream:    newEventLog[Event](subEventBuffer, s.metrics.SSEEvicted),
 		done:      make(chan struct{}),
 	}
@@ -489,8 +488,7 @@ func (s *Service) Result(tn *tenant.Tenant, id, artifact string) (*harness.Artif
 	if !ok {
 		return nil, false
 	}
-	res, ok := j.results[artifact]
-	return res, ok
+	return j.result(artifact)
 }
 
 // Cancel cancels a queued or running job tn owns. It reports whether
@@ -653,10 +651,7 @@ func (s *Service) runJob(ctx context.Context, j *Job) {
 	defer s.mu.Unlock()
 	s.running--
 	s.usageLocked(j.Tenant).running--
-	j.report = report
-	for _, res := range report.Results {
-		j.results[res.Artifact.Name] = res
-	}
+	j.results = report.Results
 	switch {
 	case runErr == nil && report.Failed == 0:
 		s.finishLocked(j, StateDone, "")

@@ -559,7 +559,7 @@ func (s *Service) runSweepPoint(ctx context.Context, sw *Sweep, pt sweep.Point) 
 	}
 	// A terminal job's fields no longer change.
 	s.mu.Lock()
-	state, errMsg, results := job.state, job.errMsg, job.results
+	state, errMsg := job.state, job.errMsg
 	res.Cells = sweep.CellCounts{
 		Total:    job.total,
 		Executed: job.executed,
@@ -573,7 +573,7 @@ func (s *Service) runSweepPoint(ctx context.Context, sw *Sweep, pt sweep.Point) 
 	res.JobID = job.ID
 	res.TSV = make(map[string][]byte, len(job.Artifacts))
 	for _, name := range job.Artifacts {
-		r, ok := results[name]
+		r, ok := job.result(name)
 		if !ok {
 			return res, fmt.Errorf("%s finished without an assembled %s table", job.ID, name)
 		}

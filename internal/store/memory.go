@@ -10,22 +10,28 @@ type Memory struct {
 	statsCounter
 
 	mu      sync.Mutex
-	entries map[string]*Entry
+	entries map[string]*memNode
 	// limit bounds the entry count; 0 means unbounded. When a Store
 	// would exceed it, the least-recently-used entry is evicted.
 	limit int
-	// clock is a logical recency counter; lastUse[key] holds the tick of
-	// the key's last hit or store.
-	clock   uint64
-	lastUse map[string]uint64
+	// recent is the sentinel of a circular list of every node, most
+	// recently hit or stored first, so the eviction victim is
+	// recent.prev and a touch is O(1).
+	recent memNode
+}
+
+// memNode is one cached entry on Memory's recency list.
+type memNode struct {
+	key        string
+	entry      *Entry
+	prev, next *memNode
 }
 
 // NewMemory returns an empty in-memory store.
 func NewMemory() *Memory {
-	return &Memory{
-		entries: make(map[string]*Entry),
-		lastUse: make(map[string]uint64),
-	}
+	m := &Memory{entries: make(map[string]*memNode)}
+	m.recent.prev, m.recent.next = &m.recent, &m.recent
+	return m
 }
 
 // SetLimit bounds the cache to at most n entries (0 restores unbounded
@@ -39,43 +45,44 @@ func (m *Memory) SetLimit(n int) {
 }
 
 // pruneLocked evicts least-recently-used entries until the limit holds.
-// Eviction scans for the minimum recency tick — O(n) per eviction, but
-// evictions are rare (one per Store once the cache is full) and n is
-// the cache bound itself. Ties break on the smaller key so eviction
-// order is deterministic.
 func (m *Memory) pruneLocked() {
 	if m.limit <= 0 {
 		return
 	}
 	for len(m.entries) > m.limit {
-		var victim string
-		var oldest uint64
-		first := true
-		for k := range m.entries {
-			use := m.lastUse[k]
-			if first || use < oldest || (use == oldest && k < victim) {
-				victim, oldest, first = k, use, false
-			}
-		}
-		delete(m.entries, victim)
-		delete(m.lastUse, victim)
+		victim := m.recent.prev
+		victim.unlink()
+		delete(m.entries, victim.key)
 	}
+}
+
+// touchLocked moves n to the front of the recency list.
+func (m *Memory) touchLocked(n *memNode) {
+	if n.next != nil {
+		n.unlink()
+	}
+	n.prev, n.next = &m.recent, m.recent.next
+	n.next.prev = n
+	m.recent.next = n
+}
+
+func (n *memNode) unlink() {
+	n.prev.next, n.next.prev = n.next, n.prev
 }
 
 // Lookup returns the cached entry for key if its input digest matches.
 func (m *Memory) Lookup(key, digest string) (*Entry, bool) {
 	m.mu.Lock()
-	e, ok := m.entries[key]
-	if !ok || e.Digest != digest {
+	n, ok := m.entries[key]
+	if !ok || n.entry.Digest != digest {
 		m.mu.Unlock()
 		m.miss()
 		return nil, false
 	}
-	m.clock++
-	m.lastUse[key] = m.clock
+	m.touchLocked(n)
 	m.mu.Unlock()
 	m.hit()
-	return e, true
+	return n.entry, true
 }
 
 // Store records a cell's output, replacing any stale entry. When a
@@ -83,9 +90,13 @@ func (m *Memory) Lookup(key, digest string) (*Entry, bool) {
 // evicted to make room.
 func (m *Memory) Store(key string, e *Entry) {
 	m.mu.Lock()
-	m.entries[key] = e
-	m.clock++
-	m.lastUse[key] = m.clock
+	n, ok := m.entries[key]
+	if !ok {
+		n = &memNode{key: key}
+		m.entries[key] = n
+	}
+	n.entry = e
+	m.touchLocked(n)
 	m.pruneLocked()
 	m.mu.Unlock()
 	m.write()
