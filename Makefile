@@ -102,22 +102,26 @@ bench:
 # (its B/op is what a served job allocates; TestCachedResultSharesStoreRows
 # pins that none of it is a copy of the stored rows); MemoryStoreFull is
 # one Store into a full in-memory store at cohsimd's default -cache-max.
-bench-hotpath:
-	$(GO) test -bench='LoadHit|LoadMiss|StoreRFO|MachineNew' -benchmem -run=^$$ ./internal/machine/
-	$(GO) test -bench='MmapPages' -benchmem -run=^$$ ./internal/kernel/
-	$(GO) test -bench='WorldSwitch|WorldAdvanceInline' -benchmem -run=^$$ ./internal/sim/
-	$(GO) test -bench='NoiseKCycles' -benchmem -run=^$$ ./internal/noise/
-	$(GO) test -bench='CachedJob' -benchmem -run=^$$ ./internal/harness/
-	$(GO) test -bench='MemoryStoreFull' -benchmem -run=^$$ ./internal/store/
+# $(call hotpath,FLAGS) runs them, one go test per package, with FLAGS
+# added to each.
+define hotpath
+	$(GO) test -bench='LoadHit|LoadMiss|StoreRFO|MachineNew' -benchmem -run=^$$ $(1) ./internal/machine/
+	$(GO) test -bench='MmapPages' -benchmem -run=^$$ $(1) ./internal/kernel/
+	$(GO) test -bench='WorldSwitch|WorldAdvanceInline' -benchmem -run=^$$ $(1) ./internal/sim/
+	$(GO) test -bench='NoiseKCycles' -benchmem -run=^$$ $(1) ./internal/noise/
+	$(GO) test -bench='CachedJob' -benchmem -run=^$$ $(1) ./internal/harness/
+	$(GO) test -bench='MemoryStoreFull' -benchmem -run=^$$ $(1) ./internal/store/
+endef
 
-# One-iteration smoke pass over the artifact benchmarks — catches bench
-# bit-rot in CI without paying for stable numbers.
+bench-hotpath:
+	$(call hotpath,)
+
+# One-iteration smoke pass over the artifact benchmarks and every
+# bench-hotpath benchmark — catches bench bit-rot in CI without paying
+# for stable numbers.
 bench-smoke:
 	$(GO) test -bench=BenchmarkArtifact -benchtime=1x -run=^$$ .
-	$(GO) test -bench='LoadHit|LoadMiss|MachineNew' -benchtime=100x -benchmem -run=^$$ ./internal/machine/
-	$(GO) test -bench='MmapPages' -benchtime=10x -benchmem -run=^$$ ./internal/kernel/
-	$(GO) test -bench='NoiseKCycles' -benchtime=1x -benchmem -run=^$$ ./internal/noise/
-	$(GO) test -bench='CachedJob' -benchtime=10x -benchmem -run=^$$ ./internal/harness/
+	$(call hotpath,-benchtime=1x)
 
 # Access-stream executor performance gate: run the hot-path benches,
 # then time kernel.Thread.Exec against the hand-written per-op loop it

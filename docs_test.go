@@ -142,17 +142,8 @@ func TestDocsNameRealTests(t *testing.T) {
 // row included and the separator row skipped, with bold marks trimmed.
 func experimentsTable(t *testing.T, heading string) [][]string {
 	t.Helper()
-	doc, err := os.ReadFile("EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, section, ok := strings.Cut(string(doc), "\n## "+heading)
-	if !ok {
-		t.Fatalf("EXPERIMENTS.md has no %q section", heading)
-	}
-	section, _, _ = strings.Cut(section, "\n## ")
 	var rows [][]string
-	for _, line := range strings.Split(section, "\n") {
+	for _, line := range strings.Split(experimentsSection(t, heading), "\n") {
 		if !strings.HasPrefix(line, "|") {
 			continue
 		}
@@ -165,6 +156,22 @@ func experimentsTable(t *testing.T, heading string) [][]string {
 		}
 	}
 	return rows
+}
+
+// experimentsSection returns the text of EXPERIMENTS.md's first section
+// whose heading starts with heading, up to the next section.
+func experimentsSection(t *testing.T, heading string) string {
+	t.Helper()
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## "+heading)
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md has no %q section", heading)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	return section
 }
 
 // tsvRows returns the data rows of a results TSV, split into fields.
@@ -359,5 +366,168 @@ func TestFig2TableMatchesTSV(t *testing.T) {
 	}
 	if checked != len(bands) {
 		t.Errorf("Figure 2 table checks %d placements, fig2_cdf.tsv has %d", checked, len(bands))
+	}
+}
+
+// fig9Error matches Figure 9's summary of the 8-thread error, and
+// fig9Named a scenario's accuracy quoted in the prose.
+var (
+	fig9Error = regexp.MustCompile(`costs ([0-9.]+)% mean error\s+\(range ([0-9.]+)–([0-9.]+)% per scenario\)`)
+	fig9Named = regexp.MustCompile("`([A-Za-z]+-[A-Za-z]+)`\\s+([0-9.]+)%")
+)
+
+// TestFig9TableMatchesTSV: every accuracy in EXPERIMENTS.md's Figure 9
+// table, the mean row and the prose's error summary equal
+// results/fig9_noise_accuracy.tsv at the precision they are printed
+// with, and the table covers every scenario at every noise level.
+func TestFig9TableMatchesTSV(t *testing.T) {
+	acc := map[string]map[string]float64{} // scenario -> threads -> accuracy in %
+	for _, f := range tsvRows(t, "results/fig9_noise_accuracy.tsv") {
+		if len(f) != 4 {
+			t.Fatalf("fig9_noise_accuracy.tsv row %q: want 4 fields", f)
+		}
+		v, err := strconv.ParseFloat(f[2], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acc[f[0]] == nil {
+			acc[f[0]] = map[string]float64{}
+		}
+		acc[f[0]][f[1]] = 100 * v
+	}
+	mean := map[string]float64{}
+	most, mostN := "", -1 // the most noise threads: the point the prose sums up
+	for _, byThreads := range acc {
+		for n, v := range byThreads {
+			mean[n] += v / float64(len(acc))
+			if k, _ := strconv.Atoi(n); k > mostN {
+				most, mostN = n, k
+			}
+		}
+	}
+
+	rows := experimentsTable(t, "Figure 9")
+	if len(rows) == 0 || rows[0][0] != "Scenario" {
+		t.Fatalf("Figure 9 table: want a Scenario header row, got %q", rows)
+	}
+	threads := rows[0][1:]
+	checked := 0
+	for _, cells := range rows[1:] {
+		want, ok := acc[cells[0]]
+		if cells[0] == "mean" {
+			want, ok = mean, true
+		}
+		if !ok || len(cells) != len(rows[0]) {
+			t.Errorf("Figure 9 row %q: not a fig9_noise_accuracy.tsv scenario with %d cells", cells, len(rows[0]))
+			continue
+		}
+		for i, n := range threads {
+			num, pct := strings.CutSuffix(cells[i+1], "%")
+			if v, ok := want[n]; !ok || !pct || !printedAs(num, v) {
+				t.Errorf("Figure 9 %s at %s threads = %q, fig9_noise_accuracy.tsv gives %.2f%%", cells[0], n, cells[i+1], v)
+			}
+			checked++
+		}
+	}
+	if len(threads) != len(mean) || checked != (len(acc)+1)*len(mean) {
+		t.Errorf("Figure 9 table checks %d cells over %d noise levels; want %d scenarios and the mean at %d levels",
+			checked, len(threads), len(acc), len(mean))
+	}
+
+	prose := experimentsSection(t, "Figure 9")
+	m := fig9Error.FindStringSubmatch(prose)
+	lo, hi := 100.0, 0.0
+	for _, byThreads := range acc {
+		lo, hi = min(lo, 100-byThreads[most]), max(hi, 100-byThreads[most])
+	}
+	if m == nil || !printedAs(m[1], 100-mean[most]) || !printedAs(m[2], lo) || !printedAs(m[3], hi) {
+		t.Errorf("Figure 9 prose %q; at %s threads the TSV gives %.1f%% mean error, range %.1f–%.1f%%", m, most, 100-mean[most], lo, hi)
+	}
+	for _, m := range fig9Named.FindAllStringSubmatch(prose, -1) {
+		if v, ok := acc[m[1]][most]; !ok || !printedAs(m[2], v) {
+			t.Errorf("Figure 9 prose quotes %s at %s%%; at %s threads the TSV gives %.1f%%", m[1], m[2], most, v)
+		}
+	}
+}
+
+// fig10Raw and fig10Cost match Figure 10's prose: the raw-rate range
+// and the quiet-rate cost.
+var (
+	fig10Raw  = regexp.MustCompile(`raw rate \(([0-9.]+)–([0-9.]+)\)`)
+	fig10Cost = regexp.MustCompile(`([0-9.]+)–([0-9.]+)% quiet-rate`)
+)
+
+// TestFig10TableMatchesTSV: every rate, retransmission count and
+// recovery in EXPERIMENTS.md's Figure 10 table, and the prose's raw-rate
+// range and quiet-rate cost, equal results/fig10_ecc.tsv at the precision
+// they are printed with, and the table covers every scenario.
+func TestFig10TableMatchesTSV(t *testing.T) {
+	type run struct {
+		raw, eff  float64
+		retx, rec string
+	}
+	runs := map[string]map[string]run{} // scenario -> threads -> run
+	for _, f := range tsvRows(t, "results/fig10_ecc.tsv") {
+		if len(f) != 6 {
+			t.Fatalf("fig10_ecc.tsv row %q: want 6 fields", f)
+		}
+		raw, err1 := strconv.ParseFloat(f[2], 64)
+		eff, err2 := strconv.ParseFloat(f[3], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("fig10_ecc.tsv row %q: not numbers", f)
+		}
+		if runs[f[0]] == nil {
+			runs[f[0]] = map[string]run{}
+		}
+		runs[f[0]][f[1]] = run{raw, eff, f[4], f[5]}
+	}
+
+	rows := experimentsTable(t, "Figure 10")
+	header := []string{"Scenario", "raw", "none (0)", "medium (4)", "high (8)", "retransmissions", "recovered"}
+	if len(rows) == 0 || strings.Join(rows[0], "|") != strings.Join(header, "|") {
+		t.Fatalf("Figure 10 table: want header %q, got %q", header, rows)
+	}
+	threads := []string{"0", "4", "8"} // the noise levels of header[2:5]
+	checked := 0
+	for _, cells := range rows[1:] {
+		byThreads, ok := runs[cells[0]]
+		if !ok || len(cells) != len(header) || len(byThreads) != len(threads) {
+			t.Errorf("Figure 10 row %q: not a fig10_ecc.tsv scenario at %v threads with %d cells", cells, threads, len(header))
+			continue
+		}
+		var retx []string
+		recovered := "yes"
+		for i, n := range threads {
+			r, ok := byThreads[n]
+			if !ok || !printedAs(cells[1], r.raw) || !printedAs(cells[i+2], r.eff) {
+				t.Errorf("Figure 10 %s at %s threads: raw %s, effective %s; fig10_ecc.tsv gives %v", cells[0], n, cells[1], cells[i+2], r)
+			}
+			retx = append(retx, r.retx)
+			if r.rec != "true" {
+				recovered = "no"
+			}
+		}
+		if got := strings.Join(retx, "/"); cells[5] != got || cells[6] != recovered {
+			t.Errorf("Figure 10 %s: retransmissions %s, recovered %s; fig10_ecc.tsv gives %s, %s", cells[0], cells[5], cells[6], got, recovered)
+		}
+		checked++
+	}
+	if checked != len(runs) {
+		t.Errorf("Figure 10 table checks %d scenarios, fig10_ecc.tsv has %d", checked, len(runs))
+	}
+
+	prose := experimentsSection(t, "Figure 10")
+	rawLo, rawHi, costLo, costHi := math.Inf(1), 0.0, math.Inf(1), 0.0
+	for _, byThreads := range runs {
+		r := byThreads[threads[0]]
+		rawLo, rawHi = min(rawLo, r.raw), max(rawHi, r.raw)
+		cost := 100 * (r.raw - r.eff) / r.raw
+		costLo, costHi = min(costLo, cost), max(costHi, cost)
+	}
+	if m := fig10Raw.FindStringSubmatch(prose); m == nil || !printedAs(m[1], rawLo) || !printedAs(m[2], rawHi) {
+		t.Errorf("Figure 10 prose raw rate %q; fig10_ecc.tsv gives %.1f–%.1f", m, rawLo, rawHi)
+	}
+	if m := fig10Cost.FindStringSubmatch(prose); m == nil || !printedAs(m[1], costLo) || !printedAs(m[2], costHi) {
+		t.Errorf("Figure 10 prose quiet-rate cost %q; fig10_ecc.tsv gives %.2f–%.2f%%", m, costLo, costHi)
 	}
 }

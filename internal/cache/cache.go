@@ -8,6 +8,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"coherentleak/internal/coherence"
@@ -47,36 +48,67 @@ func (g Geometry) Validate() error {
 // Line is one cache line's metadata. Data contents are not stored here;
 // the simulator tracks contents at the physical-frame level (package mem),
 // because the attack depends only on timing, not on data flow through the
-// hierarchy. A Line is 16 bytes, so a 16-way set spans four host cache
-// lines.
+// hierarchy. A Line is two 32-bit words, 8 bytes, so a 16-way set spans
+// two host cache lines.
 type Line struct {
-	Tag   uint64
-	State coherence.State
-	// rrpv is the 2-bit re-reference prediction value (PolicySRRIP and
-	// PolicyBRRIP only); it fits in State's padding.
-	rrpv uint8
-	// clean is a shared cache's LLC-valid mark: the line is a clean,
-	// current copy that can service misses (§VI-A keeps this at the LLC).
-	// Only InsertClean sets it; a fresh fill, eviction or invalidation
-	// drops it, and ClearClean drops it when the copy goes stale. It too
-	// fits in the padding.
-	clean bool
-	// lru is the recency stamp used by the LRU policy: the cache clock
-	// at the line's last touch. Only the order of the stamps within a
-	// set matters, which is what lets them be 32 bits wide (see tick).
-	lru uint32
+	// tag is the line number divided by the set count. The remainder is
+	// the set index, so the quotient alone names the line within its set
+	// (see index and addrOf).
+	tag uint32
+	// bits packs the coherence state (bits 0-2); the 2-bit
+	// re-reference prediction value (bits 3-4, PolicySRRIP and
+	// PolicyBRRIP only); the clean mark (bit 5); and the 24-bit LRU
+	// recency stamp (bits 8-31).
+	//
+	// The clean mark is a shared cache's LLC-valid mark: the line is a
+	// clean, current copy that can service misses (§VI-A keeps this at
+	// the LLC). Only InsertClean sets it; a fresh fill, eviction or
+	// invalidation drops it, and ClearClean drops it when the copy goes
+	// stale.
+	//
+	// The stamp is the cache clock at the line's last touch. Only the
+	// order of the stamps within a set matters, which is what lets them
+	// be 24 bits wide (see tick).
+	bits uint32
 }
 
+// The fields packed into Line.bits.
+const (
+	stateMask = 1<<3 - 1
+	rrpvShift = 3
+	rrpvMask  = 3 << rrpvShift
+	cleanBit  = 1 << 5
+	lruShift  = 8
+	// stampMax is the largest LRU stamp; tick renumbers before passing it.
+	stampMax = 1<<(32-lruShift) - 1
+)
+
+// State returns the line's coherence state.
+func (l *Line) State() coherence.State { return coherence.State(l.bits & stateMask) }
+
 // Valid reports whether the line holds usable data.
-func (l *Line) Valid() bool { return l.State.Valid() }
+func (l *Line) Valid() bool { return l.State().Valid() }
+
+func (l *Line) setState(s coherence.State) { l.bits = l.bits&^stateMask | uint32(s) }
+
+func (l *Line) rrpv() uint32 { return (l.bits & rrpvMask) >> rrpvShift }
+
+func (l *Line) setRRPV(v uint32) { l.bits = l.bits&^rrpvMask | v<<rrpvShift }
+
+func (l *Line) clean() bool { return l.bits&cleanBit != 0 }
+
+func (l *Line) lru() uint32 { return l.bits >> lruShift }
+
+func (l *Line) setLRU(t uint32) { l.bits = l.bits&(1<<lruShift-1) | t<<lruShift }
 
 // Cache is a single set-associative cache array. A set's ways are one
-// contiguous run of Lines, so a set probe walks one run of memory, but a
-// set gets its run only on its first fill: the harness builds many
-// short-lived machines (one per calibration band, per covert session)
-// that touch a handful of sets, and eagerly zeroing a multi-megabyte LLC
-// array, or even a table of per-set slice headers, for each of them
-// dominated construction cost.
+// contiguous run of 8-byte Lines, so a set probe walks one run of memory
+// (two host cache lines for a 16-way set), but a set gets its run only
+// on its first fill: the harness builds many short-lived machines (one
+// per calibration band, per covert session) that touch a handful of
+// sets, and eagerly zeroing a multi-megabyte LLC array, or even a table
+// of per-set slice headers, for each of them dominated construction
+// cost.
 //
 // The store is pointer-free per set. slot maps a set to its position in
 // first-fill order, and the positions are packed blockSets sets to a
@@ -105,10 +137,13 @@ type Cache struct {
 	used    uint32
 	ways    int
 	policy  Policy
-	clock   uint32 // recency counter for LRU stamps
+	clock   uint32 // recency counter for LRU stamps, at most stampMax
 	numSets uint64
-	setMask uint64 // numSets-1 when numSets is a power of two
-	pow2    bool
+	// setMask and setShift split a line number into set and tag when
+	// numSets is a power of two: numSets-1 and log2(numSets).
+	setMask  uint64
+	setShift uint
+	pow2     bool
 
 	// plruBits[p] is the tree-PLRU node-bit word of the set at store
 	// position p (PolicyTreePLRU only; nil otherwise). Bit k is internal
@@ -152,6 +187,7 @@ func New(geo Geometry, policy Policy) (*Cache, error) {
 	if c.numSets&(c.numSets-1) == 0 {
 		c.pow2 = true
 		c.setMask = c.numSets - 1
+		c.setShift = uint(bits.TrailingZeros64(c.numSets))
 	}
 	return c, nil
 }
@@ -185,7 +221,7 @@ func (c *Cache) touchSlow(s uint64, ways []Line, w int) {
 		b := c.plru(s)
 		*b = plruTouch(*b, c.ways, w)
 	default: // PolicySRRIP, PolicyBRRIP: a hit predicts near re-reference.
-		ways[w].rrpv = 0
+		ways[w].setRRPV(0)
 	}
 }
 
@@ -205,12 +241,12 @@ func (c *Cache) victimSlow(s uint64, ways []Line) int {
 	// if none, age every way until one reaches it.
 	for {
 		for i := range ways {
-			if ways[i].rrpv >= maxRRPV {
+			if ways[i].rrpv() >= maxRRPV {
 				return i
 			}
 		}
 		for i := range ways {
-			ways[i].rrpv++
+			ways[i].setRRPV(ways[i].rrpv() + 1)
 		}
 	}
 }
@@ -222,26 +258,34 @@ func (c *Cache) fillMeta(s uint64, ways []Line, w int) {
 		b := c.plru(s)
 		*b = plruTouch(*b, c.ways, w)
 	default: // PolicySRRIP, PolicyBRRIP
-		ins := uint8(srripInsertRRPV)
+		ins := uint32(srripInsertRRPV)
 		if c.policy == PolicyBRRIP {
 			c.brripFills++
 			if c.brripFills%brripLongEvery != 0 {
 				ins = maxRRPV
 			}
 		}
-		ways[w].rrpv = ins
+		ways[w].setRRPV(ins)
 	}
 }
 
-// index maps a line address to (set, tag). The tag is the full line
-// number, which keeps reconstruction trivial and supports set counts that
-// are not powers of two (the 12288-set Xeon LLC).
+// index maps a line address to (set, tag): the line number's remainder
+// and quotient by the set count, which supports set counts that are not
+// powers of two (the 12288-set Xeon LLC; Go computes both with one
+// division). The tag is returned in 64 bits, so a lookup compares it
+// against the stored 32-bit tag without aliasing; insert refuses tags
+// that do not fit.
 func (c *Cache) index(line uint64) (set uint64, tag uint64) {
 	n := line / LineSize
 	if c.pow2 {
-		return n & c.setMask, n
+		return n & c.setMask, n >> c.setShift
 	}
-	return n % c.numSets, n
+	return n % c.numSets, n / c.numSets
+}
+
+// addrOf reconstructs a line address from its set and tag.
+func (c *Cache) addrOf(set uint64, tag uint32) uint64 {
+	return (uint64(tag)*c.numSets + set) * LineSize
 }
 
 // blockSets is the number of sets per store block: large enough that a
@@ -306,8 +350,8 @@ func (c *Cache) Probe(addr uint64) coherence.State {
 	ways := c.set(set)
 	for i := range ways {
 		l := &ways[i]
-		if l.Valid() && l.Tag == tag {
-			return l.State
+		if l.Valid() && uint64(l.tag) == tag {
+			return l.State()
 		}
 	}
 	return coherence.Invalid
@@ -323,8 +367,8 @@ func (c *Cache) Lookup(addr uint64) *Line {
 	ways := c.set(set)
 	for i := range ways {
 		l := &ways[i]
-		if l.Valid() && l.Tag == tag {
-			l.lru = c.tick()
+		if l.Valid() && uint64(l.tag) == tag {
+			l.setLRU(c.tick())
 			if c.policy != PolicyLRU {
 				c.touchSlow(set, ways, i)
 			}
@@ -337,11 +381,12 @@ func (c *Cache) Lookup(addr uint64) *Line {
 }
 
 // tick advances the cache clock and returns the new stamp. Before the
-// clock would pass MaxUint32 it renumbers every set's stamps to their
-// rank within the set, which keeps each set's recency order — and with
-// it every LRU victim — exactly as it was.
+// clock would pass stampMax (2^24-1, about 16.7M touches) it renumbers
+// every set's stamps to their rank within the set, which keeps each
+// set's recency order — and with it every LRU victim — exactly as it
+// was.
 func (c *Cache) tick() uint32 {
-	if c.clock == math.MaxUint32 {
+	if c.clock == stampMax {
 		c.renumber()
 	}
 	c.clock++
@@ -363,14 +408,14 @@ func (c *Cache) renumber() {
 				rank[i] = 0
 				if ways[i].Valid() {
 					for j := range ways {
-						if ways[j].Valid() && ways[j].lru <= ways[i].lru {
+						if ways[j].Valid() && ways[j].lru() <= ways[i].lru() {
 							rank[i]++
 						}
 					}
 				}
 			}
 			for i := range ways {
-				ways[i].lru = rank[i]
+				ways[i].setLRU(rank[i])
 				c.clock = max(c.clock, rank[i])
 			}
 		}
@@ -416,15 +461,22 @@ func (c *Cache) insert(addr uint64, state coherence.State, refill, clean bool) (
 	}
 	line := LineAddr(addr)
 	set, tag := c.index(line)
+	if tag > math.MaxUint32 {
+		panic(fmt.Sprintf("cache: line %#x is beyond the 32-bit tags of a %d-set cache", line, c.numSets))
+	}
 	ways := c.setMake(set)
+	var mark uint32
+	if clean {
+		mark = cleanBit
+	}
 
 	if refill {
 		for i := range ways {
 			l := &ways[i]
-			if l.Valid() && l.Tag == tag {
-				l.State = state
-				l.clean = l.clean || clean
-				l.lru = c.tick()
+			if l.Valid() && uint64(l.tag) == tag {
+				l.setState(state)
+				l.bits |= mark
+				l.setLRU(c.tick())
 				if c.policy != PolicyLRU {
 					c.touchSlow(set, ways, i)
 				}
@@ -441,22 +493,16 @@ func (c *Cache) insert(addr uint64, state coherence.State, refill, clean bool) (
 	}
 	victim := &ways[w]
 	if victim.Valid() {
-		ev = Evicted{Addr: c.addrOf(set, victim.Tag), State: victim.State}
+		ev = Evicted{Addr: c.addrOf(set, victim.tag), State: victim.State()}
 		ok = true
 		c.Stats.Evictions++
 	}
-	*victim = Line{Tag: tag, State: state, clean: clean, lru: c.tick()}
+	*victim = Line{tag: uint32(tag), bits: uint32(state) | mark | c.tick()<<lruShift}
 	if c.policy != PolicyLRU {
 		c.fillMeta(set, ways, w)
 	}
 	c.Stats.Fills++
 	return ev, ok
-}
-
-// addrOf reconstructs a line address from its tag (the full line number).
-func (c *Cache) addrOf(set, tag uint64) uint64 {
-	_ = set
-	return tag * LineSize
 }
 
 // SetState changes the state of a present line; it reports whether the
@@ -467,12 +513,12 @@ func (c *Cache) SetState(addr uint64, state coherence.State) bool {
 	ways := c.set(set)
 	for i := range ways {
 		l := &ways[i]
-		if l.Valid() && l.Tag == tag {
+		if l.Valid() && uint64(l.tag) == tag {
 			if state == coherence.Invalid {
 				*l = Line{}
 				c.Stats.Flushes++
 			} else {
-				l.State = state
+				l.setState(state)
 			}
 			return true
 		}
@@ -486,8 +532,8 @@ func (c *Cache) Invalidate(addr uint64) coherence.State {
 	ways := c.set(set)
 	for i := range ways {
 		l := &ways[i]
-		if l.Valid() && l.Tag == tag {
-			prior := l.State
+		if l.Valid() && uint64(l.tag) == tag {
+			prior := l.State()
 			*l = Line{}
 			c.Stats.Flushes++
 			return prior
@@ -506,7 +552,7 @@ func (c *Cache) SetAddrs(addr uint64) []uint64 {
 	for i := range ways {
 		l := &ways[i]
 		if l.Valid() {
-			out = append(out, c.addrOf(set, l.Tag))
+			out = append(out, c.addrOf(set, l.tag))
 		}
 	}
 	return out
@@ -529,6 +575,13 @@ func (c *Cache) ValidLines() int {
 // way order, with the line's address and coherence state. It is the
 // snapshot primitive behind the differential-test state digest.
 func (c *Cache) ForEachValid(fn func(addr uint64, st coherence.State)) {
+	c.forEachValid(func(s uint64, l *Line) { fn(c.addrOf(s, l.tag), l.State()) })
+}
+
+// forEachValid calls fn for every valid line in ascending set order,
+// way order within a set, with the line's set: a tag names a line only
+// together with its set.
+func (c *Cache) forEachValid(fn func(set uint64, l *Line)) {
 	for pi, pg := range c.slot {
 		for i, p := range pg {
 			if p == 0 {
@@ -537,9 +590,8 @@ func (c *Cache) ForEachValid(fn func(addr uint64, st coherence.State)) {
 			s := uint64(pi)<<slotPageShift | uint64(i)
 			ways := c.at(p - 1)
 			for w := range ways {
-				l := &ways[w]
-				if l.Valid() {
-					fn(c.addrOf(s, l.Tag), l.State)
+				if l := &ways[w]; l.Valid() {
+					fn(s, l)
 				}
 			}
 		}
@@ -564,14 +616,14 @@ func (c *Cache) Clear() {
 // Clean reports whether addr's line is present with its clean mark.
 func (c *Cache) Clean(addr uint64) bool {
 	l := c.find(addr)
-	return l != nil && l.clean
+	return l != nil && l.clean()
 }
 
 // ClearClean drops addr's clean mark (the copy went stale). An absent
 // line is left alone.
 func (c *Cache) ClearClean(addr uint64) {
 	if l := c.find(addr); l != nil {
-		l.clean = false
+		l.bits &^= cleanBit
 	}
 }
 
@@ -581,7 +633,7 @@ func (c *Cache) find(addr uint64) *Line {
 	set, tag := c.index(LineAddr(addr))
 	ways := c.set(set)
 	for i := range ways {
-		if l := &ways[i]; l.Valid() && l.Tag == tag {
+		if l := &ways[i]; l.Valid() && uint64(l.tag) == tag {
 			return l
 		}
 	}
@@ -592,13 +644,11 @@ func (c *Cache) find(addr uint64) *Line {
 // ascending order.
 func (c *Cache) CleanLines() []uint64 {
 	var out []uint64
-	for _, b := range c.blocks {
-		for i := range b {
-			if b[i].Valid() && b[i].clean {
-				out = append(out, b[i].Tag*LineSize)
-			}
+	c.forEachValid(func(s uint64, l *Line) {
+		if l.clean() {
+			out = append(out, c.addrOf(s, l.tag))
 		}
-	}
+	})
 	slices.Sort(out)
 	return out
 }
@@ -636,7 +686,7 @@ func (c *Cache) WayOf(addr uint64) (int, bool) {
 	ways := c.set(set)
 	for i := range ways {
 		l := &ways[i]
-		if l.Valid() && l.Tag == tag {
+		if l.Valid() && uint64(l.tag) == tag {
 			return i, true
 		}
 	}

@@ -59,7 +59,7 @@ func TestInsertLookupHitMiss(t *testing.T) {
 	}
 	c.Insert(a, coherence.Exclusive)
 	l := c.Lookup(a)
-	if l == nil || l.State != coherence.Exclusive {
+	if l == nil || l.State() != coherence.Exclusive {
 		t.Fatal("inserted line not found")
 	}
 	// Sub-line addresses hit the same line.

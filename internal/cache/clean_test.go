@@ -9,17 +9,25 @@ import (
 )
 
 // forEachPolicy runs fn on a fresh 4-set, 8-way cache under every
-// registered replacement policy.
+// registered replacement policy, and on a fresh 12-set, 8-way one, whose
+// set count is not a power of two, so its tags are quotients of a true
+// division (subtests named <policy>-12sets).
 func forEachPolicy(t *testing.T, fn func(t *testing.T, c *Cache)) {
 	for _, info := range Policies() {
 		t.Run(info.Name, func(t *testing.T) {
 			fn(t, MustNew(Geometry{SizeBytes: 4 * 8 * LineSize, Ways: 8}, info.Policy))
 		})
+		t.Run(info.Name+"-12sets", func(t *testing.T) {
+			fn(t, MustNew(Geometry{SizeBytes: 12 * 8 * LineSize, Ways: 8}, info.Policy))
+		})
 	}
 }
 
-// setLine returns the k-th line of set 0 in a 4-set cache.
-func setLine(k int) uint64 { return uint64(k) * 4 * LineSize }
+// setLine returns the k-th line of c's set 0.
+func setLine(c *Cache, k int) uint64 { return uint64(k*c.Geometry().Sets()) * LineSize }
+
+// capacity returns the number of lines c holds.
+func capacity(c *Cache) int { return c.Geometry().Sets() * c.Geometry().Ways }
 
 func TestInsertCleanSetsMark(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, c *Cache) {
@@ -69,9 +77,9 @@ func TestRefillKeepsMark(t *testing.T) {
 func TestMarkDroppedByEvictionInvalidateClear(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, c *Cache) {
 		for k := 0; k < 8; k++ {
-			c.InsertClean(setLine(k), coherence.Shared)
+			c.InsertClean(setLine(c, k), coherence.Shared)
 		}
-		ev, ok := c.InsertClean(setLine(8), coherence.Shared)
+		ev, ok := c.InsertClean(setLine(c, 8), coherence.Shared)
 		if !ok {
 			t.Fatal("full set did not evict")
 		}
@@ -83,7 +91,7 @@ func TestMarkDroppedByEvictionInvalidateClear(t *testing.T) {
 			t.Fatal("the evicted line's mark came back with a plain fill")
 		}
 
-		a := setLine(8)
+		a := setLine(c, 8)
 		c.Invalidate(a)
 		if c.Clean(a) {
 			t.Fatal("Invalidate kept the mark")
@@ -109,10 +117,10 @@ func TestMarkDroppedByEvictionInvalidateClear(t *testing.T) {
 
 func TestClearCleanOfAbsentLine(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, c *Cache) {
-		c.InsertClean(setLine(0), coherence.Shared)
+		c.InsertClean(setLine(c, 0), coherence.Shared)
 		before, stats := c.CleanLines(), c.Stats
-		c.ClearClean(setLine(1)) // same set, absent
-		c.ClearClean(0x40)       // a set never filled
+		c.ClearClean(setLine(c, 1)) // same set, absent
+		c.ClearClean(0x40)          // a set never filled
 		if !slices.Equal(c.CleanLines(), before) || c.Stats != stats || c.ValidLines() != 1 {
 			t.Fatal("ClearClean of an absent line changed the cache")
 		}
@@ -122,14 +130,15 @@ func TestClearCleanOfAbsentLine(t *testing.T) {
 	})
 }
 
-// The same stream of fills, one cache using clean inserts and the other
-// plain ones, evicts the same victims and ends with the same lines.
+// The same stream of fills over twice as many lines as fit, one cache
+// using clean inserts and the other plain ones, evicts the same victims
+// and ends with the same lines.
 func TestCleanAndPlainInsertsChooseSameVictim(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, clean *Cache) {
 		plain := MustNew(clean.Geometry(), clean.Policy())
 		r := rand.New(rand.NewPCG(1, 2))
 		for i := 0; i < 4000; i++ {
-			a := uint64(r.IntN(64)) * LineSize
+			a := uint64(r.IntN(2*capacity(clean))) * LineSize
 			if r.IntN(4) == 0 {
 				clean.Lookup(a)
 				plain.Lookup(a)
@@ -148,10 +157,11 @@ func TestCleanAndPlainInsertsChooseSameVictim(t *testing.T) {
 }
 
 // Property: Clean answers like a map model of present lines and their
-// marks after every operation.
+// marks after every operation, over half as many lines again as fit.
 func TestCleanMatchesModel(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, c *Cache) {
 		r := rand.New(rand.NewPCG(3, 4))
+		lines := 3 * capacity(c) / 2
 		model := map[uint64]bool{} // present line -> clean mark
 		drop := func(ev Evicted, ok bool) {
 			if ok {
@@ -159,7 +169,7 @@ func TestCleanMatchesModel(t *testing.T) {
 			}
 		}
 		for i := 0; i < 20000; i++ {
-			a := uint64(r.IntN(48)) * LineSize
+			a := uint64(r.IntN(lines)) * LineSize
 			switch r.IntN(9) {
 			case 0, 1:
 				drop(c.InsertClean(a, coherence.Shared))
@@ -191,7 +201,7 @@ func TestCleanMatchesModel(t *testing.T) {
 					clear(model)
 				}
 			}
-			for _, b := range []uint64{a, a, uint64(r.IntN(48)) * LineSize} {
+			for _, b := range []uint64{a, a, uint64(r.IntN(lines)) * LineSize} {
 				if got := c.Clean(b); got != model[b] {
 					t.Fatalf("op %d: Clean(%#x) = %v, model %v", i, b, got, model[b])
 				}

@@ -126,8 +126,8 @@ func lruVictim(set []Line) int {
 		if !set[i].Valid() {
 			return i
 		}
-		if first || set[i].lru < best {
-			best = set[i].lru
+		if first || set[i].lru() < best {
+			best = set[i].lru()
 			victim = i
 			first = false
 		}

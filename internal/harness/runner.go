@@ -205,13 +205,21 @@ type Batch struct {
 	digest string
 	arts   []*Artifact
 	cells  [][]Cell
+	// keys holds each cell's store key and input digest (cacheKey).
+	keys [][]cellKey
 	// hits holds each cell's stored entry; nil marks a cell to execute.
 	hits    [][]*store.Entry
 	pending int
 }
 
+// cellKey is a cell's store key and the input digest it ends in.
+type cellKey struct{ key, in string }
+
 // Pending counts the cells the store did not hold at Prepare.
 func (b *Batch) Pending() int { return b.pending }
+
+// ConfigDigest is the plan's Plan.ConfigDigest, computed once at Prepare.
+func (b *Batch) ConfigDigest() string { return b.digest }
 
 // Prepare plans every cell of the given artifacts and looks each one up
 // in the Manifest once, holding the entries it finds. The error covers
@@ -222,6 +230,7 @@ func (r *Runner) Prepare(plan Plan, arts []*Artifact) (*Batch, error) {
 		digest: plan.ConfigDigest(),
 		arts:   arts,
 		cells:  make([][]Cell, len(arts)),
+		keys:   make([][]cellKey, len(arts)),
 		hits:   make([][]*store.Entry, len(arts)),
 	}
 	for ai, a := range arts {
@@ -246,9 +255,12 @@ func (r *Runner) Prepare(plan Plan, arts []*Artifact) (*Batch, error) {
 			names[c.Name] = true
 		}
 		b.cells[ai] = cs
+		b.keys[ai] = make([]cellKey, len(cs))
 		b.hits[ai] = make([]*store.Entry, len(cs))
 		for ci, c := range cs {
-			if b.hits[ai][ci] = r.lookup(cacheKey(b, a, c)); b.hits[ai][ci] == nil {
+			k := cacheKey(b, a, c)
+			b.keys[ai][ci] = k
+			if b.hits[ai][ci] = r.lookup(k); b.hits[ai][ci] == nil {
 				b.pending++
 			}
 		}
@@ -349,7 +361,7 @@ func (r *Runner) Execute(ctx context.Context, b *Batch) (*RunReport, error) {
 					rep.Artifact, rep.Cell, rep.Index = a.Name, c.Name, j.cell
 					rep.Err = fmt.Errorf("%s/%s: %w", a.Name, c.Name, err)
 				} else {
-					r.runCell(ctx, b, a, c, j.cell, slots, &outputs[j.art][j.cell], rep)
+					r.runCell(ctx, b, a, c, b.keys[j.art][j.cell], j.cell, slots, &outputs[j.art][j.cell], rep)
 				}
 				finish(rep)
 			}
@@ -439,18 +451,18 @@ func (r *Runner) assemble(b *Batch, outputs [][]CellOutput, reports [][]CellRepo
 // instead of evicting each other — that is what lets a repeated sweep
 // be served almost entirely from cache. The stores' bounds
 // (Memory.SetLimit, NewDisk's maxBytes) cap the growth this implies.
-func cacheKey(b *Batch, a *Artifact, c Cell) (key, in string) {
-	in = cellDigest(b.digest, b.plan.Seed, b.plan.Sizing, a.Name, c.Name)
-	return a.Name + "/" + c.Name + "@" + in, in
+func cacheKey(b *Batch, a *Artifact, c Cell) cellKey {
+	in := cellDigest(b.digest, b.plan.Seed, b.plan.Sizing, a.Name, c.Name)
+	return cellKey{a.Name + "/" + c.Name + "@" + in, in}
 }
 
 // lookup returns a cell's stored entry, nil on a miss or without a
 // Manifest.
-func (r *Runner) lookup(key, in string) *store.Entry {
+func (r *Runner) lookup(k cellKey) *store.Entry {
 	if r.Manifest == nil {
 		return nil
 	}
-	if e, ok := r.Manifest.Lookup(key, in); ok {
+	if e, ok := r.Manifest.Lookup(k.key, k.in); ok {
 		return e
 	}
 	return nil
@@ -463,12 +475,11 @@ func cached(e *store.Entry, rep *CellReport) CellOutput {
 	return CellOutput{Rows: e.Rows, Summary: e.Summary}
 }
 
-func (r *Runner) runCell(ctx context.Context, b *Batch, a *Artifact, c Cell, idx int, slots chan struct{}, out *CellOutput, rep *CellReport) {
+func (r *Runner) runCell(ctx context.Context, b *Batch, a *Artifact, c Cell, k cellKey, idx int, slots chan struct{}, out *CellOutput, rep *CellReport) {
 	rep.Artifact, rep.Cell, rep.Index = a.Name, c.Name, idx
 	// The cache is consulted before dispatch, not just before local
 	// execution: a cached cell never ships to a remote worker.
-	key, in := cacheKey(b, a, c)
-	if e := r.lookup(key, in); e != nil {
+	if e := r.lookup(k); e != nil {
 		*out = cached(e, rep)
 		return
 	}
@@ -501,8 +512,8 @@ func (r *Runner) runCell(ctx context.Context, b *Batch, a *Artifact, c Cell, idx
 	*out = o
 	rep.Rows = len(o.Rows)
 	if r.Manifest != nil {
-		r.Manifest.Store(key, &store.Entry{
-			Digest:     in,
+		r.Manifest.Store(k.key, &store.Entry{
+			Digest:     k.in,
 			Rows:       o.Rows,
 			Summary:    o.Summary,
 			WallMillis: float64(rep.Wall) / float64(time.Millisecond),

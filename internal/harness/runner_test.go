@@ -276,7 +276,8 @@ func TestCachedResultSharesStoreRows(t *testing.T) {
 			t.Fatalf("%s: %d cell row slices for %d cells", res.Artifact.Name, len(res.CellRows), len(res.Cells))
 		}
 		for ci, c := range b.cells[ai] {
-			e, ok := m.Lookup(cacheKey(b, res.Artifact, c))
+			k := b.keys[ai][ci]
+			e, ok := m.Lookup(k.key, k.in)
 			if !ok {
 				t.Fatalf("%s/%s not stored", res.Artifact.Name, c.Name)
 			}

@@ -56,7 +56,7 @@ func (m *Machine) load(t *sim.Thread, g int, addr uint64) Access {
 	if l := core.L2.Lookup(line); l != nil {
 		// Refill L1 in the same state; inclusion (L1 ⊆ L2) means the L1
 		// victim needs no write-back beyond its L2 copy.
-		m.fillL1Absent(core, line, l.State)
+		m.fillL1Absent(core, line, l.State())
 		return m.finish(line, PathL2, m.cfg.Latencies.L2Hit+walk)
 	}
 

@@ -76,6 +76,8 @@ type Job struct {
 	Plan      harness.Plan
 	Timeout   time.Duration
 	Created   time.Time
+	// digest is Plan.ConfigDigest(), kept for every view of the job.
+	digest string
 
 	cancel context.CancelCauseFunc
 
@@ -158,7 +160,7 @@ func (j *Job) view() View {
 		Artifacts:    j.Artifacts,
 		Seed:         j.Plan.Seed,
 		Sizing:       string(j.Plan.Sizing),
-		ConfigDigest: j.Plan.ConfigDigest(),
+		ConfigDigest: j.digest,
 		Created:      j.Created,
 		Error:        j.errMsg,
 		Cells: CellsView{

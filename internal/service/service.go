@@ -342,6 +342,7 @@ func (s *Service) Submit(tn *tenant.Tenant, req *SubmitRequest) (*Job, error) {
 		Plan:      plan,
 		Timeout:   timeout,
 		Created:   time.Now(),
+		digest:    batch.ConfigDigest(),
 		state:     StateQueued,
 		batch:     batch,
 		stream:    newEventLog[Event](subEventBuffer, s.metrics.SSEEvicted),
