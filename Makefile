@@ -10,7 +10,7 @@ GO ?= go
 # Worker count for test-dispatch and run-workers.
 N ?= 4
 
-.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke fuzz-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci results-verify loc run-daemon run-workers
+.PHONY: build vet test test-race test-dispatch sweep-smoke protocol-smoke replacement-smoke loadgen-smoke fuzz-smoke bench bench-hotpath bench-smoke bench-gate benchstat staticcheck ci results-verify knob-audit loc run-daemon run-workers
 
 build:
 	$(GO) build ./...
@@ -162,19 +162,34 @@ staticcheck:
 ci: build vet staticcheck test test-race protocol-smoke sweep-smoke replacement-smoke loadgen-smoke
 
 # Regenerate every artifact at full size into a temporary directory and
-# diff each committed results/*.tsv against its regenerated twin; any
-# difference fails. Simulator refactors must keep these byte-identical.
-# About 14 s on a 2-CPU x86-64 host; not part of `make ci`, but CI runs
-# it as its own job.
+# diff each TSV the run writes against its committed twin under
+# results/; any difference, a TSV with no committed twin, or a committed
+# TSV no artifact writes fails. Simulator refactors must keep these
+# byte-identical. About 14 s on a 2-CPU x86-64 host; not part of
+# `make ci`, but CI runs it as its own job.
 results-verify:
 	@out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
 	$(GO) run ./cmd/experiments -out "$$out" -cache=false -archive=false >/dev/null || exit 1; \
 	status=0; \
-	for f in results/*.tsv; do \
-		diff -u "$$f" "$$out/$$(basename $$f)" || status=1; \
+	for f in "$$out"/*.tsv; do \
+		c=results/$$(basename "$$f"); \
+		if [ ! -f "$$c" ]; then echo "results-verify: $$c is not committed"; status=1; continue; fi; \
+		diff -u "$$c" "$$f" || status=1; \
 	done; \
-	if [ $$status -eq 0 ]; then echo "results-verify: every results/*.tsv is byte-identical"; fi; \
+	for f in results/*.tsv; do \
+		[ -f "$$out/$$(basename $$f)" ] || { echo "results-verify: no artifact writes $$f"; status=1; }; \
+	done; \
+	if [ $$status -eq 0 ]; then echo "results-verify: all $$(ls "$$out"/*.tsv | wc -l) TSVs match results/"; fi; \
 	exit $$status
+
+# Knob audit: perturb every machine.Config leaf of the default machine
+# one at a time, rerun the whole registry at quick sizing, and check
+# which artifacts move against internal/experiments/testdata/knobs.golden
+# (rewritten on a mismatch; carry the change into DESIGN.md's knob
+# table). About 45 quick passes, roughly 4 min on a 2-CPU host; not part
+# of `make ci`, but CI runs it as its own job.
+knob-audit:
+	$(GO) test -count=1 -timeout 30m -run '^TestKnobAudit$$' ./internal/experiments/ -knob-audit
 
 # Count non-test Go lines per package directory and in total: code,
 # comment and blank lines separately (a comment line starts with // or

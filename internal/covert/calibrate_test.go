@@ -9,7 +9,7 @@ import (
 
 func TestCalibrateBandsDistinct(t *testing.T) {
 	cfg := machine.DefaultConfig()
-	b, err := Calibrate(cfg, 99, 200, DefaultParams().BandMargin)
+	b, err := Calibrate(cfg, 99, 200, BandMargin)
 	if err != nil {
 		t.Fatal(err)
 	}

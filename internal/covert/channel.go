@@ -2,6 +2,7 @@ package covert
 
 import (
 	"fmt"
+	"math"
 
 	"coherentleak/internal/machine"
 	"coherentleak/internal/sim"
@@ -37,8 +38,6 @@ type Channel struct {
 	// the trojan and spy start — the hook the noise workloads and the
 	// defenses attach through.
 	PreRun func(*Session)
-	// MaxCycles bounds the run (0 = a generous default).
-	MaxCycles sim.Cycles
 }
 
 // NewChannel returns a channel with the paper's testbed machine, default
@@ -126,7 +125,7 @@ func (c *Channel) Run(bits []byte) (*Result, error) {
 	perLane := make([][]byte, lanes)
 	rec, err := transmit(setup{
 		cfg: c.Config, mode: c.Mode, worldSeed: c.WorldSeed, patternSeed: c.PatternSeed,
-		sc: c.Scenario, bands: c.Bands, margin: c.Params.BandMargin, preRun: c.PreRun,
+		sc: c.Scenario, bands: c.Bands, preRun: c.PreRun,
 	}, bits, func(sess *Session, bands Bands) (*codec, error) {
 		cd := binaryCodec(c.Scenario, c.Params, bands, stripe(bits, lanes))
 		cd.decode = func(r *reception) []byte {
@@ -167,14 +166,13 @@ func (c *Channel) Run(bits []byte) (*Result, error) {
 // The caller adds the decoder, the deadline and any eviction set.
 func binaryCodec(sc Scenario, p Params, bands Bands, laneBits [][]byte) *codec {
 	cd := &codec{
-		ts:         p.Ts,
-		endRun:     p.EndRun,
-		maxPeriods: p.MaxPeriods,
-		keepSync:   true,
-		labelled:   true,
-		classify:   func(lat sim.Cycles) int { return int(bands.Classify(sc, lat)) },
-		start:      func(cls int) bool { return Class(cls) == ClassBound },
-		idle:       func(cls int) bool { return Class(cls) == ClassOther },
+		ts:       p.Ts,
+		endRun:   p.EndRun,
+		keepSync: true,
+		labelled: true,
+		classify: func(lat sim.Cycles) int { return int(bands.Classify(sc, lat)) },
+		start:    func(cls int) bool { return Class(cls) == ClassBound },
+		idle:     func(cls int) bool { return Class(cls) == ClassOther },
 	}
 	cd.local, cd.remote = sc.TrojanThreads()
 	for _, lb := range laneBits {
@@ -183,12 +181,9 @@ func binaryCodec(sc Scenario, p Params, bands Bands, laneBits [][]byte) *codec {
 	return cd
 }
 
-// deadline is MaxCycles, or by default a generous 50x the expected
-// transmission length (the spy's period grows with the lane count).
+// deadline bounds the run at a generous 50x the expected transmission
+// length (the spy's period grows with the lane count).
 func (c *Channel) deadline(lanes []schedule) sim.Cycles {
-	if c.MaxCycles != 0 {
-		return c.MaxCycles
-	}
 	periods := 0
 	for _, s := range lanes {
 		periods = max(periods, len(s))
@@ -316,16 +311,9 @@ type Bands struct {
 // at rates where narrow pairs have already degraded.
 func (b Bands) Classify(sc Scenario, lat sim.Cycles) Class {
 	x := float64(lat)
-	dist := func(c float64) float64 {
-		d := x - c
-		if d < 0 {
-			return -d
-		}
-		return d
-	}
-	dc := dist(b.ByPlacement[sc.Comm].Center)
-	db := dist(b.ByPlacement[sc.Bound].Center)
-	dx := dist(b.DRAM.Center)
+	dc := math.Abs(x - b.ByPlacement[sc.Comm].Center)
+	db := math.Abs(x - b.ByPlacement[sc.Bound].Center)
+	dx := math.Abs(x - b.DRAM.Center)
 	switch {
 	case dc <= db && dc <= dx:
 		return ClassComm

@@ -77,9 +77,8 @@ type setup struct {
 	// sc is the scenario the machine must host; the 2-bit channel leaves
 	// it zero (all local), having checked for a second socket itself.
 	sc Scenario
-	// bands, when non-nil, replaces calibration at margin.
+	// bands, when non-nil, replaces calibration at BandMargin.
 	bands  *Bands
-	margin float64
 	preRun func(*Session)
 }
 
@@ -105,7 +104,6 @@ type codec struct {
 	labelled    bool
 	start, idle func(int) bool
 	endRun      int
-	maxPeriods  int
 	// keepSync records the polling phase's duration and keeps the start
 	// measurement as the first sample (counted against maxPeriods).
 	keepSync bool
@@ -165,7 +163,7 @@ func transmit(s setup, bits []byte, build func(*Session, Bands) (*codec, error))
 	var bands Bands
 	if s.bands != nil {
 		bands = *s.bands
-	} else if bands, err = Calibrate(s.cfg, s.worldSeed+7777, 200, s.margin); err != nil {
+	} else if bands, err = Calibrate(s.cfg, s.worldSeed+7777, 200, BandMargin); err != nil {
 		return nil, err
 	}
 	if s.preRun != nil {
@@ -334,7 +332,7 @@ func (r *reception) spy(kt *kernel.Thread, sess *Session, c *codec) {
 
 	syncStart := kt.Now()
 	for polls := 0; ; polls++ {
-		if polls > c.maxPeriods || kt.StopRequested() {
+		if polls > maxPeriods || kt.StopRequested() {
 			return // never synchronized
 		}
 		measure()
@@ -350,7 +348,7 @@ func (r *reception) spy(kt *kernel.Thread, sess *Session, c *codec) {
 	}
 
 	idleRun := 0
-	for len(r.samples[0]) < c.maxPeriods && !kt.StopRequested() {
+	for len(r.samples[0]) < maxPeriods && !kt.StopRequested() {
 		measure()
 		record()
 		idle := true

@@ -2,6 +2,7 @@ package covert
 
 import (
 	"fmt"
+	"math"
 
 	"coherentleak/internal/machine"
 	"coherentleak/internal/sim"
@@ -42,11 +43,6 @@ type MultiBitParams struct {
 	// EndRun ends reception after this many idle periods — it must
 	// exceed Gap or the inter-symbol gaps terminate reception.
 	EndRun int
-	// BandMargin widens calibrated bands (reporting only; classification
-	// is nearest-center).
-	BandMargin float64
-	// MaxPeriods bounds reception.
-	MaxPeriods int
 }
 
 // DefaultMultiBitParams returns the reliable §VIII-D operating point.
@@ -57,8 +53,6 @@ func DefaultMultiBitParams() MultiBitParams {
 		Ts:          750,
 		SyncPeriods: 20,
 		EndRun:      8,
-		BandMargin:  4,
-		MaxPeriods:  2_000_000,
 	}
 }
 
@@ -84,14 +78,17 @@ func (p MultiBitParams) PeriodsPerSymbol() float64 { return float64(p.Cs + p.Gap
 
 // EstimateKbps predicts the raw bit rate of the 2-bit channel.
 func (p MultiBitParams) EstimateKbps(cfg machine.Config) float64 {
-	lat := cfg.Latencies
-	// Average load latency across the four bands.
+	return cfg.ClockHz / (p.periodCycles(cfg) * p.PeriodsPerSymbol() / 2) / 1e3
+}
+
+// periodCycles predicts one spy period: flush + wait + a timed load at
+// the mean latency of the four bands.
+func (p MultiBitParams) periodCycles(cfg machine.Config) float64 {
 	var sum sim.Cycles
 	for _, pl := range AllPlacements {
 		sum += placementBaseLatency(cfg, pl)
 	}
-	period := float64(lat.FlushBase) + float64(p.Ts) + float64(sum)/4
-	return cfg.ClockHz / (period * p.PeriodsPerSymbol() / 2) / 1e3
+	return float64(cfg.Latencies.FlushBase) + float64(p.Ts) + float64(sum)/4
 }
 
 // MultiBitParamsForRate solves for Ts given a target bit rate.
@@ -100,12 +97,7 @@ func MultiBitParamsForRate(cfg machine.Config, targetKbps float64) MultiBitParam
 	if targetKbps <= 0 {
 		return p
 	}
-	lat := cfg.Latencies
-	var sum sim.Cycles
-	for _, pl := range AllPlacements {
-		sum += placementBaseLatency(cfg, pl)
-	}
-	overhead := float64(lat.FlushBase) + float64(sum)/4
+	overhead := MultiBitParams{}.periodCycles(cfg) // per period, excluding Ts
 	for _, st := range []struct{ cs, gap int }{{3, 2}, {2, 1}, {1, 1}} {
 		p.Cs, p.Gap = st.cs, st.gap
 		cyclesPerSymbol := cfg.ClockHz / (targetKbps * 1e3) * 2
@@ -180,7 +172,7 @@ func (c *MultiBitChannel) Run(bits []byte) (*MultiBitResult, error) {
 	var rxSymbols []int
 	rec, err := transmit(setup{
 		cfg: c.Config, mode: c.Mode, worldSeed: c.WorldSeed, patternSeed: c.PatternSeed,
-		bands: c.Bands, margin: c.Params.BandMargin, preRun: c.PreRun,
+		bands: c.Bands, preRun: c.PreRun,
 	}, bits, func(_ *Session, bands Bands) (*codec, error) {
 		sched := buildSymbolSchedule(c.Params, symbols)
 		rexcl, _ := symbolOf(RExcl)
@@ -188,12 +180,11 @@ func (c *MultiBitChannel) Run(bits []byte) (*MultiBitResult, error) {
 			lanes: []schedule{sched},
 			// All four workers always run: every placement is in use.
 			local: 2, remote: 2,
-			ts:         c.Params.Ts,
-			endRun:     c.Params.EndRun,
-			maxPeriods: c.Params.MaxPeriods,
-			classify:   func(lat sim.Cycles) int { return classifySymbol(bands, lat) },
-			start:      func(sym int) bool { return sym == rexcl },
-			idle:       func(sym int) bool { return sym == -1 },
+			ts:       c.Params.Ts,
+			endRun:   c.Params.EndRun,
+			classify: func(lat sim.Cycles) int { return classifySymbol(bands, lat) },
+			start:    func(sym int) bool { return sym == rexcl },
+			idle:     func(sym int) bool { return sym == -1 },
 			decode: func(r *reception) []byte {
 				rxSymbols = decodeSymbolRuns(r.syms[0])
 				var rx []byte
@@ -202,7 +193,7 @@ func (c *MultiBitChannel) Run(bits []byte) (*MultiBitResult, error) {
 				}
 				return rx
 			},
-			deadline: sim.Cycles(float64(len(sched)+c.Params.MaxPeriods/100)*3000) + 100_000_000,
+			deadline: multiBitDeadline(sched),
 		}, nil
 	})
 	if err != nil {
@@ -218,24 +209,23 @@ func (c *MultiBitChannel) Run(bits []byte) (*MultiBitResult, error) {
 	}, nil
 }
 
+// multiBitDeadline bounds a 2-bit-symbol run: 3000 cycles for every
+// scheduled period plus a hundredth of maxPeriods, and 100M cycles more.
+func multiBitDeadline(sched schedule) sim.Cycles {
+	return sim.Cycles(float64(len(sched)+maxPeriods/100)*3000) + 100_000_000
+}
+
 // classifySymbol returns the symbol index of the placement band nearest
 // to lat, or -1 (idle) when the DRAM band is nearest.
 func classifySymbol(bands Bands, lat sim.Cycles) int {
 	x := float64(lat)
-	best, bestDist := -1, abs(x-bands.DRAM.Center)
+	best, bestDist := -1, math.Abs(x-bands.DRAM.Center)
 	for i, pl := range SymbolMap {
-		if d := abs(x - bands.ByPlacement[pl].Center); d < bestDist {
+		if d := math.Abs(x - bands.ByPlacement[pl].Center); d < bestDist {
 			best, bestDist = i, d
 		}
 	}
 	return best
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // decodeSymbolRuns converts the per-sample symbol trace into symbols: a

@@ -44,8 +44,6 @@ type Params struct {
 	// EndRun is N of Algorithm 2: reception ends after this many
 	// consecutive samples outside both bands.
 	EndRun int
-	// BandMargin widens calibrated bands on each side (cycles).
-	BandMargin float64
 	// Probe selects how the spy invalidates B each period: clflush (the
 	// default) or eviction of all the ways in B's LLC set (§VI-B's
 	// alternative for environments without a flush instruction).
@@ -59,9 +57,16 @@ type Params struct {
 	// than bits. It must not exceed C0 or legitimate '0' runs would be
 	// dropped. 1 disables filtering.
 	MinRun int
-	// MaxPeriods aborts a runaway reception (safety bound).
-	MaxPeriods int
 }
+
+// BandMargin is how many cycles a channel's own calibration widens each
+// band by on either side. Both channels classify by the nearest band
+// centre, so the margin moves only the reported Lo and Hi.
+const BandMargin = 4
+
+// maxPeriods aborts a runaway reception: the spy gives up polling for
+// the preamble, or stops recording, after this many periods.
+const maxPeriods = 2_000_000
 
 // DefaultParams returns a conservative mid-rate configuration
 // (roughly the paper's reliable operating point).
@@ -73,9 +78,7 @@ func DefaultParams() Params {
 		Ts:          900,
 		SyncPeriods: 20,
 		EndRun:      10,
-		BandMargin:  4,
 		MinRun:      1,
-		MaxPeriods:  2_000_000,
 	}
 }
 
@@ -157,9 +160,7 @@ func ParamsForRate(cfg machine.Config, s Scenario, targetKbps float64) Params {
 	if targetKbps <= 0 {
 		return p
 	}
-	lat := cfg.Latencies
-	load := float64(placementBaseLatency(cfg, s.Comm)+placementBaseLatency(cfg, s.Bound)) / 2
-	overhead := float64(lat.FlushBase) + load // per period, excluding Ts
+	overhead := Params{}.EstimatePeriodCycles(cfg, s) // per period, excluding Ts
 
 	solve := func(periodsPerBit float64) (sim.Cycles, bool) {
 		cyclesPerBit := cfg.ClockHz / (targetKbps * 1e3)

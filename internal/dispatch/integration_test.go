@@ -253,3 +253,32 @@ func TestFleetCompiledKernelByteIdentity(t *testing.T) {
 		t.Fatalf("fleet TSV differs from serial in-process run:\n got: %q\nwant: %q", got, want)
 	}
 }
+
+// TestHTTPWorkerDeregisterRetries: a stopping worker whose first DELETE
+// fails retries it, so the fleet drops the worker at once instead of
+// counting it live until its TTL.
+func TestHTTPWorkerDeregisterRetries(t *testing.T) {
+	f := NewFleet(Options{LeaseTTL: time.Hour, WorkerTTL: time.Hour})
+	defer f.Close()
+	mux := http.NewServeMux()
+	f.Routes(mux)
+	var deletes atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodDelete && deletes.Add(1) == 1 {
+			http.Error(rw, "coordinator busy", http.StatusServiceUnavailable)
+			return
+		}
+		mux.ServeHTTP(rw, r)
+	}))
+	defer ts.Close()
+
+	stop := startWorkers(t, ts.URL, gridRegistry(1, nil), 1)
+	waitUntil(t, func() bool { return f.Stats().LiveWorkers == 1 })
+	stop()
+	if n := deletes.Load(); n < 2 {
+		t.Fatalf("%d DELETE requests, want a retry after the failed first", n)
+	}
+	if n := f.Stats().LiveWorkers; n != 0 {
+		t.Fatalf("%d live workers after the worker stopped, want 0 long before the 1h TTL", n)
+	}
+}

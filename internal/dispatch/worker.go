@@ -293,9 +293,25 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// deregister tells the fleet we are leaving; best-effort.
+// deregister tells the fleet we are leaving, retrying a transient
+// failure with backoff for up to 5 s: a fleet that never hears it
+// counts the worker live until its TTL. A 404 means the fleet has
+// already forgotten us.
 func (w *Worker) deregister() {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	w.client.Call(ctx, http.MethodDelete, "/v1/workers/"+w.workerID(), nil, nil)
+	for backoff := 50 * time.Millisecond; ; backoff = min(2*backoff, time.Second) {
+		status, err := w.client.Call(ctx, http.MethodDelete, "/v1/workers/"+w.workerID(), nil, nil)
+		if err == nil || status == http.StatusNotFound {
+			return
+		}
+		if !client.Retryable(err) || ctx.Err() != nil {
+			w.logf("deregister: %v (giving up; the fleet drops this worker at its TTL)", err)
+			return
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(backoff):
+		}
+	}
 }

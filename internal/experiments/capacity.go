@@ -6,7 +6,6 @@ import (
 	"coherentleak/internal/capacity"
 	"coherentleak/internal/covert"
 	"coherentleak/internal/machine"
-	"coherentleak/internal/noise"
 )
 
 // CapacityPoint quantifies the §II TCSEC discussion for one operating
@@ -46,7 +45,7 @@ func CapacityTable(cfg machine.Config, sc covert.Scenario, targets []float64, no
 // the whole-grid sweep, so decomposed runs reproduce the same numbers.
 func CapacityColumn(cfg machine.Config, sc covert.Scenario, target float64, targetIndex int, noiseLevels []int, payloadBits int, seed uint64) ([]CapacityPoint, error) {
 	bits := PatternBits(seed^0xCA9A, payloadBits)
-	bands, err := covert.Calibrate(cfg, seed+7777, 200, covert.DefaultParams().BandMargin)
+	bands, err := calibrate(cfg, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -60,11 +59,7 @@ func CapacityColumn(cfg machine.Config, sc covert.Scenario, target float64, targ
 			WorldSeed:   seed + uint64(targetIndex)*97 + uint64(j)*13,
 			PatternSeed: seed,
 			Bands:       &bands,
-			PreRun: func(s *covert.Session) {
-				if err := noise.CoLocate(s, n); err != nil {
-					panic(err)
-				}
-			},
+			PreRun:      withNoise(n),
 		}
 		res, err := ch.Run(bits)
 		if err != nil {

@@ -18,7 +18,7 @@ func TestDebugNoisyTrace(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	sc := covert.Scenarios[1] // RExclc-RSharedb
 	p := Fig10Params()
-	bands, err := covert.Calibrate(cfg, DefaultSeed+7777, 200, p.BandMargin)
+	bands, err := calibrate(cfg, DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestDebugTrace(t *testing.T) {
 	sc := covert.Scenarios[0]
 	p := covert.ParamsForRate(cfg, sc, 400)
 	t.Logf("params: %+v threshold=%v", p, p.Threshold())
-	bands, err := covert.Calibrate(cfg, DefaultSeed+7777, 200, p.BandMargin)
+	bands, err := calibrate(cfg, DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"coherentleak/internal/covert"
 	"coherentleak/internal/machine"
+	"coherentleak/internal/noise"
 	"coherentleak/internal/sim"
 )
 
@@ -26,6 +27,23 @@ func PatternBits(seed uint64, n int) []byte {
 		out[i] = byte(r.Uint64() & 1)
 	}
 	return out
+}
+
+// calibrate measures the bands every channel run of one experiment
+// cell shares, 200 samples per band, as both parties would once before
+// communicating.
+func calibrate(cfg machine.Config, seed uint64) (covert.Bands, error) {
+	return covert.Calibrate(cfg, seed+7777, 200, covert.BandMargin)
+}
+
+// withNoise is the PreRun hook that co-locates n kernel-build noise
+// threads with the trojan and the spy.
+func withNoise(n int) func(*covert.Session) {
+	return func(s *covert.Session) {
+		if err := noise.CoLocate(s, n); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // Fig6Pattern is the 100-bit pattern the trojan transmits in Figures 6-7.
@@ -48,7 +66,7 @@ func Fig8Targets() []float64 {
 // one scenario (one subplot of Figure 8).
 func Fig8RateSweep(cfg machine.Config, sc covert.Scenario, targets []float64, payloadBits int, seed uint64) ([]RatePoint, error) {
 	bits := PatternBits(seed^0x88, payloadBits)
-	bands, err := covert.Calibrate(cfg, seed+7777, 200, covert.DefaultParams().BandMargin)
+	bands, err := calibrate(cfg, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"coherentleak/internal/covert"
 	"coherentleak/internal/ecc"
 	"coherentleak/internal/machine"
-	"coherentleak/internal/noise"
 )
 
 // Fig10Point is one bar group of Figure 10 for a scenario: the raw rate
@@ -44,7 +43,7 @@ func Fig10Params() covert.Params {
 // scenario across noise levels, transferring payloadPackets 64-byte
 // packets.
 func Fig10ECC(cfg machine.Config, sc covert.Scenario, levels []int, payloadPackets int, seed uint64) ([]Fig10Point, error) {
-	bands, err := covert.Calibrate(cfg, seed+7777, 200, covert.DefaultParams().BandMargin)
+	bands, err := calibrate(cfg, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -71,16 +70,11 @@ func Fig10ECC(cfg machine.Config, sc covert.Scenario, levels []int, payloadPacke
 
 	out := make([]Fig10Point, 0, len(levels))
 	for i, n := range levels {
-		n := n
 		ch := covert.Channel{
 			Config: cfg, Scenario: sc, Params: Fig10Params(),
 			Mode: covert.ShareExplicit, WorldSeed: seed + uint64(i)*131, PatternSeed: seed,
-			Bands: &bands,
-			PreRun: func(s *covert.Session) {
-				if err := noise.CoLocate(s, n); err != nil {
-					panic(err)
-				}
-			},
+			Bands:  &bands,
+			PreRun: withNoise(n),
 		}
 		p := ecc.NewProtocol(ch)
 		res, err := p.Send(payload)

@@ -40,7 +40,7 @@ type PeakRates struct {
 // FindPeakRates sweeps operating points and returns the fastest
 // configurations that keep accuracy >= minAccuracy.
 func FindPeakRates(cfg machine.Config, minAccuracy float64, payloadBits int, seed uint64) (*PeakRates, error) {
-	bands, err := covert.Calibrate(cfg, seed+7777, 200, covert.DefaultParams().BandMargin)
+	bands, err := calibrate(cfg, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 
 	"coherentleak/internal/covert"
 	"coherentleak/internal/machine"
-	"coherentleak/internal/noise"
 )
 
 // NoisePoint is one bar of Figure 9: raw-bit accuracy for a scenario
@@ -25,13 +24,12 @@ func Fig9NoiseLevels() []int { return []int{0, 1, 2, 4, 6, 8} }
 // noise study at a fixed transmission configuration).
 func Fig9Noise(cfg machine.Config, sc covert.Scenario, levels []int, payloadBits int, seed uint64) ([]NoisePoint, error) {
 	bits := PatternBits(seed^0x99, payloadBits)
-	bands, err := covert.Calibrate(cfg, seed+7777, 200, covert.DefaultParams().BandMargin)
+	bands, err := calibrate(cfg, seed)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]NoisePoint, 0, len(levels))
 	for i, n := range levels {
-		n := n
 		ch := &covert.Channel{
 			Config:      cfg,
 			Scenario:    sc,
@@ -40,11 +38,7 @@ func Fig9Noise(cfg machine.Config, sc covert.Scenario, levels []int, payloadBits
 			WorldSeed:   seed + uint64(i)*67,
 			PatternSeed: seed,
 			Bands:       &bands,
-			PreRun: func(s *covert.Session) {
-				if err := noise.CoLocate(s, n); err != nil {
-					panic(err)
-				}
-			},
+			PreRun:      withNoise(n),
 		}
 		res, err := ch.Run(bits)
 		if err != nil {

@@ -74,7 +74,7 @@ var matrixChannels = []matrixChannel{
 // explicitly shared page, calibrating first.
 func binaryMatrixRun(sc covert.Scenario) func(machine.Config, int, uint64) (*covert.Transmission, error) {
 	return func(cfg machine.Config, payloadBits int, seed uint64) (*covert.Transmission, error) {
-		bands, err := covert.Calibrate(cfg, seed+7777, 200, covert.DefaultParams().BandMargin)
+		bands, err := calibrate(cfg, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -26,6 +26,17 @@ func TestArtifactsRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestResultsCoverEveryArtifact: every registered artifact has its
+// full-size TSV committed under results/, so `make results-verify`
+// checks every artifact the registry writes.
+func TestResultsCoverEveryArtifact(t *testing.T) {
+	for _, a := range Artifacts().Artifacts() {
+		if _, err := os.Stat(filepath.Join("..", "..", "results", a.File)); err != nil {
+			t.Errorf("artifact %s has no committed results TSV: %v", a.Name, err)
+		}
+	}
+}
+
 // TestArtifactCellPlansAreWellFormed enumerates every artifact's cells
 // at both sizings without running them: non-empty, uniquely named, and
 // decomposed (the sweep artifacts must expose real parallelism).

@@ -48,9 +48,6 @@ type Latencies struct {
 	// RFOOverhead is the additional invalidation cost of a write miss or
 	// S->M upgrade, on top of the corresponding load path.
 	RFOOverhead sim.Cycles
-	// BusArbitration is the extra cost every off-core request pays in
-	// SnoopBus mode (winning the broadcast bus).
-	BusArbitration sim.Cycles
 	// PageWalk is the TLB-miss penalty. Zero disables TLB modelling.
 	PageWalk sim.Cycles
 	// FlushBase is the cost of a clflush reaching every cache.
@@ -86,7 +83,6 @@ func DefaultLatencies() Latencies {
 		DRAMChannelService:  30,
 		StoreHit:            3,
 		RFOOverhead:         20,
-		BusArbitration:      10,
 		PageWalk:            120,
 		FlushBase:           90,
 		FlushDirty:          30,
@@ -155,7 +151,7 @@ type Config struct {
 	Replacement string `json:",omitempty"`
 	// SnoopBus replaces the directory lookup with a broadcast bus per
 	// socket (§VIII-E's first protocol class): every off-core miss pays
-	// a bus arbitration, and one bus carries all of a socket's miss
+	// a fixed bus arbitration, and one bus carries all of a socket's miss
 	// traffic, so it congests faster than the ring. The service paths —
 	// and therefore the latency-band structure — are unchanged, which is
 	// the paper's point: "our findings extend to different classes of

@@ -35,8 +35,7 @@ func TestSnoopBusKeepsBandStructure(t *testing.T) {
 		if e.Latency <= s.Latency {
 			t.Fatalf("snoop E (%d) not slower than S (%d)", e.Latency, s.Latency)
 		}
-		arb := cfg.Latencies.BusArbitration
-		if s.Latency < 98 || s.Latency > 98+arb+2*sim.Cycles(cfg.Latencies.Jitter)+4 {
+		if s.Latency < 98 || s.Latency > 98+busArbitration+2*sim.Cycles(cfg.Latencies.Jitter)+4 {
 			t.Fatalf("snoop S latency %d outside expected band", s.Latency)
 		}
 	})
